@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -25,34 +25,33 @@ class DegenerateEmbeddingsError(ValueError):
     """All points identical: no split exists, scores cannot discriminate."""
 
 
-@dataclass(frozen=True)
-class TreeLeaf:
-    size: int
-
-
-@dataclass(frozen=True)
-class TreeSplit:
-    dim: int
-    value: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Union[TreeLeaf, TreeSplit]
-
-
-@dataclass(frozen=True)
-class IsolationTree:
-    root: TreeNode
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsolationForest:
-    trees: tuple[IsolationTree, ...]
+    """All ``t`` trees as one flat node table.
+
+    Node ``i`` sends a point ``x`` to ``children[i, 0]`` when
+    ``x[feature[i]] < threshold[i]`` and to ``children[i, 1]`` otherwise.
+    A leaf is its own child in both slots, so a walk may take more steps
+    than the leaf's depth and stay put. ``path[i]`` is the path length a
+    point landing in leaf ``i`` gets: the leaf's depth plus ``c(size)`` for
+    the points that reached it. Nodes of a tree are stored in pre-order,
+    starting at ``roots[k]`` for tree ``k``.
+    """
+
+    feature: np.ndarray  # (nodes,) split dimension; 0 at leaves
+    threshold: np.ndarray  # (nodes,) split value; NaN at leaves
+    children: np.ndarray  # (nodes, 2) left and right node index
+    path: np.ndarray  # (nodes,) depth + c(size) at leaves; 0 at splits
+    roots: np.ndarray  # (t,) root node of each tree
     psi: int
     n: int
     seed: int
     dim: int
+
+    @property
+    def depth_limit(self) -> int:
+        """No tree grows deeper than ceil(log2(psi))."""
+        return math.ceil(math.log2(self.psi))
 
 
 def average_path_length(m: int) -> float:
@@ -72,24 +71,31 @@ def _split_value(rng: np.random.Generator, lo: float, hi: float) -> float:
             return value
 
 
-def _build_tree(points: np.ndarray, depth: int, limit: int, rng: np.random.Generator) -> TreeNode:
+def _grow(
+    points: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list[list]
+) -> int:
+    """Append one subtree in pre-order, left before right; return its root.
+
+    A node row is ``[feature, threshold, left, right, path]``.
+    """
+    index = len(nodes)
+    nodes.append([0, math.nan, index, index, 0.0])
     m = points.shape[0]
-    if m <= 1 or depth >= limit:
-        return TreeLeaf(size=m)
-    lows = points.min(axis=0)
-    highs = points.max(axis=0)
-    splittable = np.flatnonzero(highs > lows)
-    if splittable.size == 0:
-        return TreeLeaf(size=m)  # identical points
-    dim = int(splittable[rng.integers(splittable.size)])
-    value = _split_value(rng, float(lows[dim]), float(highs[dim]))
-    mask = points[:, dim] < value
-    return TreeSplit(
-        dim=dim,
-        value=value,
-        left=_build_tree(points[mask], depth + 1, limit, rng),
-        right=_build_tree(points[~mask], depth + 1, limit, rng),
-    )
+    if m > 1 and depth < limit:
+        lows = points.min(axis=0)
+        highs = points.max(axis=0)
+        # A split needs a representable value strictly between low and high.
+        splittable = np.flatnonzero(np.nextafter(lows, highs) < highs)
+        if splittable.size:
+            dim = int(splittable[rng.integers(splittable.size)])
+            value = _split_value(rng, float(lows[dim]), float(highs[dim]))
+            mask = points[:, dim] < value
+            left = _grow(points[mask], depth + 1, limit, rng, nodes)
+            right = _grow(points[~mask], depth + 1, limit, rng, nodes)
+            nodes[index][:4] = [dim, value, left, right]
+            return index
+    nodes[index][4] = depth + average_path_length(m)
+    return index
 
 
 def fit_forest(
@@ -120,34 +126,58 @@ def fit_forest(
             "carry no ranking - produce a threshold-free report instead"
         )
     limit = math.ceil(math.log2(psi))
-    trees = []
+    nodes: list[list] = []
+    roots = []
     for index in range(t):
         rng = substream(seed, "tree", index)
         sample = matrix[rng.choice(n, size=psi, replace=False)]
-        trees.append(IsolationTree(root=_build_tree(sample, 0, limit, rng)))
-    return IsolationForest(trees=tuple(trees), psi=psi, n=n, seed=seed, dim=matrix.shape[1])
+        roots.append(_grow(sample, 0, limit, rng, nodes))
+    table = np.array(nodes, dtype=np.float64)  # node indices stay exact below 2**53
+    return IsolationForest(
+        feature=table[:, 0].astype(np.intp),
+        threshold=table[:, 1].copy(),
+        children=table[:, 2:4].astype(np.intp),
+        path=table[:, 4].copy(),
+        roots=np.array(roots, dtype=np.intp),
+        psi=psi,
+        n=n,
+        seed=seed,
+        dim=matrix.shape[1],
+    )
 
 
-def path_length(tree: IsolationTree, z: np.ndarray) -> float:
-    """Edges traversed to the landing leaf plus its size adjustment."""
-    node = tree.root
-    edges = 0
-    while isinstance(node, TreeSplit):
-        node = node.left if z[node.dim] < node.value else node.right
-        edges += 1
-    return edges + average_path_length(node.size)
+def _mean_path_lengths(forest: IsolationForest, rows: np.ndarray) -> np.ndarray:
+    """Mean path length over trees of every row of a (rows, dim) matrix."""
+    if rows.shape[1] != forest.dim:
+        raise ValueError(f"query of length {rows.shape[1]} vs forest dimension {forest.dim}")
+    at = np.arange(rows.shape[0])[:, None]
+    nodes = np.tile(forest.roots, (rows.shape[0], 1))  # (rows, trees)
+    for _ in range(forest.depth_limit):
+        # ``not x < threshold`` goes right, exactly as a scalar walk would.
+        right = ~(rows[at, forest.feature[nodes]] < forest.threshold[nodes])
+        nodes = forest.children[nodes, right.view(np.int8)]
+    # A C-contiguous (rows, trees) mean sums each row as np.mean of one
+    # row would, so a batch and a single row give the same bits.
+    return forest.path[nodes].mean(axis=1)
+
+
+def _scores(forest: IsolationForest, rows: np.ndarray) -> list[float]:
+    c = average_path_length(forest.psi)
+    # Python float pow per row: numpy's vectorized power can differ by an ulp.
+    return [2.0 ** (-m / c) for m in _mean_path_lengths(forest, rows).tolist()]
+
+
+def _query_row(z: np.ndarray) -> np.ndarray:
+    return np.asarray(z, dtype=np.float64).reshape(1, -1)
 
 
 def expected_path_length(forest: IsolationForest, z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.shape[0] != forest.dim:
-        raise ValueError(f"query of length {z.shape[0]} vs forest dimension {forest.dim}")
-    return float(np.mean([path_length(tree, z) for tree in forest.trees]))
+    return float(_mean_path_lengths(forest, _query_row(z))[0])
 
 
 def anomaly_score(forest: IsolationForest, z: np.ndarray) -> float:
     """``2 ** (-E(h(z)) / c(psi))``, in (0, 1), decreasing in path length."""
-    return float(2.0 ** (-expected_path_length(forest, z) / average_path_length(forest.psi)))
+    return _scores(forest, _query_row(z))[0]
 
 
 @dataclass(frozen=True)
@@ -181,9 +211,7 @@ def score_network(
 ) -> AnomalyReport:
     """Score every stored record; flag those with score above the threshold."""
     rows = store_matrix(store, include_configs=include_configs)
-    cells = tuple(
-        (record.cell_id, anomaly_score(forest, row))
-        for record, row in zip(store.records, rows)
-    )
+    scores = _scores(forest, rows)
+    cells = tuple((record.cell_id, score) for record, score in zip(store.records, scores))
     flagged = tuple(cid for cid, score in cells if score > threshold)
     return AnomalyReport(threshold=threshold, cells=cells, flagged=flagged)

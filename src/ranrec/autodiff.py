@@ -339,6 +339,28 @@ class Tape:
 
         return self._record(Node(np.ascontiguousarray(value), (a,), backward))
 
+    def block_matmul(self, a: Node, b: Node, n: int) -> Node:
+        """``a @ b`` computed as one product per block of ``n`` rows.
+
+        BLAS may round a row of a matrix-vector product differently with the
+        total row count, so a single product over all blocks would make one
+        block's values depend on how many others share the batch. Per-block
+        products give every block the values it gets on its own.
+        """
+        rows, cols = a.shape
+        if rows % n:
+            raise ShapeError(f"{rows} rows do not split into blocks of {n}")
+        if cols != b.shape[0]:
+            raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
+        av, bv = a.value, b.value
+        need_a, need_b = a.needs_grad, b.needs_grad
+
+        def backward(g: np.ndarray):
+            return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
+
+        value = (av.reshape(rows // n, n, cols) @ bv).reshape(rows, b.shape[1])
+        return self._record(Node(value, (a, b), backward))
+
     def mul_col(self, a: Node, col: Node) -> Node:
         """Scale every row of ``a`` by the matching entry of a column vector."""
         if col.shape != (a.shape[0], 1):

@@ -28,7 +28,7 @@ from .anomaly import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .evaluation import compare_models, pca_project
-from .gnn import Checkpoint, encode, schema_hash
+from .gnn import Checkpoint, schema_hash
 from .graph import (
     NetworkFormatError,
     denormalize,
@@ -47,7 +47,7 @@ from .inference import (
 )
 from .sampler import SamplerConfig, build_dataset, sample_subgraph
 from .synth import SynthSpec, generate
-from .training import train_gae, train_sgnn
+from .training import encode_centers, train_gae, train_sgnn
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,10 @@ def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -213,8 +217,7 @@ def cmd_embed(args) -> int:
     dataset = build_dataset(
         graph, checkpoint.stats, SamplerConfig(fanout=checkpoint.fanout, seed=seed)
     )
-    for entry in dataset:
-        z = encode(checkpoint.encoder, entry.subgraph)[0, :]
+    for entry, z in zip(dataset, encode_centers(checkpoint.encoder, dataset)):
         bundle.store.add(entry.subgraph.center, z, entry.target)
     out = Path(args.out)
     _atomic_write(out, _canonical_json(bundle.to_json()))

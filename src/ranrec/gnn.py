@@ -191,7 +191,8 @@ def _head_forward(
     t = tape.matmul(h, tape.param(head.W_dst))
     src = tape.pair_source(s, n)  # row (b, i, j) carries s[b, j]
     pairs = tape.add(src, tape.pair_target(t, n))
-    scores = tape.matmul(tape.leaky_relu(pairs, slope), tape.param(head.a))
+    # One product per subgraph's n*n pair rows keeps scores batch-invariant.
+    scores = tape.block_matmul(tape.leaky_relu(pairs, slope), tape.param(head.a), n * n)
     alpha = tape.masked_softmax(tape.reshape(scores, rows, n), masks)
     weighted = tape.mul_col(src, tape.reshape(alpha, rows * n, 1))
     return tape.sum_blocks(weighted, n), alpha

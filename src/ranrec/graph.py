@@ -11,6 +11,7 @@ statistics fitted on training cells; slots of the other technology are 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -148,6 +149,13 @@ class CellRecord:
             raise NetworkFormatError(
                 f"cell {self.cell_id!r}: unknown technology {self.technology!r}"
             )
+        for role in ROLES:
+            for name, value in self.raw_values(role).items():
+                if not math.isfinite(value):
+                    raise NetworkFormatError(
+                        f"cell {self.cell_id!r}: {role} {name!r} is {value}, "
+                        "not a finite number"
+                    )
 
     def raw_values(self, role: str) -> Mapping[str, float]:
         return self.raw_predictors if role == "predictor" else self.raw_configs
@@ -298,28 +306,40 @@ def network_from_json(data: dict, source: str = "<memory>") -> RanGraph:
         if key not in data:
             raise NetworkFormatError(f"{source}: missing top-level key {key!r}")
     schema = AttributeSchema.from_json(data["schema"])
+    cells = _parse_cells(data["cells"], source, configs_required=True)
+    return RanGraph(schema=schema, cells=cells, edges=_parse_edges(data["edges"], source))
+
+
+def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list[CellRecord]:
     cells = []
-    for i, item in enumerate(data["cells"]):
+    for i, item in enumerate(items):
         try:
+            configs = item["configs"] if configs_required else item.get("configs", {})
             cells.append(
                 CellRecord(
                     cell_id=str(item["cell_id"]),
                     node_id=str(item["node_id"]),
                     technology=str(item["technology"]),
                     raw_predictors={k: float(v) for k, v in item["predictors"].items()},
-                    raw_configs={k: float(v) for k, v in item["configs"].items()},
+                    raw_configs={k: float(v) for k, v in configs.items()},
                 )
             )
         except KeyError as exc:
             raise NetworkFormatError(f"{source}: cell entry {i}: missing field {exc}") from exc
+        except NetworkFormatError as exc:
+            raise NetworkFormatError(f"{source}: cell entry {i}: {exc}") from exc
+    return cells
+
+
+def _parse_edges(items: list, source: str) -> list[tuple[str, str, str]]:
     edges = []
-    for i, item in enumerate(data["edges"]):
+    for i, item in enumerate(items):
         if len(item) != 3:
             raise NetworkFormatError(
                 f"{source}: edge entry {i}: expected [cell_id, cell_id, kind]"
             )
         edges.append((str(item[0]), str(item[1]), str(item[2])))
-    return RanGraph(schema=schema, cells=cells, edges=edges)
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +514,5 @@ def parse_cells_payload(
     """
     if "cells" not in data:
         raise NetworkFormatError(f"{source}: missing top-level key 'cells'")
-    cells = []
-    for i, item in enumerate(data["cells"]):
-        try:
-            cells.append(
-                CellRecord(
-                    cell_id=str(item["cell_id"]),
-                    node_id=str(item["node_id"]),
-                    technology=str(item["technology"]),
-                    raw_predictors={k: float(v) for k, v in item["predictors"].items()},
-                    raw_configs={k: float(v) for k, v in item.get("configs", {}).items()},
-                )
-            )
-        except KeyError as exc:
-            raise NetworkFormatError(f"{source}: cell entry {i}: missing field {exc}") from exc
-    edges = []
-    for i, item in enumerate(data.get("edges", [])):
-        if len(item) != 3:
-            raise NetworkFormatError(
-                f"{source}: edge entry {i}: expected [cell_id, cell_id, kind]"
-            )
-        edges.append((str(item[0]), str(item[1]), str(item[2])))
-    return cells, edges
+    cells = _parse_cells(data["cells"], source, configs_required=False)
+    return cells, _parse_edges(data.get("edges", []), source)

@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ranrec
 from ranrec.anomaly import (
     DegenerateEmbeddingsError,
-    IsolationTree,
-    TreeLeaf,
-    TreeSplit,
+    IsolationForest,
     anomaly_score,
     average_path_length,
     expected_path_length,
     fit_forest,
-    path_length,
     score_network,
     store_matrix,
 )
@@ -31,28 +33,59 @@ def cluster_with_outlier(n=99, d=2, radius=1.0, factor=10.0, seed=0):
     return np.vstack([points, outlier])
 
 
+def is_leaf(forest, node):
+    return forest.children[node, 0] == node == forest.children[node, 1]
+
+
+def walk(forest, node, depth=0):
+    """(node, depth) of a subtree in pre-order, left before right."""
+    yield node, depth
+    if not is_leaf(forest, node):
+        for child in forest.children[node]:
+            yield from walk(forest, child, depth + 1)
+
+
 class TestFit:
     def test_two_points_single_split(self):
         forest = fit_forest(np.array([[0.0], [1.0]]), t=1, psi=2, seed=0)
-        root = forest.trees[0].root
-        assert isinstance(root, TreeSplit)
-        assert isinstance(root.left, TreeLeaf) and root.left.size == 1
-        assert isinstance(root.right, TreeLeaf) and root.right.size == 1
+        root = forest.roots[0]
+        assert not is_leaf(forest, root)
+        assert 0.0 < forest.threshold[root] < 1.0
+        left, right = forest.children[root]
+        # depth 1 plus c(1) = 0: each leaf holds exactly one point
+        assert is_leaf(forest, left) and forest.path[left] == 1.0
+        assert is_leaf(forest, right) and forest.path[right] == 1.0
+        assert len(forest.path) == 3
 
     def test_same_seed_identical_forests(self):
         points = np.random.default_rng(1).normal(size=(40, 3))
         a = fit_forest(points, t=10, psi=16, seed=5)
         b = fit_forest(points, t=10, psi=16, seed=5)
+        for field in ("feature", "threshold", "children", "path", "roots"):
+            assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
 
-        def flatten(node):
-            if isinstance(node, TreeLeaf):
-                return [("leaf", node.size)]
-            return (
-                [("split", node.dim, node.value)] + flatten(node.left) + flatten(node.right)
-            )
+    def test_trees_are_stored_in_pre_order(self):
+        points = np.random.default_rng(2).normal(size=(50, 2))
+        forest = fit_forest(points, t=5, psi=32, seed=3)
+        order = [node for root in forest.roots for node, _ in walk(forest, root)]
+        assert order == list(range(len(forest.path)))
 
-        for ta, tb in zip(a.trees, b.trees):
-            assert flatten(ta.root) == flatten(tb.root)
+    def test_one_ulp_span_is_unsplittable(self):
+        # No float lies strictly inside a one-ulp span, so no split value
+        # exists. A subprocess with a timeout turns a hang into a failure.
+        code = (
+            "import numpy as np\n"
+            "from ranrec.anomaly import fit_forest\n"
+            "one_ulp = fit_forest(np.array([[1.0], [np.nextafter(1.0, 2.0)]]), t=1, psi=2)\n"
+            "two_ulps = fit_forest(np.array([[1.0], [1.0 + 2 * np.spacing(1.0)]]), t=1, psi=2)\n"
+            "print(len(one_ulp.path), len(two_ulps.path), two_ulps.threshold[0] - 1.0)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ranrec.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "3", repr(float(np.spacing(1.0)))]
 
     def test_identical_points_rejected(self):
         with pytest.raises(DegenerateEmbeddingsError, match="threshold-free"):
@@ -70,29 +103,26 @@ class TestFit:
         psi = 64
         forest = fit_forest(points, t=20, psi=psi, seed=7)
         limit = math.ceil(math.log2(psi))
-
-        def max_depth(node, depth=0):
-            if isinstance(node, TreeLeaf):
-                return depth
-            return max(max_depth(node.left, depth + 1), max_depth(node.right, depth + 1))
-
-        assert all(max_depth(tree.root) <= limit for tree in forest.trees)
+        assert forest.depth_limit == limit
+        assert all(
+            depth <= limit for root in forest.roots for _, depth in walk(forest, root)
+        )
 
     def test_split_values_strictly_inside(self):
         points = np.random.default_rng(4).normal(size=(64, 3))
         forest = fit_forest(points, t=10, psi=32, seed=9)
 
         def check(node, lo, hi):
-            if isinstance(node, TreeLeaf):
+            if is_leaf(forest, node):
                 return
-            assert lo[node.dim] < node.value < hi[node.dim] or (
-                lo[node.dim] == -np.inf or hi[node.dim] == np.inf
-            )
-            check(node.left, lo, hi)
-            check(node.right, lo, hi)
+            dim, value = forest.feature[node], forest.threshold[node]
+            assert lo[dim] < value < hi[dim] or (lo[dim] == -np.inf or hi[dim] == np.inf)
+            left, right = forest.children[node]
+            check(left, lo, hi)
+            check(right, lo, hi)
 
-        for tree in forest.trees:
-            check(tree.root, np.full(3, -np.inf), np.full(3, np.inf))
+        for root in forest.roots:
+            check(root, np.full(3, -np.inf), np.full(3, np.inf))
 
 
 class TestPathLength:
@@ -111,24 +141,40 @@ class TestPathLength:
         assert expected_path_length(forest, np.array([1.0])) == pytest.approx(1.0)
 
     def test_hand_built_tree_traversal(self):
-        #        split(dim 0, 0.5)
+        #        0: split(dim 0, 0.5)
         #        /            \
-        #   leaf(size 1)   split(dim 1, 0.7)
-        #                  /            \
-        #             leaf(size 2)   leaf(size 1)
-        tree = IsolationTree(
-            root=TreeSplit(
-                dim=0,
-                value=0.5,
-                left=TreeLeaf(size=1),
-                right=TreeSplit(
-                    dim=1, value=0.7, left=TreeLeaf(size=2), right=TreeLeaf(size=1)
-                ),
-            )
+        #   1: leaf(size 1)   2: split(dim 1, 0.7)
+        #                     /            \
+        #                3: leaf(size 2)   4: leaf(size 1)
+        nan = math.nan
+        forest = IsolationForest(
+            feature=np.array([0, 0, 1, 0, 0]),
+            threshold=np.array([0.5, nan, 0.7, nan, nan]),
+            children=np.array([[1, 2], [1, 1], [3, 4], [3, 3], [4, 4]]),
+            path=np.array(
+                [
+                    0.0,
+                    1 + average_path_length(1),
+                    0.0,
+                    2 + average_path_length(2),
+                    2 + average_path_length(1),
+                ]
+            ),
+            roots=np.array([0]),
+            psi=4,
+            n=4,
+            seed=0,
+            dim=2,
         )
-        assert path_length(tree, np.array([0.0, 0.0])) == pytest.approx(1.0)  # left leaf
-        assert path_length(tree, np.array([0.9, 0.2])) == pytest.approx(2.0 + 1.0)  # c(2) = 1
-        assert path_length(tree, np.array([0.9, 0.9])) == pytest.approx(2.0)
+
+        def path_length(z):
+            return expected_path_length(forest, np.array(z))
+
+        assert path_length([0.0, 0.0]) == pytest.approx(1.0)  # left leaf
+        assert path_length([0.9, 0.2]) == pytest.approx(2.0 + 1.0)  # c(2) = 1
+        assert path_length([0.9, 0.9]) == pytest.approx(2.0)
+        # a point on a threshold goes right: the walk tests ``not x < threshold``
+        assert path_length([0.5, 0.7]) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         forest = fit_forest(np.random.default_rng(0).normal(size=(8, 3)), t=2, psi=4, seed=0)
@@ -206,6 +252,13 @@ class TestScoreNetwork:
             if int(np.argmax(scores)) == len(points) - 1:
                 wins += 1
         assert wins >= 95
+
+    def test_batch_scores_equal_single_row_scores(self):
+        points = cluster_with_outlier(n=199, d=5, seed=11)
+        store = self._store(points)
+        forest = fit_forest(store_matrix(store), t=100, psi=128, seed=11)
+        report = score_network(store, forest, threshold=0.6)
+        assert [score for _, score in report.cells] == [anomaly_score(forest, p) for p in points]
 
     def test_store_matrix_joins_configs(self):
         points = np.random.default_rng(10).normal(size=(5, 3))

@@ -57,6 +57,26 @@ class TestMatmul:
         a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
         assert np.abs((a @ b) @ c - a @ (b @ c)).max() < 1e-10
 
+    def test_block_matmul_blocks_match_their_own_product(self):
+        # A matrix-vector product over many rows may round a row differently
+        # than the same row's block alone; block_matmul must not.
+        rng = np.random.default_rng(2)
+        blocks, n = 300, 81
+        a = rng.normal(size=(blocks * n, 16))
+        w = rng.normal(size=(16, 1))
+        tape = Tape()
+        out = tape.block_matmul(tape.const(a), tape.const(w), n).value
+        for b in range(blocks):
+            alone = tape.matmul(tape.const(a[b * n : (b + 1) * n]), tape.const(w)).value
+            assert np.array_equal(out[b * n : (b + 1) * n], alone)
+
+    def test_block_matmul_shape_checks(self):
+        tape = Tape()
+        with pytest.raises(ShapeError, match="blocks"):
+            tape.block_matmul(tape.const(np.ones((5, 3))), tape.const(np.ones((3, 1))), 2)
+        with pytest.raises(ShapeError, match="matmul"):
+            tape.block_matmul(tape.const(np.ones((4, 3))), tape.const(np.ones((2, 1))), 2)
+
 
 class TestLeakyRelu:
     def test_negative_scaled(self):
@@ -175,6 +195,7 @@ def _random_param(rng, shape):
 
 PRIMITIVE_CASES = [
     "matmul",
+    "block_matmul",
     "add",
     "add_broadcast",
     "sub",
@@ -215,6 +236,8 @@ def test_every_primitive_passes_grad_check(op, seed):
         node = tape.param(p)
         if op == "matmul":
             out = tape.matmul(node, tape.const(tall))
+        elif op == "block_matmul":
+            out = tape.block_matmul(node, tape.const(tall), 2)
         elif op == "add":
             out = tape.add(node, tape.const(other))
         elif op == "add_broadcast":

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
+import numpy as np
 import pytest
 
 from ranrec.cli import main
+from ranrec.graph import feature_map
+from ranrec.inference import embed_new_cell, load_store
+from ranrec.sampler import SamplerConfig, sample_subgraph
 
 SPEC = {
     "sites": 6,
@@ -168,6 +174,34 @@ class TestPipeline:
         for cell in payload["cells"]:
             assert cell["flagged"] == (cell["score"] > 0.6)
 
+    def test_embedded_rows_equal_single_cell_embedding(self, workspace, tmp_path):
+        # A network larger than the training one, so embed encodes in
+        # several groups; every row must equal the cell embedded on its own.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "sites": 60, "seed": 5}))
+        assert main(["synth", str(spec), "--out", str(tmp_path / "net")]) == 0
+        store_path = tmp_path / "store.json"
+        argv = ["embed", str(tmp_path / "net" / "network.json"), str(workspace / "ckpt.json")]
+        assert main([*argv, "--out", str(store_path)]) == 0
+        bundle = load_store(store_path)
+        assert len(bundle.store) == 240
+        features = feature_map(bundle.graph, bundle.stats)
+        cfg = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=bundle.checkpoint.seed)
+        for record in bundle.store.records:
+            sub = sample_subgraph(bundle.graph, record.cell_id, cfg, features)
+            assert np.array_equal(record.z, embed_new_cell(bundle.store, sub)), record.cell_id
+
+    def test_outputs_get_umask_permissions(self, workspace, tmp_path):
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            previous = os.umask(umask)
+            try:
+                out = tmp_path / f"proj-{umask:o}.csv"
+                assert main(["project", str(workspace / "store.json"), "--out", str(out)]) == 0
+            finally:
+                os.umask(previous)
+            for path in (out, out.with_name(out.name + ".manifest.json")):
+                assert stat.S_IMODE(path.stat().st_mode) == mode, path
+
     def test_project(self, workspace):
         out = workspace / "proj.csv"
         assert main(["project", str(workspace / "store.json"), "--out", str(out)]) == 0
@@ -232,6 +266,35 @@ class TestValidationErrors:
         )
         assert code == 1
         assert "epocs" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_train_rejects_non_finite_predictor(self, workspace, tmp_path, capsys, value):
+        network = json.loads((workspace / "net" / "network.json").read_text())
+        cell = network["cells"][3]
+        name = sorted(cell["predictors"])[0]
+        cell["predictors"][name] = value
+        bad = tmp_path / "network.json"
+        bad.write_text(json.dumps(network))
+        config = str(workspace / "train.cfg")
+        code = main(["train", str(bad), "--config", config, "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and cell["cell_id"] in err and name in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_recommend_rejects_non_finite_predictor(self, workspace, tmp_path, capsys):
+        payload = json.loads(json.dumps(NEW_CELLS))
+        payload["cells"][0]["predictors"]["lteChannelNumber"] = float("nan")
+        bad = tmp_path / "new_cells.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "recs.json"
+        code = main(["recommend", str(workspace / "store.json"), str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "NEWCELL" in err and "lteChannelNumber" in err
+        assert not out.exists()
 
 
 class TestDeterminism:

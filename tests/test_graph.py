@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ class TestLoadNetwork:
         path.write_text('{"schema": [,]}')
         with pytest.raises(NetworkFormatError, match=r":1:"):
             load_network(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("role,name", [("predictors", "chan"), ("configs", "power")])
+    def test_non_finite_value_rejected(self, tmp_path, role, name, value):
+        payload = _network_payload()
+        payload["cells"][1][role][name] = value
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NetworkFormatError, match=r"cell entry 1: cell 'b'.*not a finite") as info:
+            load_network(path)
+        assert str(path) in str(info.value)
 
     def test_missing_own_technology_attribute(self):
         bad = lte_cell("a")

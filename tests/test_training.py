@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranrec import training
 from ranrec.autodiff import Tape, UndefinedCosineError, grad_check
-from ranrec.gnn import ArchConfig, init_encoder
+from ranrec.gnn import ArchConfig, encode, init_encoder
 from ranrec.graph import fit_normalization
 from ranrec.sampler import SamplerConfig, build_dataset
+from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
     MiningConfig,
     PairSample,
     TrainingConfig,
     config_similarity,
     contrastive_loss,
+    encode_centers,
     encode_centers_on_tape,
     mine_informative_pairs,
     pair_loss_on_tape,
@@ -223,6 +226,26 @@ class TestMining:
                 TrainingConfig(),
                 np.random.default_rng(0),
             )
+
+
+class TestEncodeCenters:
+    def test_rows_match_single_subgraph_encode_for_any_grouping(self, monkeypatch):
+        # Degree-limited sites give subgraphs below the fanout: sizes 7, 8, 9.
+        graph, _ = generate(SynthSpec(sites=50, cells_per_site=5, inter_site_degree=2, seed=3))
+        stats = fit_normalization(graph, graph.cell_ids)
+        entries = build_dataset(graph, stats, SamplerConfig(fanout=8, seed=0))
+        assert len({e.subgraph.size for e in entries}) > 1
+        encoder = init_encoder(ArchConfig(in_dim=graph.schema.predictor_dim), 11)
+        alone = np.stack([encode(encoder, e.subgraph)[0] for e in entries])
+        for budget in (1, 7 * 49 + 1, training.ENCODE_GROUP_PAIR_ROWS, 10**9):
+            monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", budget)
+            assert np.array_equal(encode_centers(encoder, entries), alone), budget
+
+    def test_tape_form_matches_eager(self):
+        data = small_dataset(degree=8, fanout=3)
+        encoder = init_encoder(tiny_arch(data[0].subgraph.features.shape[1]), 2)
+        on_tape = encode_centers_on_tape(Tape(), encoder, data).value
+        assert np.array_equal(encode_centers(encoder, data), on_tape)
 
 
 class TestTrainSgnn:
