@@ -65,8 +65,12 @@ def average_path_length(m: int) -> float:
 
 def _split_value(rng: np.random.Generator, lo: float, hi: float) -> float:
     # Strictly inside (lo, hi); redraw on the measure-zero boundary hits.
+    # A span that overflows to inf would only ever draw inf or nan, so such
+    # bounds are interpolated instead.
+    span = hi - lo
     while True:
-        value = lo + rng.random() * (hi - lo)
+        u = rng.random()
+        value = lo + u * span if math.isfinite(span) else lo * (1.0 - u) + hi * u
         if lo < value < hi:
             return value
 
@@ -120,6 +124,8 @@ def fit_forest(
         psi = min(256, n)
     if not 2 <= psi <= n:
         raise ValueError(f"psi={psi} must be in [2, {n}]")
+    if not np.isfinite(matrix).all():
+        raise ValueError("embeddings must be finite to fit a forest")
     if (matrix == matrix[0]).all():
         raise DegenerateEmbeddingsError(
             "all embeddings are identical; no split separates them, so scores "
@@ -197,10 +203,9 @@ def store_matrix(store: EmbeddingStore, include_configs: bool = False) -> np.nda
     from predictors only, so a corrupted configuration is invisible in the
     embedding coordinates alone.
     """
-    z = store.embedding_matrix()
     if not include_configs:
-        return z
-    return np.concatenate([z, store.config_matrix()], axis=1)
+        return store.z
+    return np.concatenate([store.z, store.y], axis=1)
 
 
 def score_network(
@@ -212,6 +217,6 @@ def score_network(
     """Score every stored record; flag those with score above the threshold."""
     rows = store_matrix(store, include_configs=include_configs)
     scores = _scores(forest, rows)
-    cells = tuple((record.cell_id, score) for record, score in zip(store.records, scores))
+    cells = tuple(zip(store.ids, scores))
     flagged = tuple(cid for cid, score in cells if score > threshold)
     return AnomalyReport(threshold=threshold, cells=cells, flagged=flagged)

@@ -32,22 +32,14 @@ from .gnn import Checkpoint, schema_hash
 from .graph import (
     NetworkFormatError,
     denormalize,
-    extend_network,
-    feature_map,
     fit_normalization,
     load_network,
     parse_cells_payload,
 )
-from .inference import (
-    StoreBundle,
-    embed_new_cell,
-    load_store,
-    recommend_closest,
-    recommend_majority,
-)
-from .sampler import SamplerConfig, build_dataset, sample_subgraph
+from .inference import StoreBundle, embed_entries, load_store, recommend_cells
+from .sampler import SamplerConfig, build_dataset
 from .synth import SynthSpec, generate
-from .training import encode_centers, train_gae, train_sgnn
+from .training import train_gae, train_sgnn
 
 logger = logging.getLogger(__name__)
 
@@ -206,6 +198,13 @@ def _read_checkpoint(path: Path, schema) -> Checkpoint:
         raise NetworkFormatError(f"{path}: invalid checkpoint: {exc}") from exc
 
 
+def _read_store(path: Path) -> StoreBundle:
+    try:
+        return load_store(path)
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise NetworkFormatError(f"{path}: invalid store: {exc}") from exc
+
+
 def cmd_embed(args) -> int:
     started = time.perf_counter()
     network_path = _require_file(args.network, "network")
@@ -217,8 +216,7 @@ def cmd_embed(args) -> int:
     dataset = build_dataset(
         graph, checkpoint.stats, SamplerConfig(fanout=checkpoint.fanout, seed=seed)
     )
-    for entry, z in zip(dataset, encode_centers(checkpoint.encoder, dataset)):
-        bundle.store.add(entry.subgraph.center, z, entry.target)
+    embed_entries(bundle.store, dataset)
     out = Path(args.out)
     _atomic_write(out, _canonical_json(bundle.to_json()))
     _write_manifest(
@@ -238,10 +236,7 @@ def cmd_recommend(args) -> int:
     started = time.perf_counter()
     store_path = _require_file(args.store, "store")
     cells_path = _require_file(args.new_cells, "new-cells")
-    try:
-        bundle = load_store(store_path)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise NetworkFormatError(f"{store_path}: invalid store: {exc}") from exc
+    bundle = _read_store(store_path)
     try:
         payload = json.loads(cells_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -255,34 +250,24 @@ def cmd_recommend(args) -> int:
             f"--k {args.k} is out of range for a store of {store_size} records"
         )
     seed = args.seed if args.seed is not None else bundle.checkpoint.seed
-    augmented = extend_network(bundle.graph, new_cells, new_edges)
-    features = feature_map(augmented, bundle.stats)
     try:
-        forest = fit_forest(
-            store_matrix(bundle.store), t=100, psi=min(256, store_size), seed=seed
-        )
+        forest = fit_forest(store_matrix(bundle.store), seed=seed)
     except (DegenerateEmbeddingsError, ValueError):
         forest = None  # novelty scores unavailable, recommendations still valid
-    sampler_cfg = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=seed)
-    results = []
-    for cell in new_cells:
-        sub = sample_subgraph(augmented, cell.cell_id, sampler_cfg, features)
-        z = embed_new_cell(bundle.store, sub)
-        if args.mode == "majority":
-            rec = recommend_majority(bundle.store, z, args.k, bundle.schema)
-        else:
-            rec = recommend_closest(bundle.store, z)
-        score = anomaly_score(forest, z) if forest is not None else None
-        results.append(
-            {
-                "cell_id": cell.cell_id,
-                "mode": rec.mode,
-                "y_hat": denormalize(rec.y_hat, bundle.stats, bundle.schema),
-                "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
-                "anomaly_score": score,
-            }
-        )
-        bundle.store.add(cell.cell_id, z, rec.y_hat)
+    sampling = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=seed)
+    recommended = recommend_cells(
+        bundle.store, bundle.graph, bundle.stats, new_cells, new_edges, sampling, args.mode, args.k
+    )
+    results = [
+        {
+            "cell_id": cell.cell_id,
+            "mode": rec.mode,
+            "y_hat": denormalize(rec.y_hat, bundle.stats, bundle.schema),
+            "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
+            "anomaly_score": anomaly_score(forest, z) if forest is not None else None,
+        }
+        for cell, z, rec in recommended
+    ]
     out = Path(args.out)
     _atomic_write(out, _canonical_json(results))
     _write_manifest(
@@ -300,17 +285,14 @@ def cmd_recommend(args) -> int:
 def cmd_detect(args) -> int:
     started = time.perf_counter()
     store_path = _require_file(args.store, "store")
-    try:
-        bundle = load_store(store_path)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise NetworkFormatError(f"{store_path}: invalid store: {exc}") from exc
+    bundle = _read_store(store_path)
     if len(bundle.store) < 2:
         raise NetworkFormatError(f"{store_path}: need at least 2 records to fit a forest")
     seed = args.seed if args.seed is not None else bundle.checkpoint.seed
     # Configs join the embedding features: corrupted settings are invisible
     # in the embedding coordinates, which derive from predictors only.
     rows = store_matrix(bundle.store, include_configs=True)
-    forest = fit_forest(rows, t=100, psi=min(256, len(bundle.store)), seed=seed)
+    forest = fit_forest(rows, seed=seed)
     report = score_network(bundle.store, forest, args.threshold, include_configs=True)
     payload = {
         "threshold": args.threshold,
@@ -356,15 +338,12 @@ def cmd_evaluate(args) -> int:
 def cmd_project(args) -> int:
     started = time.perf_counter()
     store_path = _require_file(args.store, "store")
-    try:
-        bundle = load_store(store_path)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise NetworkFormatError(f"{store_path}: invalid store: {exc}") from exc
-    projection = pca_project(bundle.store.embedding_matrix())
+    bundle = _read_store(store_path)
+    projection = pca_project(bundle.store.z)
     out = Path(args.out)
     lines = ["cell_id,pc1,pc2"]
-    for record, (pc1, pc2) in zip(bundle.store.records, projection.points):
-        lines.append(f"{record.cell_id},{_float_repr(pc1)},{_float_repr(pc2)}")
+    for cid, (pc1, pc2) in zip(bundle.store.ids, projection.points):
+        lines.append(f"{cid},{_float_repr(pc1)},{_float_repr(pc2)}")
     _atomic_write(out, "\n".join(lines) + "\n")
     _write_manifest("project", 0, [store_path], [out], {}, started, out)
     return EXIT_OK

@@ -72,9 +72,7 @@ class RunConfig:
         return self.training.seed
 
     def sampler(self) -> SamplerConfig:
-        return SamplerConfig(
-            fanout=self.fanout, seed=self.seed, resample_per_epoch=self.resample_per_epoch
-        )
+        return SamplerConfig(fanout=self.fanout, seed=self.seed)
 
     def arch(self, in_dim: int) -> ArchConfig:
         return ArchConfig(

@@ -25,18 +25,11 @@ from .graph import (
     NormalizationStats,
     RanGraph,
     denormalize,
-    extend_network,
     feature_map,
     fit_normalization,
 )
-from .inference import (
-    EmbeddingStore,
-    distance_set,
-    embed_new_cell,
-    recommend_closest,
-    recommend_majority,
-)
-from .sampler import DatasetEntry, build_dataset, sample_subgraph, split_indices
+from .inference import EmbeddingStore, embed_entries, nearest, recommend_cells
+from .sampler import DatasetEntry, build_dataset, split_indices
 from .synth import (
     GroundTruth,
     SynthSpec,
@@ -173,28 +166,6 @@ def roc_auc(labels: Sequence[bool], scores: Sequence[float]) -> float:
 # Retrieval evaluation and model comparison
 
 
-def _nearest_config(
-    store: EmbeddingStore, z: np.ndarray, exclude: str | None = None
-) -> tuple[str, float, np.ndarray]:
-    """Nearest stored record, optionally skipping one cell id (self-retrieval)."""
-    for cid, dist in distance_set(store, z).entries:
-        if cid != exclude:
-            return cid, dist, store.record(cid).y
-    raise ValueError("store exhausted while excluding the query cell")
-
-
-def _store_from_entries(
-    encoder: GatStack, entries: Sequence[DatasetEntry]
-) -> tuple[EmbeddingStore, dict[str, np.ndarray]]:
-    store = EmbeddingStore(encoder)
-    embeddings: dict[str, np.ndarray] = {}
-    rows = encode_centers(encoder, entries)
-    for entry, z in zip(entries, rows):
-        store.add(entry.subgraph.center, z, entry.target)
-        embeddings[entry.subgraph.center] = z
-    return store, embeddings
-
-
 def retrieval_reports(
     encoder: GatStack,
     model: str,
@@ -202,27 +173,26 @@ def retrieval_reports(
     test_entries: Sequence[DatasetEntry],
 ) -> tuple[AccuracyReport, AccuracyReport]:
     """Train (leave-one-out) and test accuracy of nearest-record retrieval."""
-    store, train_z = _store_from_entries(encoder, train_entries)
-    truth: list[np.ndarray] = []
-    predicted: list[np.ndarray] = []
-    ids: list[str] = []
-    for entry in train_entries:
-        cid = entry.subgraph.center
-        _, _, y_hat = _nearest_config(store, train_z[cid], exclude=cid)
-        ids.append(cid)
-        truth.append(entry.target)
-        predicted.append(y_hat)
-    train_report = accuracy(truth, predicted, ids, model=model, dataset="train")
+    store = embed_entries(EmbeddingStore(encoder), train_entries)
+    train_y = [
+        store.record(nearest(store, z, 1, exclude=cid)[0][0]).y
+        for cid, z in zip(store.ids, store.z)
+    ]
+    test_y = [
+        store.record(nearest(store, z, 1)[0][0]).y
+        for z in encode_centers(encoder, test_entries)
+    ]
+    return (
+        _entry_accuracy(train_entries, train_y, model, "train"),
+        _entry_accuracy(test_entries, test_y, model, "test"),
+    )
 
-    truth, predicted, ids = [], [], []
-    test_z = encode_centers(encoder, test_entries)
-    for entry, z in zip(test_entries, test_z):
-        _, _, y_hat = _nearest_config(store, z)
-        ids.append(entry.subgraph.center)
-        truth.append(entry.target)
-        predicted.append(y_hat)
-    test_report = accuracy(truth, predicted, ids, model=model, dataset="test")
-    return train_report, test_report
+
+def _entry_accuracy(
+    entries: Sequence[DatasetEntry], predicted: list[np.ndarray], model: str, dataset: str
+) -> AccuracyReport:
+    ids = [e.subgraph.center for e in entries]
+    return accuracy([e.target for e in entries], predicted, ids, model=model, dataset=dataset)
 
 
 @dataclass
@@ -378,7 +348,7 @@ class DeploymentArtifacts:
         stats = fit_normalization(graph, graph.cell_ids)
         dataset = build_dataset(graph, stats, config.sampler())
         encoder, _ = train_sgnn(dataset, config.arch(graph.schema.predictor_dim), config.training)
-        store, _ = _store_from_entries(encoder, dataset)
+        store = embed_entries(EmbeddingStore(encoder), dataset)
         return cls(
             graph=graph,
             truth=truth,
@@ -426,10 +396,6 @@ class ScenarioReport:
         }
 
 
-def _clone_store(store: EmbeddingStore) -> EmbeddingStore:
-    return EmbeddingStore(store.encoder, store.records)
-
-
 def _recommend_for_new_cells(
     artifacts: DeploymentArtifacts,
     scenario: ScenarioSpec,
@@ -437,23 +403,25 @@ def _recommend_for_new_cells(
     new_edges,
     new_truth,
 ) -> ScenarioReport:
-    augmented = extend_network(artifacts.graph, new_cells, new_edges)
-    features = feature_map(augmented, artifacts.stats)
     schema = artifacts.graph.schema
-    sampler_cfg = artifacts.config.sampler()
     # Grows a private copy: deployment artifacts stay frozen for reruns.
-    store = _clone_store(artifacts.store)
+    store = EmbeddingStore(artifacts.encoder)
+    store.extend(artifacts.store.ids, artifacts.store.z, artifacts.store.y)
+    results = recommend_cells(
+        store,
+        artifacts.graph,
+        artifacts.stats,
+        new_cells,
+        new_edges,
+        artifacts.config.sampler(),
+        scenario.mode,
+        scenario.k,
+    )
     truth_vecs: list[np.ndarray] = []
     predicted: list[np.ndarray] = []
     ids: list[str] = []
     recommendations: list[dict] = []
-    for cell in new_cells:
-        sub = sample_subgraph(augmented, cell.cell_id, sampler_cfg, features)
-        z = embed_new_cell(store, sub)
-        if scenario.mode == "majority":
-            rec = recommend_majority(store, z, scenario.k, schema)
-        else:
-            rec = recommend_closest(store, z)
+    for cell, _, rec in results:
         clean_vec = _normalized_clean_config(
             schema, artifacts.stats, cell.technology, dict(new_truth[cell.cell_id].clean_configs)
         )
@@ -468,7 +436,6 @@ def _recommend_for_new_cells(
                 "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
             }
         )
-        store.add(cell.cell_id, z, rec.y_hat)
     report = ScenarioReport(kind=scenario.kind, recommendations=recommendations)
     if ids:
         report.accuracy = accuracy(truth_vecs, predicted, ids, model="sgnn", dataset=scenario.kind)
@@ -485,18 +452,16 @@ def _run_modification(artifacts: DeploymentArtifacts, scenario: ScenarioSpec) ->
     )
     # Predictors are untouched, so embeddings carry over; configs re-vectorize.
     corrupted_features = feature_map(corrupted_graph, artifacts.stats)
+    corrupted_y = np.stack([corrupted_features[cid].y for cid in artifacts.store.ids])
     store = EmbeddingStore(artifacts.encoder)
-    for record in artifacts.store.records:
-        store.add(record.cell_id, record.z, corrupted_features[record.cell_id].y)
+    store.extend(artifacts.store.ids, artifacts.store.z, corrupted_y)
     report = ScenarioReport(kind=scenario.kind, corrupted=corrupted_ids)
     if not corrupted_ids:
         return report
-    config = artifacts.config
-    psi = config.forest_subsample or min(256, len(store))
     forest = fit_forest(
         store_matrix(store, include_configs=True),
-        t=config.forest_trees,
-        psi=psi,
+        t=artifacts.config.forest_trees,
+        psi=artifacts.config.forest_subsample,
         seed=scenario.seed,
     )
     anomaly_report = score_network(store, forest, scenario.threshold, include_configs=True)
@@ -506,8 +471,8 @@ def _run_modification(artifacts: DeploymentArtifacts, scenario: ScenarioSpec) ->
     report.flagged = tuple(anomaly_report.flagged)
     corrections = []
     for cid in anomaly_report.flagged:
-        record = store.record(cid)
-        _, _, y_hat = _nearest_config(store, record.z, exclude=cid)
+        source = nearest(store, store.record(cid).z, 1, exclude=cid)[0][0]
+        y_hat = store.record(source).y
         corrections.append(
             {
                 "cell_id": cid,

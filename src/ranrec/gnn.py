@@ -311,6 +311,8 @@ def _load_params(stack: GatStack, items: list[dict]) -> None:
         if item["name"] != p.name or tuple(item["shape"]) != p.shape:
             raise ValueError(f"checkpoint tensor mismatch at {item['name']!r}")
         p.value = np.array(item["data"], dtype=np.float64).reshape(p.shape)
+        if not np.isfinite(p.value).all():
+            raise ValueError(f"checkpoint tensor {p.name!r} has non-finite values")
         p.grad = np.zeros_like(p.value)
 
 

@@ -241,9 +241,6 @@ class RanGraph:
         except KeyError:
             raise KeyError(f"unknown cell id {cell_id!r}") from None
 
-    def has_cell(self, cell_id: str) -> bool:
-        return cell_id in self._by_id
-
     def neighbors(self, cell_id: str) -> tuple[str, ...]:
         if cell_id not in self._adjacency:
             raise KeyError(f"unknown cell id {cell_id!r}")

@@ -12,13 +12,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .gnn import Checkpoint, GatStack, encode
-from .graph import AttributeSchema, NormalizationStats, RanGraph, network_from_json
-from .sampler import Subgraph
+from .graph import (
+    AttributeSchema,
+    CellRecord,
+    NormalizationStats,
+    RanGraph,
+    extend_network,
+    feature_map,
+    network_from_json,
+)
+from .sampler import DatasetEntry, SamplerConfig, Subgraph, sample_subgraph
+from .training import encode_centers
 
 
 @dataclass(frozen=True)
@@ -29,49 +38,66 @@ class StoreRecord:
 
 
 class EmbeddingStore:
-    """Append-only record list over a frozen encoder."""
+    """Append-only columnar store over a frozen encoder.
 
-    def __init__(self, encoder: GatStack, records: Iterable[StoreRecord] = ()) -> None:
+    Row ``i`` holds cell ``ids[i]``, its embedding ``z[i]`` and its
+    normalized config vector ``y[i]``. The config length is fixed by the
+    first row.
+    """
+
+    def __init__(self, encoder: GatStack) -> None:
         self.encoder = encoder
-        self.records: list[StoreRecord] = []
-        self._by_id: dict[str, StoreRecord] = {}
-        for record in records:
-            self.add(record.cell_id, record.z, record.y)
+        self.ids: list[str] = []
+        self._rows: dict[str, int] = {}
+        self.z = np.empty((0, encoder.out_dim))
+        self.y = np.empty((0, 0))
 
     @property
     def embedding_dim(self) -> int:
         return self.encoder.out_dim
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def add(self, cell_id: str, z: np.ndarray, y: np.ndarray) -> None:
-        """Append one record; cell ids are unique forever."""
-        if cell_id in self._by_id:
-            raise ValueError(f"cell id {cell_id!r} already stored")
-        z = np.asarray(z, dtype=np.float64).ravel()
-        if z.shape[0] != self.embedding_dim:
-            raise ValueError(
-                f"embedding of length {z.shape[0]} does not match store dimension "
-                f"{self.embedding_dim}"
-            )
-        y = np.asarray(y, dtype=np.float64).ravel()
-        record = StoreRecord(cell_id=cell_id, z=z, y=y)
-        self.records.append(record)
-        self._by_id[cell_id] = record
+    @property
+    def records(self) -> list[StoreRecord]:
+        """Row views in insertion order."""
+        return [StoreRecord(cid, z, y) for cid, z, y in zip(self.ids, self.z, self.y)]
 
     def record(self, cell_id: str) -> StoreRecord:
-        return self._by_id[cell_id]
+        row = self._rows[cell_id]
+        return StoreRecord(cell_id, self.z[row], self.y[row])
 
-    def embedding_matrix(self) -> np.ndarray:
-        return np.stack([r.z for r in self.records])
+    def extend(self, ids: Sequence[str], z: np.ndarray, y: np.ndarray) -> None:
+        """Append one row per id; a rejected batch leaves the store unchanged."""
+        z = np.asarray(z, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if z.shape != (len(ids), self.embedding_dim):
+            raise ValueError(
+                f"embeddings {z.shape} for {len(ids)} ids vs dimension {self.embedding_dim}"
+            )
+        width = self.y.shape[1] if self.ids else y.shape[-1]
+        if y.shape != (len(ids), width):
+            raise ValueError(f"configs {y.shape} vs {len(ids)} rows of config length {width}")
+        rows: dict[str, int] = {}
+        for cell_id in ids:
+            if cell_id in self._rows or cell_id in rows:
+                raise ValueError(f"cell id {cell_id!r} already stored")
+            rows[cell_id] = len(self.ids) + len(rows)
+        self.z = np.concatenate([self.z, z])
+        self.y = np.concatenate([self.y, y]) if self.ids else y.copy()
+        self.ids.extend(rows)
+        self._rows.update(rows)
 
-    def config_matrix(self) -> np.ndarray:
-        return np.stack([r.y for r in self.records])
+    def add(self, cell_id: str, z: np.ndarray, y: np.ndarray) -> None:
+        """Append one row."""
+        self.extend([cell_id], np.reshape(z, (1, -1)), np.reshape(y, (1, -1)))
 
 
-def add_to_store(store: EmbeddingStore, cell_id: str, z: np.ndarray, y: np.ndarray) -> EmbeddingStore:
-    store.add(cell_id, z, y)
+def embed_entries(store: EmbeddingStore, entries: Sequence[DatasetEntry]) -> EmbeddingStore:
+    """Append the center cell of every entry, embedded in batch, with its target."""
+    rows = encode_centers(store.encoder, entries)
+    store.extend([e.subgraph.center for e in entries], rows, np.stack([e.target for e in entries]))
     return store
 
 
@@ -80,42 +106,39 @@ def embed_new_cell(store: EmbeddingStore, subgraph: Subgraph) -> np.ndarray:
     return encode(store.encoder, subgraph)[0, :].copy()
 
 
-@dataclass(frozen=True)
-class DistanceSet:
-    """Distances from a query embedding to every stored record.
-
-    Entries are sorted ascending by (distance, cell id); ``removals`` counts
-    how many minima have been popped off so far.
-    """
-
-    entries: tuple[tuple[str, float], ...]
-    removals: int = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def distance_set(store: EmbeddingStore, z: np.ndarray) -> DistanceSet:
-    if not store.records:
+def distance_set(store: EmbeddingStore, z: np.ndarray) -> np.ndarray:
+    """Euclidean distance from ``z`` to every stored embedding, in row order."""
+    if not store.ids:
         raise ValueError("distance set of an empty store")
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.shape[0] != store.embedding_dim:
         raise ValueError(f"query of length {z.shape[0]} vs store dimension {store.embedding_dim}")
-    # Per-record norms rather than one vectorized reduction: any linear-scan
-    # oracle reproduces these floats bit for bit, keeping ties identical.
-    entries = sorted(
-        ((r.cell_id, float(np.linalg.norm(r.z - z))) for r in store.records),
-        key=lambda e: (e[1], e[0]),
-    )
-    return DistanceSet(entries=tuple(entries))
+    diff = store.z - z
+    # A stacked (1, d) @ (d, 1) product per row issues the same BLAS dot as
+    # np.linalg.norm of that row, so a per-record oracle reproduces these floats
+    # bit for bit, ties included; einsum and summed squares round differently.
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
 
 
-def pop_min(distances: DistanceSet) -> tuple[tuple[str, float], DistanceSet]:
-    """Remove and return the current minimum-distance entry."""
-    if not distances.entries:
-        raise ValueError("pop from an empty distance set")
-    head = distances.entries[0]
-    return head, DistanceSet(entries=distances.entries[1:], removals=distances.removals + 1)
+def nearest(
+    store: EmbeddingStore, z: np.ndarray, k: int, exclude: str | None = None
+) -> tuple[tuple[str, float], ...]:
+    """The ``k`` stored cells nearest ``z`` as (cell id, distance), nearest first.
+
+    Exact search: distance ties go to the smaller cell id. ``exclude`` drops
+    one cell id from the ranking, for leave-one-out retrieval.
+    """
+    if not 1 <= k <= len(store):
+        raise ValueError(f"k={k} out of range for a store of {len(store)} records")
+    dist = distance_set(store, z)
+    m = min(k + (exclude is not None), dist.shape[0])
+    cutoff = np.partition(dist, m - 1)[m - 1]
+    # Every row at the cutoff distance takes part, so ties there rank by id.
+    ranked = sorted((float(dist[i]), store.ids[i]) for i in np.flatnonzero(dist <= cutoff))
+    sources = tuple((cid, d) for d, cid in ranked if cid != exclude)[:k]
+    if len(sources) < k:
+        raise ValueError(f"k={k} out of range for a store of {len(store)} records")
+    return sources
 
 
 @dataclass(frozen=True)
@@ -123,14 +146,13 @@ class Recommendation:
     y_hat: np.ndarray
     mode: str  # "closest" | "majority"
     sources: tuple[tuple[str, float], ...]
-    k: int
 
 
 def recommend_closest(store: EmbeddingStore, z: np.ndarray) -> Recommendation:
     """Adopt the configuration of the nearest record (ties: smaller cell id)."""
-    head, _ = pop_min(distance_set(store, z))
-    record = store.record(head[0])
-    return Recommendation(y_hat=record.y.copy(), mode="closest", sources=(head,), k=1)
+    sources = nearest(store, z, 1)
+    y_hat = store.record(sources[0][0]).y.copy()
+    return Recommendation(y_hat=y_hat, mode="closest", sources=sources)
 
 
 def _aggregate_mode(values: np.ndarray) -> float:
@@ -150,14 +172,8 @@ def recommend_majority(
     Each config attribute uses its schema-declared policy: ``mode`` (ties go
     to the nearer neighbor), ``median``, or ``mean``.
     """
-    if not 1 <= k <= len(store.records):
-        raise ValueError(f"k={k} out of range for a store of {len(store.records)} records")
-    distances = distance_set(store, z)
-    popped: list[tuple[str, float]] = []
-    for _ in range(k):
-        head, distances = pop_min(distances)
-        popped.append(head)
-    votes = np.stack([store.record(cid).y for cid, _ in popped])  # nearest-first rows
+    sources = nearest(store, z, k)
+    votes = np.stack([store.record(cid).y for cid, _ in sources])  # nearest-first rows
     layout = schema.config_layout
     y_hat = np.empty(len(layout))
     for slot, spec in enumerate(layout):
@@ -168,7 +184,37 @@ def recommend_majority(
             y_hat[slot] = float(column.mean())
         else:
             y_hat[slot] = float(np.median(column))
-    return Recommendation(y_hat=y_hat, mode="majority", sources=tuple(popped), k=k)
+    return Recommendation(y_hat=y_hat, mode="majority", sources=sources)
+
+
+def recommend_cells(
+    store: EmbeddingStore,
+    graph: RanGraph,
+    stats: NormalizationStats,
+    new_cells: Sequence[CellRecord],
+    new_edges: Sequence[tuple[str, str, str]],
+    sampler_cfg: SamplerConfig,
+    mode: str,
+    k: int,
+) -> list[tuple[CellRecord, np.ndarray, Recommendation]]:
+    """Recommend configurations for cells joining ``graph``, in the given order.
+
+    Each cell is embedded from a subgraph of the extended network, then
+    joins the store with its recommendation, so later cells may retrieve
+    earlier ones. ``mode`` is "closest" or "majority" (over ``k``).
+    """
+    augmented = extend_network(graph, new_cells, new_edges)
+    features = feature_map(augmented, stats)
+    results = []
+    for cell in new_cells:
+        z = embed_new_cell(store, sample_subgraph(augmented, cell.cell_id, sampler_cfg, features))
+        if mode == "majority":
+            rec = recommend_majority(store, z, k, graph.schema)
+        else:
+            rec = recommend_closest(store, z)
+        store.add(cell.cell_id, z, rec.y_hat)
+        results.append((cell, z, rec))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +245,8 @@ class StoreBundle:
             "network": self.graph.to_json(),
             "checkpoint": self.checkpoint.to_json(),
             "records": [
-                {"cell_id": r.cell_id, "z": r.z.tolist(), "y": r.y.tolist()}
-                for r in self.store.records
+                {"cell_id": cid, "z": z, "y": y}
+                for cid, z, y in zip(self.store.ids, self.store.z.tolist(), self.store.y.tolist())
             ],
         }
 
@@ -209,12 +255,16 @@ class StoreBundle:
         graph = network_from_json(data["network"], source="store")
         checkpoint = Checkpoint.from_json(data["checkpoint"], schema=graph.schema)
         bundle = cls(graph=graph, checkpoint=checkpoint)
-        for item in data["records"]:
-            bundle.store.add(
-                str(item["cell_id"]),
-                np.array(item["z"], dtype=np.float64),
-                np.array(item["y"], dtype=np.float64),
-            )
+        items = data["records"]
+        z = np.empty((len(items), bundle.store.embedding_dim))
+        y = np.empty((len(items), graph.schema.config_dim))
+        for index, item in enumerate(items):
+            for name, out in (("z", z), ("y", y)):
+                value = np.array(item[name], dtype=np.float64)
+                if value.shape != out.shape[1:] or not np.isfinite(value).all():
+                    raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")
+                out[index] = value
+        bundle.store.extend([str(item["cell_id"]) for item in items], z, y)
         return bundle
 
 

@@ -21,7 +21,6 @@ from .rng import substream
 class SamplerConfig:
     fanout: int = 8
     seed: int = 0
-    resample_per_epoch: bool = False
 
     def __post_init__(self) -> None:
         if self.fanout < 1:

@@ -260,11 +260,6 @@ def pair_loss_on_tape(
     return tape.mean(tape.add(pull, push))
 
 
-def _require_finite(loss: float, epoch: int, kind: str) -> None:
-    if not np.isfinite(loss):
-        raise RuntimeError(f"{kind} training diverged: non-finite loss {loss} at epoch {epoch}")
-
-
 DatasetProvider = Callable[[int], Sequence[DatasetEntry]]
 
 
@@ -317,6 +312,42 @@ def encode_centers(encoder: GatStack, entries: Sequence[DatasetEntry]) -> np.nda
     return out
 
 
+def _fit(
+    entries: Sequence[DatasetEntry],
+    params: Sequence[Parameter],
+    cfg: TrainingConfig,
+    provider: DatasetProvider | None,
+    loss_fn: Callable[[Tape, list[DatasetEntry], int], Node],
+    label: str,
+) -> TrainReport:
+    """One Adam step per epoch on ``loss_fn(tape, entries, epoch)``.
+
+    A ``provider`` may substitute re-sampled entries from the second epoch on.
+    """
+    entries = list(entries)
+    if len(entries) < 2:
+        raise ValueError("training needs at least 2 dataset entries")
+    started = time.perf_counter()
+    adam = Adam(params, cfg.learning_rate)
+    losses: list[float] = []
+    for epoch in range(cfg.epochs):
+        if provider is not None and epoch > 0:
+            entries = list(provider(epoch))
+        tape = Tape()
+        loss_node = loss_fn(tape, entries, epoch)
+        loss = float(loss_node.value[0, 0])
+        if not np.isfinite(loss):
+            raise RuntimeError(
+                f"{label} training diverged: non-finite loss {loss} at epoch {epoch}"
+            )
+        tape.backward(loss_node)
+        adam.step()
+        losses.append(loss)
+        if epoch % 25 == 0:
+            logger.debug("%s epoch %d loss %.6f", label, epoch, loss)
+    return TrainReport(epoch_losses=losses, wall_time_s=time.perf_counter() - started)
+
+
 def train_sgnn(
     dataset: Sequence[DatasetEntry],
     arch: ArchConfig,
@@ -329,31 +360,17 @@ def train_sgnn(
     embeddings, and takes one Adam step on the mean pair loss. A
     ``dataset_provider`` may substitute re-sampled subgraphs per epoch.
     """
-    entries = list(dataset)
-    if len(entries) < 2:
-        raise ValueError("training needs at least 2 dataset entries")
-    started = time.perf_counter()
     encoder = init_encoder(arch, cfg.seed)
-    adam = Adam(encoder.parameters(), cfg.learning_rate)
-    losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        if dataset_provider is not None and epoch > 0:
-            entries = list(dataset_provider(epoch))
-        tape = Tape()
+
+    def loss_fn(tape: Tape, entries: list[DatasetEntry], epoch: int) -> Node:
         z_all = encode_centers_on_tape(tape, encoder, entries)
         targets = np.stack([e.target for e in entries])
         pairs = mine_informative_pairs(
             z_all.value, targets, cfg, substream(cfg.seed, "pairs", epoch)
         )
-        loss_node = pair_loss_on_tape(tape, z_all, pairs, cfg)
-        loss = float(loss_node.value[0, 0])
-        _require_finite(loss, epoch, "contrastive")
-        tape.backward(loss_node)
-        adam.step()
-        losses.append(loss)
-        if epoch % 25 == 0:
-            logger.debug("contrastive epoch %d loss %.6f", epoch, loss)
-    report = TrainReport(epoch_losses=losses, wall_time_s=time.perf_counter() - started)
+        return pair_loss_on_tape(tape, z_all, pairs, cfg)
+
+    report = _fit(dataset, encoder.parameters(), cfg, dataset_provider, loss_fn, "contrastive")
     return encoder, report
 
 
@@ -368,18 +385,10 @@ def train_gae(
     Only the returned encoder takes part in inference; the decoder exists to
     train it and is flagged non-inferential when checkpointed.
     """
-    entries = list(dataset)
-    if len(entries) < 2:
-        raise ValueError("training needs at least 2 dataset entries")
-    started = time.perf_counter()
     encoder = init_encoder(arch, cfg.seed)
     decoder = init_decoder(arch, cfg.seed)
-    adam = Adam(encoder.parameters() + decoder.parameters(), cfg.learning_rate)
-    losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        if dataset_provider is not None and epoch > 0:
-            entries = list(dataset_provider(epoch))
-        tape = Tape()
+
+    def loss_fn(tape: Tape, entries: list[DatasetEntry], epoch: int) -> Node:
         per_entry = []
         for n, idxs in _size_groups(entries):
             subgraphs = [entries[i].subgraph for i in idxs]
@@ -388,13 +397,8 @@ def train_gae(
             features = np.concatenate([s.features for s in subgraphs])
             row_errors = tape.rownorm(tape.sub(tape.const(features), x_hat))
             per_entry.append(tape.scale(tape.sum_blocks(row_errors, n), 1.0 / n))
-        loss_node = tape.mean(per_entry[0] if len(per_entry) == 1 else tape.concat(per_entry, axis=0))
-        loss = float(loss_node.value[0, 0])
-        _require_finite(loss, epoch, "reconstruction")
-        tape.backward(loss_node)
-        adam.step()
-        losses.append(loss)
-        if epoch % 25 == 0:
-            logger.debug("reconstruction epoch %d loss %.6f", epoch, loss)
-    report = TrainReport(epoch_losses=losses, wall_time_s=time.perf_counter() - started)
+        return tape.mean(per_entry[0] if len(per_entry) == 1 else tape.concat(per_entry, axis=0))
+
+    params = encoder.parameters() + decoder.parameters()
+    report = _fit(dataset, params, cfg, dataset_provider, loss_fn, "reconstruction")
     return encoder, decoder, report

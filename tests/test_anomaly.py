@@ -87,6 +87,42 @@ class TestFit:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["1", "3", repr(float(np.spacing(1.0)))]
 
+    def test_overflowing_span_splits(self):
+        # hi - lo overflows to inf here; the split must still be a finite
+        # value strictly between the two points rather than a hang.
+        code = (
+            "import numpy as np\n"
+            "from ranrec.anomaly import fit_forest\n"
+            "forest = fit_forest(np.array([[-1e308], [1e308]]), t=1, psi=2)\n"
+            "print(len(forest.path), -1e308 < forest.threshold[0] < 1e308)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ranrec.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["3", "True"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_points_rejected(self, value):
+        # An infinite bound used to loop forever in the split draw.
+        code = (
+            "import numpy as np\n"
+            "from ranrec.anomaly import fit_forest\n"
+            "points = np.zeros((4, 2))\n"
+            f"points[2, 1] = float({value!r})\n"
+            "try:\n"
+            "    fit_forest(points, t=1, psi=2)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ranrec.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert "finite" in done.stdout
+
     def test_identical_points_rejected(self):
         with pytest.raises(DegenerateEmbeddingsError, match="threshold-free"):
             fit_forest(np.ones((10, 3)), t=5, psi=4, seed=0)

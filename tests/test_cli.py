@@ -296,6 +296,47 @@ class TestNonFiniteInputs:
         assert str(bad) in err and "NEWCELL" in err and "lteChannelNumber" in err
         assert not out.exists()
 
+    def test_embed_rejects_non_finite_checkpoint(self, workspace, tmp_path, capsys):
+        checkpoint = json.loads((workspace / "ckpt.json").read_text())
+        tensor = checkpoint["params"][2]
+        tensor["data"][0] = float("nan")
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(checkpoint))
+        out = tmp_path / "store.json"
+        code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and tensor["name"] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, value", [("z", float("inf")), ("y", float("nan")), ("y", None)]
+    )
+    def test_detect_rejects_bad_store_record(self, workspace, tmp_path, capsys, name, value):
+        store = json.loads((workspace / "store.json").read_text())
+        row = store["records"][5]
+        if value is None:
+            row[name] = row[name][:-1]  # one config slot short
+        else:
+            row[name][0] = value
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "flags.json"
+        code = main(["detect", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"record 5: {name}" in err
+        assert not out.exists()
+
+    def test_detect_rejects_record_that_is_not_an_object(self, workspace, tmp_path, capsys):
+        store = json.loads((workspace / "store.json").read_text())
+        store["records"][5] = 7
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        code = main(["detect", str(bad), "--out", str(tmp_path / "flags.json")])
+        assert code == 1
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, workspace, tmp_path):

@@ -269,3 +269,22 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError, match="schema hash"):
             Checkpoint.from_json(ckpt.to_json(), schema=schema)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", ["encoder", "decoder"])
+    def test_non_finite_parameter_rejected(self, value, part):
+        schema = small_schema()
+        arch = tiny_arch(in_dim=schema.predictor_dim)
+        payload = Checkpoint(
+            model="gae",
+            arch=arch,
+            seed=3,
+            schema_digest=schema_hash(schema),
+            stats=self._stats(),
+            encoder=init_encoder(arch, seed=3),
+            decoder=init_decoder(arch, seed=3),
+        ).to_json()
+        tensors = payload["params"] if part == "encoder" else payload["decoder"]["params"]
+        tensors[1]["data"][0] = value
+        with pytest.raises(ValueError, match=f"{tensors[1]['name']}.*non-finite"):
+            Checkpoint.from_json(payload, schema=schema)

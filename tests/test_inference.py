@@ -10,10 +10,9 @@ from ranrec.graph import fit_normalization
 from ranrec.inference import (
     EmbeddingStore,
     StoreBundle,
-    add_to_store,
     distance_set,
     embed_new_cell,
-    pop_min,
+    nearest,
     recommend_closest,
     recommend_majority,
 )
@@ -34,6 +33,12 @@ def make_store(n_records: int, d: int = 4, seed: int = 0) -> EmbeddingStore:
     return store
 
 
+def oracle_ranking(store, z, exclude=None):
+    """(cell id, distance) of every record but ``exclude``, by a per-record scan."""
+    ranked = sorted((float(np.linalg.norm(r.z - z)), r.cell_id) for r in store.records)
+    return [(cid, dist) for dist, cid in ranked if cid != exclude]
+
+
 class TestStore:
     def test_add_and_length(self):
         store = make_store(3)
@@ -49,30 +54,47 @@ class TestStore:
         with pytest.raises(ValueError, match="dimension"):
             store.add("other", np.zeros(7), np.zeros(4))
 
+    def test_ragged_config_rejected(self):
+        store = make_store(2)
+        with pytest.raises(ValueError, match="config length 4"):
+            store.add("other", np.zeros(4), np.zeros(3))
+        assert len(store) == 2 and store.y.shape == (2, 4)
+
+    def test_rejected_batch_leaves_store_unchanged(self):
+        store = make_store(2)
+        with pytest.raises(ValueError, match="already stored"):
+            store.extend(["a", "b", "a"], np.zeros((3, 4)), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="dimension"):
+            store.extend(["a", "b"], np.zeros((3, 4)), np.zeros((2, 4)))
+        assert store.ids == ["cell0000", "cell0001"] and store.z.shape == (2, 4)
+        store.add("a", np.ones(4), np.ones(4))
+        assert store.record("a").z.tolist() == [1.0] * 4
+
+    def test_records_are_rows(self):
+        store = make_store(3)
+        for i, record in enumerate(store.records):
+            assert record.cell_id == store.ids[i]
+            assert np.array_equal(record.z, store.z[i]) and np.array_equal(record.y, store.y[i])
+
 
 class TestDistanceSet:
     def test_exact_match_sorts_first(self):
         store = make_store(5)
         z = store.records[3].z
-        ds = distance_set(store, z)
-        assert ds.entries[0][0] == "cell0003"
-        assert ds.entries[0][1] == 0.0
+        assert distance_set(store, z)[3] == 0.0
+        assert nearest(store, z, 1) == (("cell0003", 0.0),)
 
     def test_singleton(self):
         store = make_store(1)
-        ds = distance_set(store, np.zeros(4))
-        assert len(ds) == 1
+        assert len(distance_set(store, np.zeros(4))) == 1
 
     def test_sorted_matches_brute_force(self):
         store = make_store(200, seed=3)
         rng = np.random.default_rng(9)
         z = rng.normal(size=4)
-        ds = distance_set(store, z)
-        brute = sorted(
-            ((r.cell_id, float(np.linalg.norm(r.z - z))) for r in store.records),
-            key=lambda e: (e[1], e[0]),
-        )
-        assert list(ds.entries) == brute
+        brute = [float(np.linalg.norm(r.z - z)) for r in store.records]
+        assert distance_set(store, z).tolist() == brute
+        assert list(nearest(store, z, len(store))) == oracle_ranking(store, z)
 
     def test_empty_store(self):
         store = make_store(0)
@@ -85,34 +107,64 @@ class TestDistanceSet:
         for record in reversed(a.records):
             b.add(record.cell_id, record.z, record.y)
         z = np.zeros(4)
-        assert distance_set(a, z).entries == distance_set(b, z).entries
+        assert nearest(a, z, 20) == nearest(b, z, 20)
 
 
-class TestPopMin:
-    def test_pop_order(self):
+class TestNearest:
+    def test_ranking_order(self):
         store = make_store(2)
-        store.records[0].z[:] = 0.0
-        store.records[1].z[:] = [2.0, 0.0, 0.0, 0.0]
-        ds = distance_set(store, np.array([1.0, 0.0, 0.0, 0.0]))
-        (cid, dist), rest = pop_min(ds)
-        assert dist == pytest.approx(1.0)
-        assert len(rest) == 1
-        assert rest.removals == 1
+        store.z[0] = 0.0
+        store.z[1] = [2.0, 0.0, 0.0, 0.0]
+        ranked = nearest(store, np.array([1.0, 0.0, 0.0, 0.0]), 2)
+        assert ranked[0][1] == pytest.approx(1.0)
+        assert len(ranked) == 2
+        assert nearest(store, np.array([1.0, 0.0, 0.0, 0.0]), 1) == ranked[:1]
 
     def test_non_decreasing_sequence(self):
         store = make_store(30, seed=7)
-        ds = distance_set(store, np.zeros(4))
-        previous = -1.0
-        while len(ds):
-            (cid, dist), ds = pop_min(ds)
-            assert dist >= previous
-            previous = dist
+        distances = [dist for _, dist in nearest(store, np.zeros(4), 30)]
+        assert distances == sorted(distances)
 
-    def test_pop_empty(self):
+    def test_k_out_of_range(self):
         store = make_store(1)
-        _, rest = pop_min(distance_set(store, np.zeros(4)))
-        with pytest.raises(ValueError, match="empty"):
-            pop_min(rest)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                nearest(store, np.zeros(4), k)
+        with pytest.raises(ValueError, match="out of range"):
+            nearest(store, np.zeros(4), 1, exclude="cell0000")
+
+    def test_exclude_matches_oracle(self):
+        store = make_store(60, seed=15)
+        for record in store.records:
+            for k in (1, 4):
+                expected = oracle_ranking(store, record.z, exclude=record.cell_id)[:k]
+                assert list(nearest(store, record.z, k, exclude=record.cell_id)) == expected
+        z = np.zeros(4)
+        assert list(nearest(store, z, 3, exclude="absent")) == oracle_ranking(store, z)[:3]
+
+    def test_ties_at_cutoff_beyond_k(self):
+        store = make_store(10, seed=16)
+        shared = np.full(4, 3.0)
+        for name in ("tie9", "tie3", "tie7", "tie1", "tie5", "tie0"):
+            store.add(name, shared, np.zeros(4))
+        store.add("near", np.full(4, 2.9), np.zeros(4))
+        z = np.full(4, 2.95)
+        for k in (1, 2, 3, 4):
+            assert list(nearest(store, z, k)) == oracle_ranking(store, z)[:k]
+        assert [cid for cid, _ in nearest(store, shared, 3)] == ["tie0", "tie1", "tie3"]
+        assert list(nearest(store, shared, 3, exclude="tie1")) == oracle_ranking(
+            store, shared, exclude="tie1"
+        )[:3]
+
+    def test_store_grown_between_queries(self):
+        store = make_store(40, seed=17)
+        rng = np.random.default_rng(18)
+        queries = rng.normal(size=(5, 4))
+        for step in range(10):
+            for z in queries:
+                assert list(nearest(store, z, 3)) == oracle_ranking(store, z)[:3]
+            store.add(f"grown{step}", queries[step % 5] + 1e-3 * step, rng.random(4))
+        assert len(store) == 50
 
 
 class TestRecommendClosest:
@@ -261,20 +313,19 @@ class TestAddToStore:
     def test_growth_and_self_distance(self):
         store = make_store(4)
         z = np.full(4, 0.25)
-        add_to_store(store, "new", z, np.zeros(4))
+        store.add("new", z, np.zeros(4))
         assert len(store) == 5
-        ds = distance_set(store, z)
-        assert ds.entries[0] == ("new", 0.0)
+        assert nearest(store, z, 1)[0] == ("new", 0.0)
 
     def test_duplicate_rejected(self):
         store = make_store(2)
         with pytest.raises(ValueError):
-            add_to_store(store, "cell0001", np.zeros(4), np.zeros(4))
+            store.add("cell0001", np.zeros(4), np.zeros(4))
 
     def test_later_cells_can_cite_earlier_additions(self):
         store = make_store(3, seed=21)
         far = np.full(4, 50.0)
-        add_to_store(store, "first_new", far, np.full(4, 0.5))
+        store.add("first_new", far, np.full(4, 0.5))
         rec = recommend_closest(store, far + 0.01)
         assert rec.sources[0][0] == "first_new"
 
@@ -324,7 +375,7 @@ class TestEmbedNewCell:
 
 
 class TestStoreBundle:
-    def test_roundtrip(self):
+    def _bundle(self) -> StoreBundle:
         graph = star_graph(4)
         stats = fit_normalization(graph, graph.cell_ids)
         arch = ArchConfig(
@@ -350,8 +401,12 @@ class TestStoreBundle:
         rng = np.random.default_rng(0)
         for cid in graph.cell_ids:
             bundle.store.add(cid, rng.normal(size=3), rng.random(4))
+        return bundle
+
+    def test_roundtrip(self):
+        bundle = self._bundle()
         loaded = StoreBundle.from_json(bundle.to_json())
-        assert [r.cell_id for r in loaded.store.records] == list(graph.cell_ids)
+        assert [r.cell_id for r in loaded.store.records] == list(bundle.graph.cell_ids)
         for a, b in zip(bundle.store.records, loaded.store.records):
             assert np.array_equal(a.z, b.z)
             assert np.array_equal(a.y, b.y)
@@ -359,3 +414,19 @@ class TestStoreBundle:
             bundle.checkpoint.encoder.parameters(), loaded.checkpoint.encoder.parameters()
         ):
             assert np.array_equal(pa.value, pb.value)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("z", [0.0, float("nan"), 0.0]),
+            ("z", [0.0, 0.0]),
+            ("y", [0.5, float("inf"), 0.5, 0.5]),
+            ("y", [0.5, 0.5, 0.5]),
+            ("y", [[0.5, 0.5, 0.5, 0.5]]),
+        ],
+    )
+    def test_bad_record_rejected_by_index(self, name, value):
+        payload = self._bundle().to_json()
+        payload["records"][2][name] = value
+        with pytest.raises(ValueError, match=f"record 2: {name} is not"):
+            StoreBundle.from_json(payload)
