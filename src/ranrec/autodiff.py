@@ -307,70 +307,55 @@ class Tape:
 
     # -- block primitives (x viewed as B stacked blocks of n rows) ------------
 
-    def pair_source(self, a: Node, n: int) -> Node:
-        """Rows of all ordered in-block pairs, carrying the second (source)
-        vertex: output row (b, i, j) equals input row (b, j)."""
-        rows, cols = a.shape
-        if rows % n:
-            raise ShapeError(f"{rows} rows do not split into blocks of {n}")
-        b = rows // n
-        value = np.broadcast_to(a.value.reshape(b, 1, n, cols), (b, n, n, cols)).reshape(
-            b * n * n, cols
-        )
+    def attention_head(
+        self, s: Node, t: Node, a: Node, masks: np.ndarray, slope: float, n: int
+    ) -> tuple[Node, np.ndarray]:
+        """One GATv2 attention head over B stacked blocks of ``n`` vertices.
 
-        def backward(g: np.ndarray):
-            return (g.reshape(b, n, n, cols).sum(axis=1).reshape(rows, cols),)
+        ``s`` and ``t`` are the (B*n, c) source and target projections, ``a``
+        the (c, 1) score vector and ``masks`` the B stacked (n, n)
+        self-inclusive masks. Vertex i scores vertex j of its block as
+        ``a . leaky_relu(s_j + t_i, slope)``, normalizes the scores over the
+        unmasked j, and gets ``sum_j alpha_ij s_j``. Returns that (B*n, c)
+        output node and the (B*n, n) weights ``alpha``.
 
-        return self._record(Node(np.ascontiguousarray(value), (a,), backward))
-
-    def pair_target(self, a: Node, n: int) -> Node:
-        """Rows of all ordered in-block pairs, carrying the first (target)
-        vertex: output row (b, i, j) equals input row (b, i)."""
-        rows, cols = a.shape
-        if rows % n:
-            raise ShapeError(f"{rows} rows do not split into blocks of {n}")
-        b = rows // n
-        value = np.broadcast_to(a.value.reshape(b, n, 1, cols), (b, n, n, cols)).reshape(
-            b * n * n, cols
-        )
-
-        def backward(g: np.ndarray):
-            return (g.reshape(b, n, n, cols).sum(axis=2).reshape(rows, cols),)
-
-        return self._record(Node(np.ascontiguousarray(value), (a,), backward))
-
-    def block_matmul(self, a: Node, b: Node, n: int) -> Node:
-        """``a @ b`` computed as one product per block of ``n`` rows.
-
-        BLAS may round a row of a matrix-vector product differently with the
-        total row count, so a single product over all blocks would make one
-        block's values depend on how many others share the batch. Per-block
-        products give every block the values it gets on its own.
+        The (B*n*n, c) pair rows are not kept: the node holds only its
+        operands and ``alpha``, and the backward pass recomputes the rows.
+        Every value is rounded as by the chain of elementary ops it replaces,
+        with one score product per block, so a block's values do not depend
+        on how many other blocks share the batch.
         """
-        rows, cols = a.shape
+        rows, c = s.shape
         if rows % n:
             raise ShapeError(f"{rows} rows do not split into blocks of {n}")
-        if cols != b.shape[0]:
-            raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
-        av, bv = a.value, b.value
-        need_a, need_b = a.needs_grad, b.needs_grad
+        if t.shape != s.shape or a.shape != (c, 1):
+            raise ShapeError(f"attention_head shapes {s.shape}, {t.shape}, {a.shape}")
+        b = rows // n
+        sv, tv, av = s.value, t.value, a.value
+        s4 = sv.reshape(b, 1, n, c)  # pair (b, i, j) carries source j
+        t4 = tv.reshape(b, n, 1, c)  # and target i
+        lr = leaky_relu_values(s4 + t4, slope)
+        scores = lr.reshape(b, n * n, c) @ av
+        del lr
+        alpha = _masked_softmax_kernel(scores.reshape(rows, n), np.asarray(masks, dtype=bool))
+        alpha4 = alpha.reshape(b, n, n, 1)
+        out = (s4 * alpha4).reshape(rows, n, c).sum(axis=1)
 
         def backward(g: np.ndarray):
-            return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
+            g4 = g.reshape(b, n, 1, c)
+            g_alpha = (g4 * s4).sum(axis=-1).reshape(rows, n)
+            dot = (g_alpha * alpha).sum(axis=-1, keepdims=True)
+            g_scores = (alpha * (g_alpha - dot)).reshape(rows * n, 1)
+            pairs = (s4 + t4).reshape(rows * n, c)
+            factor = (pairs > 0.0) * (1.0 - slope) + slope  # subgradient at 0 is slope
+            g_a = leaky_relu_values(pairs, slope).T @ g_scores
+            g_pairs = ((g_scores @ av.T) * factor).reshape(b, n, n, c)
+            del pairs, factor
+            g_t = g_pairs.sum(axis=2).reshape(rows, c)
+            g_s = (g4 * alpha4 + g_pairs).sum(axis=1).reshape(rows, c)
+            return g_s, g_t, g_a
 
-        value = (av.reshape(rows // n, n, cols) @ bv).reshape(rows, b.shape[1])
-        return self._record(Node(value, (a, b), backward))
-
-    def mul_col(self, a: Node, col: Node) -> Node:
-        """Scale every row of ``a`` by the matching entry of a column vector."""
-        if col.shape != (a.shape[0], 1):
-            raise ShapeError(f"mul_col shapes {a.shape} * {col.shape}")
-        av, cv = a.value, col.value
-
-        def backward(g: np.ndarray):
-            return g * cv, (g * av).sum(axis=1, keepdims=True)
-
-        return self._record(Node(av * cv, (a, col), backward))
+        return self._record(Node(out, (s, t, a), backward)), alpha
 
     def sum_blocks(self, a: Node, n: int) -> Node:
         """Sum every ``n`` consecutive rows."""
@@ -414,6 +399,7 @@ class Tape:
             g = adjoint[node.index]
             if g is None:
                 continue
+            adjoint[node.index] = None  # only adjoints still to propagate stay alive
             if node.param is not None:
                 node.param.grad = node.param.grad + g
             if node.backward_fn is None:

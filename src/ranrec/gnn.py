@@ -179,35 +179,33 @@ def attention_scores(head: HeadParams, h_i: np.ndarray, h_j: np.ndarray, slope: 
     return float(leaky_relu_values(pre, slope) @ head.a.value.ravel())
 
 
-def _head_forward(
-    tape: Tape, head: HeadParams, h: Node, n: int, masks: np.ndarray, slope: float
-) -> tuple[Node, Node]:
-    """Returns (attention-weighted source projections, attention weights).
+def _layer(
+    tape: Tape, layer: LayerParams, h: Node, n: int, masks: np.ndarray, slope: float
+) -> tuple[Node, list[np.ndarray]]:
+    """``layer_forward`` together with every head's attention weights.
 
     ``h`` is (B*n, in); ``masks`` the B stacked (n, n) self-inclusive masks.
     """
-    rows = h.shape[0]
-    s = tape.matmul(h, tape.param(head.W_src))
-    t = tape.matmul(h, tape.param(head.W_dst))
-    src = tape.pair_source(s, n)  # row (b, i, j) carries s[b, j]
-    pairs = tape.add(src, tape.pair_target(t, n))
-    # One product per subgraph's n*n pair rows keeps scores batch-invariant.
-    scores = tape.block_matmul(tape.leaky_relu(pairs, slope), tape.param(head.a), n * n)
-    alpha = tape.masked_softmax(tape.reshape(scores, rows, n), masks)
-    weighted = tape.mul_col(src, tape.reshape(alpha, rows * n, 1))
-    return tape.sum_blocks(weighted, n), alpha
+    head_outs = []
+    alphas = []
+    for head in layer.heads:
+        s = tape.matmul(h, tape.param(head.W_src))
+        t = tape.matmul(h, tape.param(head.W_dst))
+        out, alpha = tape.attention_head(s, t, tape.param(head.a), masks, slope, n)
+        head_outs.append(out)
+        alphas.append(alpha)
+    concat = tape.concat(head_outs, axis=1)
+    hidden = tape.leaky_relu(
+        tape.add(tape.matmul(concat, tape.param(layer.W1)), tape.param(layer.b1)), slope
+    )
+    return tape.add(tape.matmul(hidden, tape.param(layer.W2)), tape.param(layer.b2)), alphas
 
 
 def layer_forward(
     tape: Tape, layer: LayerParams, h: Node, n: int, masks: np.ndarray, slope: float
 ) -> Node:
     """One multi-head attention layer followed by the FFN aggregation."""
-    head_outs = [_head_forward(tape, head, h, n, masks, slope)[0] for head in layer.heads]
-    concat = tape.concat(head_outs, axis=1)
-    hidden = tape.leaky_relu(
-        tape.add(tape.matmul(concat, tape.param(layer.W1)), tape.param(layer.b1)), slope
-    )
-    return tape.add(tape.matmul(hidden, tape.param(layer.W2)), tape.param(layer.b2))
+    return _layer(tape, layer, h, n, masks, slope)[0]
 
 
 def stack_forward(tape: Tape, stack: GatStack, h0: Node, n: int, masks: np.ndarray) -> Node:
@@ -266,24 +264,12 @@ def decode(stack: GatStack, subgraph: Subgraph, z: np.ndarray) -> np.ndarray:
 def attention_matrices(stack: GatStack, subgraph: Subgraph) -> list[list[np.ndarray]]:
     """Per-layer, per-head attention weight matrices (rows sum to 1)."""
     tape = Tape()
-    n = subgraph.size
     masks = attention_mask(subgraph)
     h: Node = tape.const(subgraph.features)
     out: list[list[np.ndarray]] = []
     for layer in stack.layers:
-        weights = []
-        head_outs = []
-        for head in layer.heads:
-            head_out, alpha = _head_forward(tape, head, h, n, masks, stack.slope)
-            head_outs.append(head_out)
-            weights.append(alpha.value)
+        h, weights = _layer(tape, layer, h, subgraph.size, masks, stack.slope)
         out.append(weights)
-        concat = tape.concat(head_outs, axis=1)
-        hidden = tape.leaky_relu(
-            tape.add(tape.matmul(concat, tape.param(layer.W1)), tape.param(layer.b1)),
-            stack.slope,
-        )
-        h = tape.add(tape.matmul(hidden, tape.param(layer.W2)), tape.param(layer.b2))
     return out
 
 
@@ -310,7 +296,10 @@ def _load_params(stack: GatStack, items: list[dict]) -> None:
     for p, item in zip(params, items):
         if item["name"] != p.name or tuple(item["shape"]) != p.shape:
             raise ValueError(f"checkpoint tensor mismatch at {item['name']!r}")
-        p.value = np.array(item["data"], dtype=np.float64).reshape(p.shape)
+        try:
+            p.value = np.array(item["data"], dtype=np.float64).reshape(p.shape)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint tensor {p.name!r}: {exc}") from exc
         if not np.isfinite(p.value).all():
             raise ValueError(f"checkpoint tensor {p.name!r} has non-finite values")
         p.grad = np.zeros_like(p.value)

@@ -260,8 +260,12 @@ class StoreBundle:
         y = np.empty((len(items), graph.schema.config_dim))
         for index, item in enumerate(items):
             for name, out in (("z", z), ("y", y)):
-                value = np.array(item[name], dtype=np.float64)
-                if value.shape != out.shape[1:] or not np.isfinite(value).all():
+                raw = item[name]
+                try:
+                    value = np.array(raw, dtype=np.float64)
+                except (TypeError, ValueError):  # a string, a ragged list
+                    value = None
+                if value is None or value.shape != out.shape[1:] or not np.isfinite(value).all():
                     raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")
                 out[index] = value
         bundle.store.extend([str(item["cell_id"]) for item in items], z, y)

@@ -342,6 +342,7 @@ def _fit(
             )
         tape.backward(loss_node)
         adam.step()
+        del tape, loss_node  # free this epoch's graph before the next one is built
         losses.append(loss)
         if epoch % 25 == 0:
             logger.debug("%s epoch %d loss %.6f", label, epoch, loss)

@@ -57,25 +57,95 @@ class TestMatmul:
         a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
         assert np.abs((a @ b) @ c - a @ (b @ c)).max() < 1e-10
 
-    def test_block_matmul_blocks_match_their_own_product(self):
-        # A matrix-vector product over many rows may round a row differently
-        # than the same row's block alone; block_matmul must not.
-        rng = np.random.default_rng(2)
-        blocks, n = 300, 81
-        a = rng.normal(size=(blocks * n, 16))
-        w = rng.normal(size=(16, 1))
-        tape = Tape()
-        out = tape.block_matmul(tape.const(a), tape.const(w), n).value
-        for b in range(blocks):
-            alone = tape.matmul(tape.const(a[b * n : (b + 1) * n]), tape.const(w)).value
-            assert np.array_equal(out[b * n : (b + 1) * n], alone)
 
-    def test_block_matmul_shape_checks(self):
+def _block_masks(rng, blocks: int, n: int) -> np.ndarray:
+    """Random symmetric self-inclusive masks; vertex 0 of the first block
+    attends only to itself, as in a subgraph smaller than the fanout."""
+    masks = rng.random(size=(blocks, n, n)) < 0.4
+    masks = masks | masks.transpose(0, 2, 1) | np.eye(n, dtype=bool)
+    masks[0, 0, :] = False
+    masks[0, :, 0] = False
+    masks[0, 0, 0] = True
+    return masks.reshape(blocks * n, n)
+
+
+def _reference_head(s, t, a, masks, slope, n, g):
+    """The elementary-op chain that ``attention_head`` replaced, forward and
+    backward for the output adjoint ``g``, in plain numpy: pair rows of
+    sources and targets, their sum, leaky ReLU, one score product per block,
+    masked softmax, weighting by a column of weights, and block sums."""
+    rows, c = s.shape
+    b = rows // n
+    src = np.ascontiguousarray(np.broadcast_to(s.reshape(b, 1, n, c), (b, n, n, c)).reshape(-1, c))
+    tgt = np.ascontiguousarray(np.broadcast_to(t.reshape(b, n, 1, c), (b, n, n, c)).reshape(-1, c))
+    pairs = src + tgt
+    lr = leaky_relu_values(pairs, slope)
+    scores = (lr.reshape(b, n * n, c) @ a).reshape(rows * n, 1)
+    alpha = masked_softmax(scores.reshape(rows, n), masks)
+    col = alpha.reshape(rows * n, 1)
+    out = (src * col).reshape(-1, n, c).sum(axis=1)
+    g_rows = np.repeat(g, n, axis=0)
+    g_src = g_rows * col
+    g_alpha = (g_rows * src).sum(axis=1, keepdims=True).reshape(rows, n)
+    dot = (g_alpha * alpha).sum(axis=-1, keepdims=True)
+    g_scores = (alpha * (g_alpha - dot)).reshape(rows * n, 1)
+    g_a = lr.T @ g_scores
+    g_pairs = (g_scores @ a.T) * ((pairs > 0.0) * (1.0 - slope) + slope)
+    g_t = g_pairs.reshape(b, n, n, c).sum(axis=2).reshape(rows, c)
+    g_s = (g_src + g_pairs).reshape(b, n, n, c).sum(axis=1).reshape(rows, c)
+    return out, alpha, g_s, g_t, g_a
+
+
+class TestAttentionHead:
+    @pytest.mark.parametrize("blocks, n, c", [(1, 1, 3), (3, 5, 4), (7, 9, 16)])
+    def test_matches_the_elementary_chain_bit_for_bit(self, blocks, n, c):
+        rng = np.random.default_rng(blocks * 100 + n)
+        s, t = rng.normal(size=(2, blocks * n, c))
+        a = rng.normal(size=(c, 1))
+        g = rng.normal(size=(blocks * n, c))
+        masks = _block_masks(rng, blocks, n)
         tape = Tape()
+        out, alpha = tape.attention_head(
+            tape.const(s), tape.const(t), tape.const(a), masks, 0.2, n
+        )
+        expected = _reference_head(s, t, a, masks, 0.2, n, g)
+        assert np.array_equal(out.value, expected[0])
+        assert np.array_equal(alpha, expected[1])
+        for got, want in zip(out.backward_fn(g), expected[2:]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("blocks", [1, 7, 32])
+    def test_blocks_match_their_own_run(self, blocks):
+        # A product over many rows may round a row differently than the same
+        # row's block alone; the head must not.
+        rng = np.random.default_rng(blocks)
+        n, c = 9, 16
+        s, t = rng.normal(size=(2, blocks * n, c))
+        a = rng.normal(size=(c, 1))
+        masks = _block_masks(rng, blocks, n)
+        tape = Tape()
+        out, alpha = tape.attention_head(
+            tape.const(s), tape.const(t), tape.const(a), masks, 0.2, n
+        )
+        for b in range(blocks):
+            part = slice(b * n, (b + 1) * n)
+            out_b, alpha_b = tape.attention_head(
+                tape.const(s[part]), tape.const(t[part]), tape.const(a), masks[part], 0.2, n
+            )
+            assert np.array_equal(out.value[part], out_b.value)
+            assert np.array_equal(alpha[part], alpha_b)
+
+    def test_shape_checks(self):
+        tape = Tape()
+        six = tape.const(np.ones((6, 3)))
+        a = tape.const(np.ones((3, 1)))
+        masks = np.ones((6, 4), dtype=bool)
         with pytest.raises(ShapeError, match="blocks"):
-            tape.block_matmul(tape.const(np.ones((5, 3))), tape.const(np.ones((3, 1))), 2)
-        with pytest.raises(ShapeError, match="matmul"):
-            tape.block_matmul(tape.const(np.ones((4, 3))), tape.const(np.ones((2, 1))), 2)
+            tape.attention_head(six, six, a, masks, 0.2, 4)
+        with pytest.raises(ShapeError, match="attention_head"):
+            tape.attention_head(six, tape.const(np.ones((6, 2))), a, masks, 0.2, 3)
+        with pytest.raises(ShapeError, match="attention_head"):
+            tape.attention_head(six, six, tape.const(np.ones((2, 1))), masks, 0.2, 3)
 
 
 class TestLeakyRelu:
@@ -195,7 +265,7 @@ def _random_param(rng, shape):
 
 PRIMITIVE_CASES = [
     "matmul",
-    "block_matmul",
+    "attention_head",
     "add",
     "add_broadcast",
     "sub",
@@ -212,9 +282,6 @@ PRIMITIVE_CASES = [
     "rownorm",
     "sqrt",
     "reshape",
-    "pair_source",
-    "pair_target",
-    "mul_col",
     "sum_blocks",
     "take_rows",
 ]
@@ -228,7 +295,6 @@ def test_every_primitive_passes_grad_check(op, seed):
     other = rng.normal(size=(4, 6))
     tall = rng.normal(size=(6, 3))
     bias = rng.normal(size=(1, 6))
-    column = rng.normal(size=(4, 1))
     mask = rng.random(size=(4, 6)) < 0.5
     mask[:, 1] = True
 
@@ -236,8 +302,13 @@ def test_every_primitive_passes_grad_check(op, seed):
         node = tape.param(p)
         if op == "matmul":
             out = tape.matmul(node, tape.const(tall))
-        elif op == "block_matmul":
-            out = tape.block_matmul(node, tape.const(tall), 2)
+        elif op == "attention_head":
+            # Two blocks of two vertices; vertex 0 attends only to itself.
+            # Sources, targets and scores all depend on the parameter.
+            targets = tape.mul(node, tape.const(other))
+            a = tape.reshape(tape.rows(node, 0, 1), 6, 1)
+            masks = np.array([[True, False], [True, True], [True, True], [True, True]])
+            out = tape.attention_head(node, targets, a, masks, 0.2, 2)[0]
         elif op == "add":
             out = tape.add(node, tape.const(other))
         elif op == "add_broadcast":
@@ -270,12 +341,6 @@ def test_every_primitive_passes_grad_check(op, seed):
             out = tape.sqrt(tape.add(tape.mul(node, node), tape.const(np.full((4, 6), 0.5))))
         elif op == "reshape":
             out = tape.reshape(node, 6, 4)
-        elif op == "pair_source":
-            out = tape.pair_source(node, 2)
-        elif op == "pair_target":
-            out = tape.pair_target(node, 2)
-        elif op == "mul_col":
-            out = tape.mul_col(node, tape.const(column))
         elif op == "sum_blocks":
             out = tape.sum_blocks(node, 2)
         else:

@@ -328,6 +328,33 @@ class TestNonFiniteInputs:
         assert str(bad) in err and f"record 5: {name}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", [[0.5, 0.5], [0.5]]])
+    def test_detect_names_unconvertible_store_record(self, workspace, tmp_path, capsys, value):
+        store = json.loads((workspace / "store.json").read_text())
+        store["records"][5]["z"] = value
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "flags.json"
+        code = main(["detect", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "record 5: z" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt", ["abc", "short"])
+    def test_embed_names_unconvertible_checkpoint_tensor(self, workspace, tmp_path, capsys, corrupt):
+        checkpoint = json.loads((workspace / "ckpt.json").read_text())
+        tensor = checkpoint["params"][2]
+        tensor["data"] = "abc" if corrupt == "abc" else tensor["data"][:-1]
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(checkpoint))
+        out = tmp_path / "store.json"
+        code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"checkpoint tensor '{tensor['name']}'" in err
+        assert not out.exists()
+
     def test_detect_rejects_record_that_is_not_an_object(self, workspace, tmp_path, capsys):
         store = json.loads((workspace / "store.json").read_text())
         store["records"][5] = 7

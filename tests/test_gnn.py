@@ -14,6 +14,7 @@ from ranrec.gnn import (
     decode,
     decode_on_tape,
     encode,
+    encode_group_on_tape,
     encode_on_tape,
     init_decoder,
     init_encoder,
@@ -179,6 +180,22 @@ class TestEncodeDecode:
 
         assert grad_check(f, enc.parameters() + dec.parameters()) < 1e-4
 
+    def test_tape_keeps_no_pair_rows(self):
+        # A head's (B*n*n, head_dim) pair rows are recomputed in the backward
+        # pass: neither a node's value nor its backward rule may hold them.
+        arch = tiny_arch()
+        stack = init_encoder(arch, seed=14)
+        blocks, n = 6, 9
+        tape = Tape()
+        encode_group_on_tape(tape, stack, [make_subgraph(n - 1, seed=i) for i in range(blocks)])
+        pair_rows = blocks * n * n
+        for node in tape.nodes:
+            assert node.value.shape[0] < pair_rows
+            held = [c.cell_contents for c in getattr(node.backward_fn, "__closure__", None) or ()]
+            for value in held:
+                if isinstance(value, np.ndarray):
+                    assert value.size < pair_rows * arch.head_dim
+
     def test_wrong_feature_width_rejected(self):
         stack = init_encoder(tiny_arch(in_dim=4), seed=13)
         with pytest.raises(ValueError, match="columns"):
@@ -269,6 +286,23 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError, match="schema hash"):
             Checkpoint.from_json(ckpt.to_json(), schema=schema)
+
+    @pytest.mark.parametrize("data", ["abc", [[0.5]], "short"])
+    def test_unconvertible_tensor_named(self, data):
+        schema = small_schema()
+        arch = tiny_arch(in_dim=schema.predictor_dim)
+        payload = Checkpoint(
+            model="sgnn",
+            arch=arch,
+            seed=3,
+            schema_digest=schema_hash(schema),
+            stats=self._stats(),
+            encoder=init_encoder(arch, seed=3),
+        ).to_json()
+        tensor = payload["params"][1]
+        tensor["data"] = tensor["data"][:-1] if data == "short" else data
+        with pytest.raises(ValueError, match=f"checkpoint tensor '{tensor['name']}'"):
+            Checkpoint.from_json(payload, schema=schema)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("part", ["encoder", "decoder"])
