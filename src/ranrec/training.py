@@ -16,6 +16,7 @@ epoch on the full accumulated objective and are deterministic per seed.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -112,7 +113,10 @@ def contrastive_loss(
     """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
-    d = float(np.linalg.norm(np.asarray(z_a, dtype=np.float64) - np.asarray(z_b, dtype=np.float64)))
+    diff = np.asarray(z_a, dtype=np.float64) - np.asarray(z_b, dtype=np.float64)
+    # math.hypot rescales before squaring, so a tiny nonzero distance does not
+    # underflow to 0 the way sqrt(sum(diff**2)) in np.linalg.norm does.
+    d = math.hypot(*diff.ravel())
     if form == "printed":
         return (1.0 + c) * d + (1.0 - c) * max(0.0, margin) - d
     return 0.5 * (1.0 + c) * d + 0.5 * (1.0 - c) * max(0.0, margin - d)

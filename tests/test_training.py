@@ -123,6 +123,10 @@ class TestContrastiveLoss:
         else:
             assert loss > 0.0
 
+    def test_tiny_distance_does_not_underflow(self):
+        z_b = np.array([1e-187, 0.0])
+        assert contrastive_loss(1.0, np.zeros(2), z_b, margin=1.0) == pytest.approx(1e-187)
+
     def test_tape_form_matches_eager(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(4, 3))
