@@ -26,7 +26,6 @@ _INT_KEYS = {
     "head_dim",
     "ffn_hidden",
     "hidden_dim",
-    "k",
     "forest_trees",
     "forest_subsample",
 }
@@ -38,9 +37,8 @@ _FLOAT_KEYS = {
     "learning_rate",
     "slope",
     "test_fraction",
-    "threshold",
 }
-_STR_KEYS = {"loss_form", "mode"}
+_STR_KEYS = {"loss_form"}
 KNOWN_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
@@ -61,9 +59,6 @@ class RunConfig:
     ffn_hidden: int = 64
     hidden_dim: int = 64
     slope: float = 0.2
-    mode: str = "closest"
-    k: int = 5
-    threshold: float = 0.6
     forest_trees: int = 100
     forest_subsample: int | None = None
 
@@ -152,9 +147,6 @@ def config_from_values(values: dict) -> RunConfig:
         "ffn_hidden",
         "hidden_dim",
         "slope",
-        "mode",
-        "k",
-        "threshold",
         "forest_trees",
         "forest_subsample",
     ):

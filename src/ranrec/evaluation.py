@@ -451,8 +451,8 @@ def _run_modification(artifacts: DeploymentArtifacts, scenario: ScenarioSpec) ->
         scenario.seed,
     )
     # Predictors are untouched, so embeddings carry over; configs re-vectorize.
-    corrupted_features = feature_map(corrupted_graph, artifacts.stats)
-    corrupted_y = np.stack([corrupted_features[cid].y for cid in artifacts.store.ids])
+    rows = [corrupted_graph.row_of[cid] for cid in artifacts.store.ids]
+    corrupted_y = feature_map(corrupted_graph, artifacts.stats).y[rows]
     store = EmbeddingStore(artifacts.encoder)
     store.extend(artifacts.store.ids, artifacts.store.z, corrupted_y)
     report = ScenarioReport(kind=scenario.kind, corrupted=corrupted_ids)

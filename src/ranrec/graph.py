@@ -6,6 +6,7 @@ radio node (``intra_node``, materialized automatically) or across nodes
 ``x`` and a configuration vector ``y``, laid out as the LTE attribute block
 followed by the NR block. Values are min-max normalized into [0, 1] from
 statistics fitted on training cells; slots of the other technology are 0.
+``feature_map`` stacks them into one matrix per role, one row per cell.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ class RanGraph:
 
     Cells sharing a ``node_id`` are always pairwise connected with kind
     ``intra_node`` (added automatically); ``inter_node`` edges come from the
-    input. Self loops are rejected.
+    input. Self loops are rejected. ``row_of`` maps each cell id to its
+    index in ``cells``.
     """
 
     def __init__(
@@ -177,12 +179,18 @@ class RanGraph:
     ) -> None:
         self.schema = schema
         self.cells: tuple[CellRecord, ...] = tuple(cells)
-        self._by_id: dict[str, CellRecord] = {}
-        for cell in self.cells:
-            if cell.cell_id in self._by_id:
+        # Attribute names each (technology, role) must carry, worked out once.
+        expected = {
+            (tech, role): {e.name for e in schema.layout(role) if e.technology == tech}
+            for tech in TECHNOLOGIES
+            for role in ROLES
+        }
+        self.row_of: dict[str, int] = {}
+        for row, cell in enumerate(self.cells):
+            if cell.cell_id in self.row_of:
                 raise NetworkFormatError(f"duplicate cell_id {cell.cell_id!r}")
-            self._validate_attributes(cell)
-            self._by_id[cell.cell_id] = cell
+            _validate_attributes(cell, expected)
+            self.row_of[cell.cell_id] = row
 
         edge_kinds: dict[tuple[str, str], str] = {}
         for a, b, kind in edges:
@@ -191,7 +199,7 @@ class RanGraph:
             if kind not in EDGE_KINDS:
                 raise NetworkFormatError(f"unknown edge kind {kind!r}")
             for cid in (a, b):
-                if cid not in self._by_id:
+                if cid not in self.row_of:
                     raise NetworkFormatError(f"edge references unknown cell {cid!r}")
             edge_kinds[(min(a, b), max(a, b))] = kind
 
@@ -205,39 +213,17 @@ class RanGraph:
                     edge_kinds[(min(a, b), max(a, b))] = "intra_node"
 
         self._edge_kinds = edge_kinds
-        self._adjacency: dict[str, tuple[str, ...]] = {c.cell_id: () for c in self.cells}
         adj: dict[str, set[str]] = {c.cell_id: set() for c in self.cells}
         for a, b in edge_kinds:
             adj[a].add(b)
             adj[b].add(a)
-        for cid, nbrs in adj.items():
-            self._adjacency[cid] = tuple(sorted(nbrs))
-
-    def _validate_attributes(self, cell: CellRecord) -> None:
-        for role in ROLES:
-            expected = {
-                e.name for e in self.schema.layout(role) if e.technology == cell.technology
-            }
-            got = set(cell.raw_values(role))
-            if got - expected:
-                raise NetworkFormatError(
-                    f"cell {cell.cell_id!r}: unknown or wrong-technology "
-                    f"{role} attributes {sorted(got - expected)}"
-                )
-            # Cells awaiting a recommendation may omit configs entirely.
-            if role == "config" and not got:
-                continue
-            if expected - got:
-                raise NetworkFormatError(
-                    f"cell {cell.cell_id!r}: missing {role} attributes "
-                    f"{sorted(expected - got)}"
-                )
+        self._adjacency = {cid: tuple(sorted(nbrs)) for cid, nbrs in adj.items()}
 
     # -- queries ---------------------------------------------------------------
 
     def cell(self, cell_id: str) -> CellRecord:
         try:
-            return self._by_id[cell_id]
+            return self.cells[self.row_of[cell_id]]
         except KeyError:
             raise KeyError(f"unknown cell id {cell_id!r}") from None
 
@@ -245,9 +231,6 @@ class RanGraph:
         if cell_id not in self._adjacency:
             raise KeyError(f"unknown cell id {cell_id!r}")
         return self._adjacency[cell_id]
-
-    def edge_kind(self, a: str, b: str) -> str | None:
-        return self._edge_kinds.get((min(a, b), max(a, b)))
 
     @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
@@ -280,6 +263,24 @@ class RanGraph:
             ],
             "edges": [list(e) for e in self.edges],
         }
+
+
+def _validate_attributes(cell: CellRecord, expected: Mapping[tuple[str, str], set[str]]) -> None:
+    for role in ROLES:
+        names = expected[(cell.technology, role)]
+        got = set(cell.raw_values(role))
+        if got - names:
+            raise NetworkFormatError(
+                f"cell {cell.cell_id!r}: unknown or wrong-technology "
+                f"{role} attributes {sorted(got - names)}"
+            )
+        # Cells awaiting a recommendation may omit configs entirely.
+        if role == "config" and not got:
+            continue
+        if names - got:
+            raise NetworkFormatError(
+                f"cell {cell.cell_id!r}: missing {role} attributes {sorted(names - got)}"
+            )
 
 
 def load_network(path: str | Path) -> RanGraph:
@@ -349,10 +350,13 @@ class SlotStats:
     maximum: float
     observed: tuple[float, ...] = ()  # sorted training values, kept for discrete slots
 
-    def normalize(self, value: float) -> float:
+    def normalize(self, value: float | np.ndarray) -> float | np.ndarray:
+        """Scale into [0, 1]: a float to a float, an array element by element."""
         if self.maximum == self.minimum:
-            return 0.0  # constant feature carries no information
-        return float(np.clip((value - self.minimum) / (self.maximum - self.minimum), 0.0, 1.0))
+            scaled = np.zeros_like(value, dtype=np.float64)  # constant feature carries no information
+        else:
+            scaled = np.clip((value - self.minimum) / (self.maximum - self.minimum), 0.0, 1.0)
+        return scaled if isinstance(value, np.ndarray) else float(scaled)
 
     def denormalize(self, value: float) -> float:
         return self.minimum + value * (self.maximum - self.minimum)
@@ -429,36 +433,12 @@ def fit_normalization(graph: RanGraph, train_ids: Iterable[str]) -> Normalizatio
 
 
 @dataclass(frozen=True)
-class FeatureVectors:
-    """Normalized predictor vector ``x`` and config vector ``y`` in [0, 1]."""
+class FeatureMatrix:
+    """Normalized predictor rows ``x`` (n, P) and config rows ``y`` (n, Q) in
+    [0, 1], row ``i`` for ``RanGraph.cells[i]``; both are read-only."""
 
     x: np.ndarray
     y: np.ndarray
-
-
-def _vectorize_role(
-    cell: CellRecord, slots: tuple[SlotStats, ...], layout: tuple[AttributeSpec, ...]
-) -> np.ndarray:
-    out = np.zeros(len(layout))
-    raw = cell.raw_values(layout[0].role) if layout else {}
-    for i, (spec, stats) in enumerate(zip(layout, slots)):
-        if spec.technology != cell.technology:
-            continue  # other-technology slot imputed as 0
-        value = raw.get(spec.name)
-        if value is not None:
-            out[i] = stats.normalize(value)
-    return out
-
-
-def vectorize(
-    cell: CellRecord, stats: NormalizationStats, schema: AttributeSchema
-) -> FeatureVectors:
-    """Map a cell's raw values into normalized, zero-imputed vectors."""
-    x = _vectorize_role(cell, stats.predictor, schema.predictor_layout)
-    y = _vectorize_role(cell, stats.config, schema.config_layout)
-    x.flags.writeable = False
-    y.flags.writeable = False
-    return FeatureVectors(x=x, y=y)
 
 
 def denormalize(
@@ -482,11 +462,32 @@ def denormalize(
     return out
 
 
-def feature_map(
-    graph: RanGraph, stats: NormalizationStats
-) -> dict[str, FeatureVectors]:
-    """Vectorize every cell of the graph with the given statistics."""
-    return {c.cell_id: vectorize(c, stats, graph.schema) for c in graph.cells}
+def feature_map(graph: RanGraph, stats: NormalizationStats) -> FeatureMatrix:
+    """Vectorize every cell of the graph with the given statistics.
+
+    Each slot column is normalized in one ``SlotStats.normalize`` call over
+    the cells of its technology; other-technology slots and the configs of
+    cells that carry none stay 0.
+    """
+
+    def role_matrix(role: str) -> np.ndarray:
+        layout = graph.schema.layout(role)
+        out = np.zeros((len(graph.cells), len(layout)))
+        for tech in TECHNOLOGIES:
+            members = [
+                (row, cell.raw_values(role))
+                for row, cell in enumerate(graph.cells)
+                if cell.technology == tech and cell.raw_values(role)
+            ]
+            rows = [row for row, _ in members]
+            for col, (spec, slot) in enumerate(zip(layout, stats.slots(role))):
+                if spec.technology == tech and rows:
+                    values = np.array([raw[spec.name] for _, raw in members], dtype=np.float64)
+                    out[rows, col] = slot.normalize(values)
+        out.flags.writeable = False
+        return out
+
+    return FeatureMatrix(x=role_matrix("predictor"), y=role_matrix("config"))
 
 
 def extend_network(

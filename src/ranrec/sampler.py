@@ -9,11 +9,11 @@ vectors, center row first. Sampling is deterministic per (seed, cell id).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import FeatureVectors, NormalizationStats, RanGraph, feature_map
+from .graph import FeatureMatrix, NormalizationStats, RanGraph, feature_map
 from .rng import substream
 
 
@@ -56,16 +56,11 @@ class DatasetEntry:
     target: np.ndarray  # normalized config vector of the center cell
 
 
-def neighbors(graph: RanGraph, cell_id: str) -> set[str]:
-    """The adjacency of one cell; symmetric with the stored edge set."""
-    return set(graph.neighbors(cell_id))
-
-
 def sample_subgraph(
     graph: RanGraph,
     center: str,
     cfg: SamplerConfig,
-    features: Mapping[str, FeatureVectors],
+    features: FeatureMatrix,
     rng: np.random.Generator | None = None,
 ) -> Subgraph:
     """Sample one subgraph around ``center``.
@@ -86,10 +81,11 @@ def sample_subgraph(
     index = {cid: i for i, cid in enumerate(vertices)}
     edges = []
     for i, a in enumerate(vertices):
-        for b in vertices[i + 1 :]:
-            if graph.edge_kind(a, b) is not None:
-                edges.append((i, index[b]))
-    rows = np.stack([np.asarray(features[cid].x) for cid in vertices])
+        for b in graph.neighbors(a):
+            j = index.get(b)
+            if j is not None and j > i:
+                edges.append((i, j))
+    rows = features.x[[graph.row_of[cid] for cid in vertices]]
     rows.flags.writeable = False
     return Subgraph(
         center=center,
@@ -112,13 +108,13 @@ def build_dataset(
     """
     features = feature_map(graph, stats)
     entries = []
-    for cell in graph.cells:
+    for cell, target in zip(graph.cells, features.y):
         tokens: tuple[str | int, ...] = ("subgraph", cell.cell_id)
         if epoch is not None:
             tokens = ("subgraph", cell.cell_id, "epoch", epoch)
         rng = substream(cfg.seed, *tokens)
         sub = sample_subgraph(graph, cell.cell_id, cfg, features, rng=rng)
-        entries.append(DatasetEntry(subgraph=sub, target=features[cell.cell_id].y))
+        entries.append(DatasetEntry(subgraph=sub, target=target))
     return entries
 
 

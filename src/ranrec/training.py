@@ -188,7 +188,9 @@ def mine_informative_pairs(
         if n_hard > 0:
             hard_pick = hard_idx[rng.choice(hard_idx.shape[0], size=n_hard, replace=False)]
 
-    rest = np.setdiff1d(np.arange(total), hard_pick, assume_unique=False)
+    unpicked = np.ones(total, dtype=bool)
+    unpicked[hard_pick] = False
+    rest = np.flatnonzero(unpicked)
     n_rand = min(budget - n_hard, rest.shape[0])
     rand_pick = rest[rng.choice(rest.shape[0], size=n_rand, replace=False)] if n_rand else np.empty(0, dtype=np.intp)
 

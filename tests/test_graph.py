@@ -11,15 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranrec.graph import (
+    CellRecord,
     NetworkFormatError,
     RanGraph,
     denormalize,
+    extend_network,
+    feature_map,
     fit_normalization,
     load_network,
-    vectorize,
 )
 
 from conftest import lte_cell, nr_cell, small_schema
+
+
+def _rows(graph, stats, cell):
+    """The ``feature_map`` rows (x, y) of ``cell``, joining it to ``graph`` if new."""
+    if cell.cell_id not in graph.row_of:
+        graph = extend_network(graph, [cell])
+    features = feature_map(graph, stats)
+    row = graph.row_of[cell.cell_id]
+    return features.x[row], features.y[row]
 
 
 def _network_payload() -> dict:
@@ -179,34 +190,67 @@ class TestVectorize:
     def test_midpoint(self):
         graph, stats = self._fitted()
         cell = lte_cell("q", node_id="nq", chan=4.0)
-        vec = vectorize(cell, stats, graph.schema)
-        assert vec.x[1] == pytest.approx(0.5)
+        x, _ = _rows(graph, stats, cell)
+        assert x[1] == pytest.approx(0.5)
 
     def test_other_technology_slots_zero(self):
         graph, stats = self._fitted()
-        vec = vectorize(graph.cell("a"), stats, graph.schema)
+        x, y = _rows(graph, stats, graph.cell("a"))
         nr_slots = [i for i, s in enumerate(graph.schema.predictor_layout) if s.technology == "NR"]
-        assert all(vec.x[i] == 0.0 for i in nr_slots)
+        assert all(x[i] == 0.0 for i in nr_slots)
         nr_cfg = [i for i, s in enumerate(graph.schema.config_layout) if s.technology == "NR"]
-        assert all(vec.y[i] == 0.0 for i in nr_cfg)
+        assert all(y[i] == 0.0 for i in nr_cfg)
 
     def test_degenerate_range_is_zero(self):
         graph, stats = self._fitted()
         # NR chan was observed on one cell only: min == max
-        vec = vectorize(graph.cell("c"), stats, graph.schema)
+        x, _ = _rows(graph, stats, graph.cell("c"))
         nr_chan = [
             i
             for i, s in enumerate(graph.schema.predictor_layout)
             if s.technology == "NR" and s.name == "chan"
         ][0]
-        assert vec.x[nr_chan] == 0.0
+        assert x[nr_chan] == 0.0
 
     def test_out_of_range_clamps(self):
         graph, stats = self._fitted()
         high = lte_cell("q", node_id="nq", chan=1e9, power=-50.0)
-        vec = vectorize(high, stats, graph.schema)
-        assert vec.x.max() <= 1.0 and vec.x.min() >= 0.0
-        assert vec.y.max() <= 1.0 and vec.y.min() >= 0.0
+        x, y = _rows(graph, stats, high)
+        assert x.max() <= 1.0 and x.min() >= 0.0
+        assert y.max() <= 1.0 and y.min() >= 0.0
+
+
+class TestFeatureMap:
+    def test_rows_match_scalar_normalize(self):
+        # LTE and NR cells; LTE bw is constant over training; "new" and
+        # "newnr" carry no configs; "far" lies outside the fitted ranges.
+        cells = [
+            lte_cell("a", chan=2.0, power=-110.0),
+            lte_cell("b", node_id="n2", chan=6.0, power=-90.0, preamble=-100.0),
+            nr_cell("c", node_id="n3", chan=3000.0),
+            nr_cell("d", node_id="n4", bw=100.0, chan=4000.0, power=-80.0),
+            lte_cell("far", node_id="n5", bw=-5.0, chan=1e9, power=-200.0, preamble=0.0),
+            CellRecord("new", "n6", "LTE", {"bw": 20.0, "chan": 4.0}, {}),
+            CellRecord("newnr", "n7", "NR", {"bw": 75.0, "chan": -1e9}, {}),
+        ]
+        graph = RanGraph(schema=small_schema(), cells=cells, edges=[("a", "new", "inter_node")])
+        stats = fit_normalization(graph, ["a", "b", "c", "d"])
+        assert stats.predictor[0].minimum == stats.predictor[0].maximum  # LTE bw
+        features = feature_map(graph, stats)
+        assert features.x.shape == (len(cells), graph.schema.predictor_dim)
+        assert features.y.shape == (len(cells), graph.schema.config_dim)
+        assert not features.x.flags.writeable and not features.y.flags.writeable
+        for cell in cells:
+            row = graph.row_of[cell.cell_id]
+            for matrix, role in ((features.x, "predictor"), (features.y, "config")):
+                raw = cell.raw_values(role)
+                expected = [
+                    slot.normalize(raw[spec.name])
+                    if spec.technology == cell.technology and spec.name in raw
+                    else 0.0
+                    for spec, slot in zip(graph.schema.layout(role), stats.slots(role))
+                ]
+                assert matrix[row].tolist() == expected, (cell.cell_id, role)
 
 
 class TestDenormalize:
@@ -254,8 +298,8 @@ class TestProperties:
         graph = RanGraph(schema=small_schema(), cells=cells)
         stats = fit_normalization(graph, graph.cell_ids)
         cell = cells[pick % len(values)]
-        vec = vectorize(cell, stats, graph.schema)
-        out = denormalize(vec.y, stats, graph.schema)
+        _, y = _rows(graph, stats, cell)
+        out = denormalize(y, stats, graph.schema)
         span = max(values) - min(values)
         assert abs(out["LTE.power"] - cell.raw_configs["power"]) <= 1e-9 * max(1.0, span)
 
@@ -266,8 +310,8 @@ class TestProperties:
         graph = RanGraph(schema=small_schema(), cells=cells)
         stats = fit_normalization(graph, graph.cell_ids)
         probe = lte_cell("q", node_id="nq", chan=value)
-        vec = vectorize(probe, stats, graph.schema)
-        assert 0.0 <= vec.x.min() and vec.x.max() <= 1.0
+        x, _ = _rows(graph, stats, probe)
+        assert 0.0 <= x.min() and x.max() <= 1.0
 
     def test_edge_symmetry(self):
         graph = RanGraph(

@@ -12,7 +12,6 @@ from ranrec.rng import substream
 from ranrec.sampler import (
     SamplerConfig,
     build_dataset,
-    neighbors,
     sample_subgraph,
     split,
 )
@@ -31,7 +30,7 @@ def _features(graph):
 class TestNeighbors:
     def test_isolated(self):
         graph = RanGraph(schema=small_schema(), cells=[lte_cell("a"), nr_cell("b")])
-        assert neighbors(graph, "a") == set()
+        assert set(graph.neighbors("a")) == set()
 
     def test_listed_edges(self):
         graph = RanGraph(
@@ -39,7 +38,7 @@ class TestNeighbors:
             cells=[lte_cell("a"), lte_cell("b", node_id="n2"), lte_cell("c", node_id="n3"), nr_cell("d", node_id="n4")],
             edges=[("a", "b", "inter_node"), ("a", "c", "inter_node")],
         )
-        assert neighbors(graph, "a") == {"b", "c"}
+        assert set(graph.neighbors("a")) == {"b", "c"}
 
     def test_symmetry(self):
         graph = RanGraph(
@@ -47,13 +46,13 @@ class TestNeighbors:
             cells=[lte_cell("a"), lte_cell("b", node_id="n2"), nr_cell("c", node_id="n3")],
             edges=[("a", "b", "inter_node")],
         )
-        assert "a" in neighbors(graph, "b")
-        assert "b" in neighbors(graph, "a")
+        assert "a" in graph.neighbors("b")
+        assert "b" in graph.neighbors("a")
 
     def test_unknown_cell(self):
         graph = RanGraph(schema=small_schema(), cells=[lte_cell("a"), nr_cell("b")])
         with pytest.raises(KeyError, match="ghost"):
-            neighbors(graph, "ghost")
+            graph.neighbors("ghost")
 
 
 class TestSampleSubgraph:
@@ -92,7 +91,7 @@ class TestSampleSubgraph:
         graph = star_graph(4)
         features = _features(graph)
         sub = sample_subgraph(graph, "hub", SamplerConfig(fanout=2, seed=3), features)
-        assert np.array_equal(sub.features[0], features["hub"].x)
+        assert np.array_equal(sub.features[0], features.x[graph.row_of["hub"]])
 
     def test_induced_edges_in_bounds(self):
         graph = star_graph(6)
@@ -141,7 +140,7 @@ class TestBuildDataset:
         features = feature_map(graph, stats)
         entries = build_dataset(graph, stats, SamplerConfig(fanout=2, seed=0))
         for entry in entries:
-            assert np.array_equal(entry.target, features[entry.subgraph.center].y)
+            assert np.array_equal(entry.target, features.y[graph.row_of[entry.subgraph.center]])
 
     def test_determinism(self):
         graph = self._graph()
@@ -206,6 +205,7 @@ class TestInducedClosure:
             edges=[(a, b, "inter_node") for a, b in chosen],
         )
         features = _features(graph)
+        adjacent = {frozenset((a, b)) for a, b, _ in graph.edges}
         cfg = SamplerConfig(fanout=fanout, seed=edge_seed)
         for cid in graph.cell_ids:
             sub = sample_subgraph(graph, cid, cfg, features)
@@ -213,4 +213,14 @@ class TestInducedClosure:
             assert len(sub.neighbors) == min(fanout, len(graph.neighbors(cid)))
             assert set(sub.neighbors) <= set(graph.neighbors(cid))
             for i, j in sub.edges:
-                assert graph.edge_kind(vertices[i], vertices[j]) is not None
+                assert vertices[j] in graph.neighbors(vertices[i])
+            # Every adjacent pair of sampled vertices is an induced edge.
+            expected = [
+                (i, j)
+                for i in range(sub.size)
+                for j in range(i + 1, sub.size)
+                if frozenset((vertices[i], vertices[j])) in adjacent
+            ]
+            assert list(sub.edges) == expected
+            for k, vertex in enumerate(vertices):
+                assert np.array_equal(sub.features[k], features.x[graph.row_of[vertex]])

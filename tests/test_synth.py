@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ranrec.graph import fit_normalization, vectorize
+from ranrec.graph import feature_map, fit_normalization
 from ranrec.synth import (
     SynthSpec,
     _TECH_DESIGN,
@@ -181,6 +181,7 @@ class TestNormalizedCorruptionVisibility:
         spec = small_spec(sites=10, cells_per_site=6, misconfig_rate=0.1)
         graph, truth = generate(spec)
         stats = fit_normalization(graph, graph.cell_ids)
+        features = feature_map(graph, stats)
         for cid in truth.corrupted_ids:
-            vec = vectorize(graph.cell(cid), stats, graph.schema)
-            assert vec.y.max() >= 0.99  # corrupted attribute pins the observed max
+            y = features.y[graph.row_of[cid]]
+            assert y.max() >= 0.99  # corrupted attribute pins the observed max
