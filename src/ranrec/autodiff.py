@@ -4,7 +4,7 @@ The op set is deliberately small and hand-verifiable: every primitive
 carries its own backward rule, and ``grad_check`` validates any scalar
 computation against central finite differences. Matrices are plain numpy
 ``float64`` arrays with two dimensions; vectors enter the eager helpers
-(`l2_distance`, `cosine`, `masked_softmax`) as 1-D arrays.
+(`cosine`, `masked_softmax`) as 1-D arrays.
 """
 
 from __future__ import annotations
@@ -56,14 +56,6 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _masked_softmax_kernel(
         np.asarray(scores, dtype=np.float64), np.asarray(mask, dtype=bool)
     )
-
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -183,16 +175,6 @@ class Tape:
 
         return self._record(Node(a.value - b.value, (a, b), backward))
 
-    def mul(self, a: Node, b: Node) -> Node:
-        if a.shape != b.shape:
-            raise ShapeError(f"mul shapes {a.shape} * {b.shape}")
-        av, bv = a.value, b.value
-
-        def backward(g: np.ndarray):
-            return g * bv, g * av
-
-        return self._record(Node(av * bv, (a, b), backward))
-
     def cmul(self, a: Node, c: np.ndarray) -> Node:
         """Elementwise multiply by a constant (non-differentiated) array."""
         cv = _as_matrix(c)
@@ -227,16 +209,6 @@ class Tape:
 
         return self._record(Node(np.maximum(a.value, 0.0), (a,), backward))
 
-    def masked_softmax(self, a: Node, mask: np.ndarray) -> Node:
-        m = np.asarray(mask, dtype=bool)
-        out = _masked_softmax_kernel(a.value, m)
-
-        def backward(g: np.ndarray):
-            dot = (g * out).sum(axis=-1, keepdims=True)
-            return (out * (g - dot),)
-
-        return self._record(Node(out, (a,), backward))
-
     def concat(self, parts: Sequence[Node], axis: int = 0) -> Node:
         if not parts:
             raise ValueError("concat of zero parts")
@@ -251,18 +223,17 @@ class Tape:
         value = np.concatenate([p.value for p in parts], axis=axis)
         return self._record(Node(value, tuple(parts), backward))
 
-    def rows(self, a: Node, start: int, stop: int) -> Node:
-        n = a.shape[0]
-        if not (0 <= start < stop <= n):
-            raise ShapeError(f"row slice [{start}:{stop}] of {a.shape}")
+    def gather(self, a: Node, indices: np.ndarray) -> Node:
+        """Rows ``a[indices]``; an index may repeat, and its adjoints add up."""
+        idx = np.asarray(indices, dtype=np.intp)
         shape = a.shape
 
         def backward(g: np.ndarray):
-            out = np.zeros(shape)
-            out[start:stop, :] = g
+            out = np.zeros(shape, dtype=g.dtype)
+            np.add.at(out, idx, g)
             return (out,)
 
-        return self._record(Node(a.value[start:stop, :], (a,), backward))
+        return self._record(Node(a.value[idx], (a,), backward))
 
     def mean(self, a: Node) -> Node:
         size = a.value.size
@@ -283,27 +254,6 @@ class Tape:
             return (g * av / safe * (norms > 0.0),)
 
         return self._record(Node(norms, (a,), backward))
-
-    def sqrt(self, a: Node) -> Node:
-        if (a.value < 0.0).any():
-            raise ValueError("sqrt of a negative entry")
-        out = np.sqrt(a.value)
-
-        def backward(g: np.ndarray):
-            safe = np.where(out > 0.0, out, 1.0)
-            return (g * 0.5 / safe * (out > 0.0),)
-
-        return self._record(Node(out, (a,), backward))
-
-    def reshape(self, a: Node, rows: int, cols: int) -> Node:
-        if rows * cols != a.value.size:
-            raise ShapeError(f"reshape {a.shape} -> ({rows}, {cols})")
-        shape = a.shape
-
-        def backward(g: np.ndarray):
-            return (g.reshape(shape),)
-
-        return self._record(Node(a.value.reshape(rows, cols), (a,), backward))
 
     # -- block primitives (x viewed as B stacked blocks of n rows) ------------
 
@@ -367,20 +317,6 @@ class Tape:
             return (np.repeat(g, n, axis=0),)
 
         return self._record(Node(a.value.reshape(-1, n, cols).sum(axis=1), (a,), backward))
-
-    def take_rows(self, a: Node, indices: np.ndarray) -> Node:
-        """Select rows by unique indices."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if np.unique(idx).size != idx.size:
-            raise ValueError("take_rows requires unique indices")
-        shape = a.shape
-
-        def backward(g: np.ndarray):
-            out = np.zeros(shape, dtype=g.dtype)
-            out[idx] = g
-            return (out,)
-
-        return self._record(Node(np.ascontiguousarray(a.value[idx]), (a,), backward))
 
     # -- reverse pass ----------------------------------------------------------
 

@@ -318,7 +318,7 @@ def cmd_evaluate(args) -> int:
     result = compare_models(graph, config)
     out = Path(args.out)
     lines = ["model,type,split,accuracy"]
-    for model, label, split_name, value in result.rows():
+    for model, label, split_name, value in result.accuracy_rows():
         lines.append(f"{model},{label},{split_name},{_float_repr(value)}")
     _atomic_write(out, "\n".join(lines) + "\n")
     outputs = [out]

@@ -211,7 +211,7 @@ class ComparisonResult:
     models: list[ModelEvaluation]
     network_label: str = "synthetic"
 
-    def rows(self) -> list[tuple[str, str, str, float]]:
+    def accuracy_rows(self) -> list[tuple[str, str, str, float]]:
         out = []
         for ev in self.models:
             out.append((ev.model, self.network_label, "train", ev.train.accuracy))

@@ -255,12 +255,6 @@ def decode_on_tape(tape: Tape, stack: GatStack, subgraph: Subgraph, z: Node) -> 
     return decode_group_on_tape(tape, stack, [subgraph], z)
 
 
-def decode(stack: GatStack, subgraph: Subgraph, z: np.ndarray) -> np.ndarray:
-    """Reconstructed per-vertex features from embeddings."""
-    tape = Tape()
-    return decode_on_tape(tape, stack, subgraph, tape.const(z)).value
-
-
 def attention_matrices(stack: GatStack, subgraph: Subgraph) -> list[list[np.ndarray]]:
     """Per-layer, per-head attention weight matrices (rows sum to 1)."""
     tape = Tape()
@@ -335,24 +329,32 @@ class Checkpoint:
 
     @classmethod
     def from_json(cls, data: dict, schema: AttributeSchema | None = None) -> "Checkpoint":
-        digest = str(data["schema_hash"])
-        if schema is not None and schema_hash(schema) != digest:
-            raise ValueError("checkpoint schema hash does not match the network schema")
-        arch = ArchConfig.from_json(data["arch"])
-        seed = int(data["seed"])
-        encoder = init_encoder(arch, seed)
-        _load_params(encoder, data["params"])
-        decoder = None
-        if "decoder" in data:
-            decoder = init_decoder(arch, seed)
-            _load_params(decoder, data["decoder"]["params"])
+        """Rebuild a checkpoint; a malformed one raises ``KeyError`` or ``ValueError``."""
+        try:
+            digest = str(data["schema_hash"])
+            if schema is not None and schema_hash(schema) != digest:
+                raise ValueError("checkpoint schema hash does not match the network schema")
+            arch = ArchConfig.from_json(data["arch"])
+            seed = int(data["seed"])
+            encoder = init_encoder(arch, seed)
+            _load_params(encoder, data["params"])
+            decoder = None
+            if "decoder" in data:
+                decoder = init_decoder(arch, seed)
+                _load_params(decoder, data["decoder"]["params"])
+            stats = NormalizationStats.from_json(data["stats"])
+            fanout = int(data.get("sampler_fanout", 8))
+        except (AttributeError, TypeError) as exc:  # a field of the wrong JSON type
+            raise ValueError(str(exc)) from exc
+        if fanout < 1:
+            raise ValueError(f"sampler_fanout must be >= 1, got {fanout}")
         return cls(
             model=str(data["model"]),
             arch=arch,
             seed=seed,
             schema_digest=digest,
-            stats=NormalizationStats.from_json(data["stats"]),
+            stats=stats,
             encoder=encoder,
             decoder=decoder,
-            fanout=int(data.get("sampler_fanout", 8)),
+            fanout=fanout,
         )

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,8 @@ ROLES = ("predictor", "config")
 KINDS = ("continuous", "discrete")
 AGGREGATIONS = ("mode", "median", "mean")
 EDGE_KINDS = ("intra_node", "inter_node")
+
+T = TypeVar("T")
 
 
 class NetworkFormatError(ValueError):
@@ -117,22 +119,17 @@ class AttributeSchema:
         ]
 
     @classmethod
-    def from_json(cls, data: list[dict]) -> "AttributeSchema":
-        entries = []
-        for i, item in enumerate(data):
-            try:
-                entries.append(
-                    AttributeSpec(
-                        name=str(item["name"]),
-                        technology=str(item["technology"]),
-                        role=str(item["role"]),
-                        kind=str(item["kind"]),
-                        aggregation=item.get("aggregation"),
-                    )
-                )
-            except KeyError as exc:
-                raise NetworkFormatError(f"schema entry {i}: missing field {exc}") from exc
-        return cls(entries=tuple(entries))
+    def from_json(cls, data: list[dict], source: str = "<memory>") -> "AttributeSchema":
+        def parse(item: dict) -> AttributeSpec:
+            return AttributeSpec(
+                name=str(item["name"]),
+                technology=str(item["technology"]),
+                role=str(item["role"]),
+                kind=str(item["kind"]),
+                aggregation=item.get("aggregation"),
+            )
+
+        return cls(entries=tuple(_parse_entries(data, source, "schema", parse)))
 
 
 @dataclass(frozen=True)
@@ -240,14 +237,6 @@ class RanGraph:
     def cell_ids(self) -> tuple[str, ...]:
         return tuple(c.cell_id for c in self.cells)
 
-    @property
-    def lte_count(self) -> int:
-        return sum(1 for c in self.cells if c.technology == "LTE")
-
-    @property
-    def nr_count(self) -> int:
-        return sum(1 for c in self.cells if c.technology == "NR")
-
     def to_json(self) -> dict:
         return {
             "schema": self.schema.to_json(),
@@ -300,44 +289,52 @@ def load_network(path: str | Path) -> RanGraph:
 
 
 def network_from_json(data: dict, source: str = "<memory>") -> RanGraph:
+    if not isinstance(data, dict):
+        raise NetworkFormatError(f"{source}: expected a JSON object")
     for key in ("schema", "cells", "edges"):
         if key not in data:
             raise NetworkFormatError(f"{source}: missing top-level key {key!r}")
-    schema = AttributeSchema.from_json(data["schema"])
+    schema = AttributeSchema.from_json(data["schema"], source)
     cells = _parse_cells(data["cells"], source, configs_required=True)
     return RanGraph(schema=schema, cells=cells, edges=_parse_edges(data["edges"], source))
 
 
-def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list[CellRecord]:
-    cells = []
+def _parse_entries(items: list, source: str, kind: str, parse: Callable[[Any], T]) -> list[T]:
+    """``parse`` each entry; a missing field, wrong type or bad value names the entry."""
+    if not isinstance(items, list):
+        raise NetworkFormatError(f"{source}: {kind} entries must be a list")
+    out = []
     for i, item in enumerate(items):
         try:
-            configs = item["configs"] if configs_required else item.get("configs", {})
-            cells.append(
-                CellRecord(
-                    cell_id=str(item["cell_id"]),
-                    node_id=str(item["node_id"]),
-                    technology=str(item["technology"]),
-                    raw_predictors={k: float(v) for k, v in item["predictors"].items()},
-                    raw_configs={k: float(v) for k, v in configs.items()},
-                )
-            )
+            out.append(parse(item))
         except KeyError as exc:
-            raise NetworkFormatError(f"{source}: cell entry {i}: missing field {exc}") from exc
-        except NetworkFormatError as exc:
-            raise NetworkFormatError(f"{source}: cell entry {i}: {exc}") from exc
-    return cells
+            raise NetworkFormatError(f"{source}: {kind} entry {i}: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise NetworkFormatError(f"{source}: {kind} entry {i}: {exc}") from exc
+    return out
+
+
+def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list[CellRecord]:
+    def parse(item: dict) -> CellRecord:
+        configs = item["configs"] if configs_required else item.get("configs", {})
+        return CellRecord(
+            cell_id=str(item["cell_id"]),
+            node_id=str(item["node_id"]),
+            technology=str(item["technology"]),
+            raw_predictors={k: float(v) for k, v in item["predictors"].items()},
+            raw_configs={k: float(v) for k, v in configs.items()},
+        )
+
+    return _parse_entries(items, source, "cell", parse)
 
 
 def _parse_edges(items: list, source: str) -> list[tuple[str, str, str]]:
-    edges = []
-    for i, item in enumerate(items):
+    def parse(item: list) -> tuple[str, str, str]:
         if len(item) != 3:
-            raise NetworkFormatError(
-                f"{source}: edge entry {i}: expected [cell_id, cell_id, kind]"
-            )
-        edges.append((str(item[0]), str(item[1]), str(item[2])))
-    return edges
+            raise NetworkFormatError("expected [cell_id, cell_id, kind]")
+        return str(item[0]), str(item[1]), str(item[2])
+
+    return _parse_entries(items, source, "edge", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +507,8 @@ def parse_cells_payload(
 
     Used for cells joining an existing network; configs may be omitted.
     """
+    if not isinstance(data, dict):
+        raise NetworkFormatError(f"{source}: expected a JSON object")
     if "cells" not in data:
         raise NetworkFormatError(f"{source}: missing top-level key 'cells'")
     cells = _parse_cells(data["cells"], source, configs_required=False)

@@ -245,16 +245,11 @@ def pair_loss_on_tape(
     tape: Tape, z_all: Node, pairs: Sequence[PairSample], cfg: TrainingConfig
 ) -> Node:
     """Mean contrastive loss over the pair batch, built on the tape."""
-    n = z_all.shape[0]
     k = len(pairs)
-    sel_a = np.zeros((k, n))
-    sel_b = np.zeros((k, n))
-    c = np.empty((k, 1))
-    for row, pair in enumerate(pairs):
-        sel_a[row, pair.a] = 1.0
-        sel_b[row, pair.b] = 1.0
-        c[row, 0] = pair.c
-    diff = tape.sub(tape.matmul(tape.const(sel_a), z_all), tape.matmul(tape.const(sel_b), z_all))
+    a = np.array([pair.a for pair in pairs], dtype=np.intp)
+    b = np.array([pair.b for pair in pairs], dtype=np.intp)
+    c = np.array([pair.c for pair in pairs]).reshape(k, 1)
+    diff = tape.sub(tape.gather(z_all, a), tape.gather(z_all, b))
     d = tape.rownorm(diff)
     if cfg.loss_form == "printed":
         # (1 + c) D + (1 - c) max(0, M) - D  ==  c D + (1 - c) M for M > 0
@@ -285,14 +280,14 @@ def encode_centers_on_tape(
     order: list[int] = []
     for n, idxs in _size_groups(entries):
         out = encode_group_on_tape(tape, encoder, [entries[i].subgraph for i in idxs])
-        blocks.append(tape.take_rows(out, np.arange(len(idxs)) * n))
+        blocks.append(tape.gather(out, np.arange(len(idxs)) * n))
         order.extend(idxs)
     grouped = blocks[0] if len(blocks) == 1 else tape.concat(blocks, axis=0)
     if order == list(range(len(entries))):
         return grouped
     inverse = np.empty(len(entries), dtype=np.intp)
     inverse[np.asarray(order)] = np.arange(len(order))
-    return tape.take_rows(grouped, inverse)
+    return tape.gather(grouped, inverse)
 
 
 # Pair rows (subgraphs x n^2) per eager encoding group: 32 subgraphs at

@@ -267,6 +267,90 @@ class TestValidationErrors:
         assert code == 1
         assert "epocs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, entry",
+        [
+            ("cells", [1], "cell entry 0"),
+            ("edges", [5], "edge entry 0"),
+            ("schema", ["x"], "schema entry 0"),
+            ("predictors", [1, 2], "cell entry 0"),
+            ("predictor value", "abc", "cell entry 0"),
+            ("network", 5, "expected a JSON object"),
+        ],
+        ids=["cells", "edges", "schema", "predictors", "predictor_value", "network"],
+    )
+    def test_malformed_network_entry(self, workspace, tmp_path, capsys, field, value, entry):
+        network = json.loads((workspace / "net" / "network.json").read_text())
+        cell = network["cells"][0]
+        if field == "predictors":
+            cell["predictors"] = value
+        elif field == "predictor value":
+            cell["predictors"][sorted(cell["predictors"])[0]] = value
+        elif field == "network":
+            network = value
+        else:
+            network[field] = value
+        bad = tmp_path / "network.json"
+        bad.write_text(json.dumps(network))
+        config = str(workspace / "train.cfg")
+        code = main(["train", str(bad), "--config", config, "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: {entry}" in err and "Traceback" not in err
+
+    def test_new_cells_not_an_object(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "new_cells.json"
+        bad.write_text("5")
+        code = main(["recommend", str(workspace / "store.json"), str(bad), "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert f"{bad}: expected a JSON object" in capsys.readouterr().err
+
+
+CHECKPOINT_CASES = ["arch_unknown_key", "arch_list", "param_not_object", "stats_slot_not_object", "fanout_zero"]
+
+
+def _corrupt_checkpoint(checkpoint: dict, case: str) -> None:
+    if case == "arch_unknown_key":
+        checkpoint["arch"]["bogus"] = 1
+    elif case == "arch_list":
+        checkpoint["arch"] = list(checkpoint["arch"].values())
+    elif case == "param_not_object":
+        checkpoint["params"][0] = 1
+    elif case == "stats_slot_not_object":
+        checkpoint["stats"]["predictor"][0] = 1
+    else:
+        checkpoint["sampler_fanout"] = 0
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case", CHECKPOINT_CASES)
+    def test_embed_names_checkpoint(self, workspace, tmp_path, capsys, case):
+        checkpoint = json.loads((workspace / "ckpt.json").read_text())
+        _corrupt_checkpoint(checkpoint, case)
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(checkpoint))
+        out = tmp_path / "store.json"
+        code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: invalid checkpoint: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "detect"])
+    @pytest.mark.parametrize("case", CHECKPOINT_CASES)
+    def test_store_names_checkpoint(self, workspace, tmp_path, capsys, case, command):
+        store = json.loads((workspace / "store.json").read_text())
+        _corrupt_checkpoint(store["checkpoint"], case)
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "out.json"
+        new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
+        code = main([command, str(bad), *new_cells, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: invalid store: " in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

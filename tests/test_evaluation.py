@@ -151,12 +151,12 @@ class TestCompareModels:
         _, graph, _ = small_network()
         cfg = quick_cfg()
         result = compare_models(graph, cfg)
-        rows = result.rows()
+        rows = result.accuracy_rows()
         assert len(rows) == 6
         assert [r[0] for r in rows] == ["untrained", "untrained", "gae", "gae", "sgnn", "sgnn"]
         assert all(0.0 <= r[3] <= 1.0 for r in rows)
         again = compare_models(graph, cfg)
-        assert rows == again.rows()
+        assert rows == again.accuracy_rows()
         for ev in result.models:
             assert ev.projection.points.shape == (len(graph.cells), 2)
 

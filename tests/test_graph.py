@@ -61,7 +61,7 @@ class TestLoadNetwork:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(_network_payload()))
         graph = load_network(path)
-        assert graph.lte_count + graph.nr_count == 2
+        assert [c.technology for c in graph.cells] == ["LTE", "NR"]
         assert len(graph.edges) == 1
 
     def test_self_loop_rejected(self, tmp_path):
@@ -328,6 +328,7 @@ class TestProperties:
             schema=small_schema(),
             cells=[lte_cell("a"), nr_cell("b"), nr_cell("c", node_id="n3")],
         )
-        assert graph.lte_count == 1
-        assert graph.nr_count == 2
-        assert graph.lte_count + graph.nr_count == len(graph.cells)
+        technologies = [c.technology for c in graph.cells]
+        assert technologies.count("LTE") == 1
+        assert technologies.count("NR") == 2
+        assert technologies.count("LTE") + technologies.count("NR") == len(graph.cells)

@@ -62,8 +62,9 @@ class TestGenerate:
         spec = small_spec(sites=5, cells_per_site=6)
         graph, _ = generate(spec)
         assert len(graph.cells) == 30
-        assert graph.lte_count == 20
-        assert graph.nr_count == 10
+        technologies = [c.technology for c in graph.cells]
+        assert technologies.count("LTE") == 20
+        assert technologies.count("NR") == 10
 
     def test_corrupted_count_exact(self):
         spec = small_spec(sites=10, cells_per_site=5, misconfig_rate=0.1)

@@ -130,15 +130,25 @@ class TestContrastiveLoss:
     def test_tape_form_matches_eager(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(4, 3))
-        pairs = [PairSample(0, 1, 0.3), PairSample(2, 3, -0.7)]
-        for form in ("standard", "printed"):
-            cfg = TrainingConfig(loss_form=form)
-            tape = Tape()
-            node = pair_loss_on_tape(tape, tape.const(z), pairs, cfg)
-            expected = np.mean(
-                [contrastive_loss(p.c, z[p.a], z[p.b], cfg.margin, form) for p in pairs]
-            )
-            assert node.value[0, 0] == pytest.approx(expected, abs=1e-12)
+        disjoint = [PairSample(0, 1, 0.3), PairSample(2, 3, -0.7)]
+        shared = [PairSample(0, 1, 0.3), PairSample(0, 2, -0.2), PairSample(1, 2, 0.9)]
+        for pairs in (disjoint, shared):
+            for form in ("standard", "printed"):
+                cfg = TrainingConfig(loss_form=form)
+                tape = Tape()
+                node = pair_loss_on_tape(tape, tape.const(z), pairs, cfg)
+                expected = np.mean(
+                    [contrastive_loss(p.c, z[p.a], z[p.b], cfg.margin, form) for p in pairs]
+                )
+                assert node.value[0, 0] == pytest.approx(expected, abs=1e-12)
+
+    def test_tape_holds_no_pair_by_cell_matrix(self):
+        n, k = 9, 5
+        z = np.random.default_rng(3).normal(size=(n, 4))
+        pairs = [PairSample(a, b, 0.1) for a, b in [(0, 1), (0, 2), (1, 2), (3, 8), (5, 7)]]
+        tape = Tape()
+        pair_loss_on_tape(tape, tape.const(z), pairs, TrainingConfig())
+        assert all(node.value.shape != (k, n) for node in tape.nodes)
 
 
 class TestReconstructionLoss:
