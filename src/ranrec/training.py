@@ -276,18 +276,15 @@ def encode_centers_on_tape(
     tape: Tape, encoder: GatStack, entries: Sequence[DatasetEntry]
 ) -> Node:
     """Center embeddings of every entry, in entry order, shape (len, d)."""
-    blocks: list[Node] = []
-    order: list[int] = []
+    outs: list[Node] = []
+    centers = np.empty(len(entries), dtype=np.intp)  # row of each entry's center in the concat
+    offset = 0
     for n, idxs in _size_groups(entries):
-        out = encode_group_on_tape(tape, encoder, [entries[i].subgraph for i in idxs])
-        blocks.append(tape.gather(out, np.arange(len(idxs)) * n))
-        order.extend(idxs)
-    grouped = blocks[0] if len(blocks) == 1 else tape.concat(blocks, axis=0)
-    if order == list(range(len(entries))):
-        return grouped
-    inverse = np.empty(len(entries), dtype=np.intp)
-    inverse[np.asarray(order)] = np.arange(len(order))
-    return tape.gather(grouped, inverse)
+        outs.append(encode_group_on_tape(tape, encoder, [entries[i].subgraph for i in idxs]))
+        centers[idxs] = offset + np.arange(len(idxs)) * n
+        offset += len(idxs) * n
+    grouped = outs[0] if len(outs) == 1 else tape.concat(outs, axis=0)
+    return tape.gather(grouped, centers)
 
 
 # Pair rows (subgraphs x n^2) per eager encoding group: 32 subgraphs at
