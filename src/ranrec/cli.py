@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .anomaly import (
@@ -26,7 +27,7 @@ from .anomaly import (
     score_network,
     store_matrix,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .evaluation import compare_models, pca_project
 from .gnn import Checkpoint, schema_hash
 from .graph import (
@@ -115,8 +116,20 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise NetworkFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+
+
 def _float_repr(x: float) -> str:
     return repr(float(x))
+
+
+def _projection_csv(ids, points) -> str:
+    rows = (f"{cid},{_float_repr(pc1)},{_float_repr(pc2)}" for cid, (pc1, pc2) in zip(ids, points))
+    return "\n".join(["cell_id,pc1,pc2", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +142,11 @@ def cmd_synth(args) -> int:
     if args.spec:
         spec_path = _require_file(args.spec, "synth spec")
         inputs.append(spec_path)
-        try:
-            spec = SynthSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise NetworkFormatError(f"{spec_path}: invalid synth spec: {exc}") from exc
+        spec = SynthSpec.from_json(_read_json(spec_path), source=str(spec_path))
     else:
         spec = SynthSpec()
     if args.seed is not None:
-        spec = SynthSpec.from_json({**spec.to_json(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     graph, truth = generate(spec)
     out_dir = Path(args.out)
     network_path = out_dir / "network.json"
@@ -153,8 +163,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     started = time.perf_counter()
     network_path = _require_file(args.network, "network")
-    graph = load_network(network_path)
     config = _load_run_config(args)
+    graph = load_network(network_path)
     stats = fit_normalization(graph, graph.cell_ids)
     sampler_cfg = config.sampler()
     dataset = build_dataset(graph, stats, sampler_cfg)
@@ -189,11 +199,7 @@ def cmd_train(args) -> int:
 
 def _read_checkpoint(path: Path, schema) -> Checkpoint:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    try:
-        return Checkpoint.from_json(data, schema=schema)
+        return Checkpoint.from_json(_read_json(path), schema=schema)
     except (KeyError, ValueError) as exc:
         raise NetworkFormatError(f"{path}: invalid checkpoint: {exc}") from exc
 
@@ -237,11 +243,7 @@ def cmd_recommend(args) -> int:
     store_path = _require_file(args.store, "store")
     cells_path = _require_file(args.new_cells, "new-cells")
     bundle = _read_store(store_path)
-    try:
-        payload = json.loads(cells_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{cells_path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    new_cells, new_edges = parse_cells_payload(payload, source=str(cells_path))
+    new_cells, new_edges = parse_cells_payload(_read_json(cells_path), source=str(cells_path))
     if not new_cells:
         raise NetworkFormatError(f"{cells_path}: no cells to recommend for")
     store_size = len(bundle.store)
@@ -255,9 +257,12 @@ def cmd_recommend(args) -> int:
     except (DegenerateEmbeddingsError, ValueError):
         forest = None  # novelty scores unavailable, recommendations still valid
     sampling = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=seed)
-    recommended = recommend_cells(
-        bundle.store, bundle.graph, bundle.stats, new_cells, new_edges, sampling, args.mode, args.k
-    )
+    try:
+        recommended = recommend_cells(
+            bundle.store, bundle.graph, bundle.stats, new_cells, new_edges, sampling, args.mode, args.k
+        )
+    except NetworkFormatError as exc:  # a new cell breaks a graph invariant
+        raise NetworkFormatError(f"{cells_path}: {exc}") from None
     results = [
         {
             "cell_id": cell.cell_id,
@@ -313,8 +318,8 @@ def cmd_detect(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     network_path = _require_file(args.network, "network")
-    graph = load_network(network_path)
     config = _load_run_config(args)
+    graph = load_network(network_path)
     result = compare_models(graph, config)
     out = Path(args.out)
     lines = ["model,type,split,accuracy"]
@@ -325,10 +330,7 @@ def cmd_evaluate(args) -> int:
     stem = out.stem
     for ev in result.models:
         proj_path = out.with_name(f"{stem}_{ev.model}_projection.csv")
-        proj_lines = ["cell_id,pc1,pc2"]
-        for cid, (pc1, pc2) in zip(ev.projection_ids, ev.projection.points):
-            proj_lines.append(f"{cid},{_float_repr(pc1)},{_float_repr(pc2)}")
-        _atomic_write(proj_path, "\n".join(proj_lines) + "\n")
+        _atomic_write(proj_path, _projection_csv(ev.projection_ids, ev.projection.points))
         outputs.append(proj_path)
     inputs = [network_path] + ([Path(args.config)] if args.config else [])
     _write_manifest("evaluate", config.seed, inputs, outputs, {}, started, out)
@@ -341,10 +343,7 @@ def cmd_project(args) -> int:
     bundle = _read_store(store_path)
     projection = pca_project(bundle.store.z)
     out = Path(args.out)
-    lines = ["cell_id,pc1,pc2"]
-    for cid, (pc1, pc2) in zip(bundle.store.ids, projection.points):
-        lines.append(f"{cid},{_float_repr(pc1)},{_float_repr(pc2)}")
-    _atomic_write(out, "\n".join(lines) + "\n")
+    _atomic_write(out, _projection_csv(bundle.store.ids, projection.points))
     _write_manifest("project", 0, [store_path], [out], {}, started, out)
     return EXIT_OK
 
@@ -424,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NetworkFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # NetworkFormatError and SettingsError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive

@@ -349,16 +349,7 @@ class DeploymentArtifacts:
         dataset = build_dataset(graph, stats, config.sampler())
         encoder, _ = train_sgnn(dataset, config.arch(graph.schema.predictor_dim), config.training)
         store = embed_entries(EmbeddingStore(encoder), dataset)
-        return cls(
-            graph=graph,
-            truth=truth,
-            synth_spec=synth_spec,
-            config=config,
-            stats=stats,
-            encoder=encoder,
-            store=store,
-            dataset=dataset,
-        )
+        return cls(graph, truth, synth_spec, config, stats, encoder, store, dataset)
 
 
 def _normalized_clean_config(
@@ -458,12 +449,7 @@ def _run_modification(artifacts: DeploymentArtifacts, scenario: ScenarioSpec) ->
     report = ScenarioReport(kind=scenario.kind, corrupted=corrupted_ids)
     if not corrupted_ids:
         return report
-    forest = fit_forest(
-        store_matrix(store, include_configs=True),
-        t=artifacts.config.forest_trees,
-        psi=artifacts.config.forest_subsample,
-        seed=scenario.seed,
-    )
+    forest = fit_forest(store_matrix(store, include_configs=True), seed=scenario.seed)
     anomaly_report = score_network(store, forest, scenario.threshold, include_configs=True)
     scores = dict(anomaly_report.cells)
     labels = [cid in corrupted_ids for cid, _ in anomaly_report.cells]

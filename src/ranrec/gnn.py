@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Node, Parameter, Tape, leaky_relu_values
-from .graph import AttributeSchema, NormalizationStats
+from .graph import AttributeSchema, NormalizationStats, require, settings_from
 from .rng import substream
 from .sampler import Subgraph
 
@@ -39,27 +39,17 @@ class ArchConfig:
     slope: float = 0.2
 
     def __post_init__(self) -> None:
-        for field_name in ("in_dim", "embedding_dim", "layers", "heads", "head_dim", "ffn_hidden", "hidden_dim"):
-            if getattr(self, field_name) < 1:
-                raise ValueError(f"{field_name} must be positive")
-        if not 0.0 < self.slope < 1.0:
-            raise ValueError(f"slope must be in (0, 1), got {self.slope}")
+        for key in ("in_dim", "embedding_dim", "layers", "heads", "head_dim", "ffn_hidden", "hidden_dim"):
+            value = getattr(self, key)
+            require(value >= 1, key, f"must be positive, got {value}")
+        require(0.0 < self.slope < 1.0, "slope", f"must be in (0, 1), got {self.slope}")
 
     def to_json(self) -> dict:
-        return {
-            "in_dim": self.in_dim,
-            "embedding_dim": self.embedding_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "head_dim": self.head_dim,
-            "ffn_hidden": self.ffn_hidden,
-            "hidden_dim": self.hidden_dim,
-            "slope": self.slope,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "ArchConfig":
-        return cls(**{k: (float(v) if k == "slope" else int(v)) for k, v in data.items()})
+    def from_json(cls, data: dict, source: str = "arch") -> "ArchConfig":
+        return settings_from(cls, data, source)
 
 
 @dataclass
@@ -242,17 +232,9 @@ def decode_group_on_tape(
     return stack_forward(tape, stack, z, n, _stacked_masks(subgraphs))
 
 
-def encode_on_tape(tape: Tape, stack: GatStack, subgraph: Subgraph) -> Node:
-    return encode_group_on_tape(tape, stack, [subgraph])
-
-
 def encode(stack: GatStack, subgraph: Subgraph) -> np.ndarray:
     """Per-vertex embeddings; row 0 belongs to the center cell."""
-    return encode_on_tape(Tape(), stack, subgraph).value
-
-
-def decode_on_tape(tape: Tape, stack: GatStack, subgraph: Subgraph, z: Node) -> Node:
-    return decode_group_on_tape(tape, stack, [subgraph], z)
+    return encode_group_on_tape(Tape(), stack, [subgraph]).value
 
 
 def attention_matrices(stack: GatStack, subgraph: Subgraph) -> list[list[np.ndarray]]:
@@ -348,13 +330,4 @@ class Checkpoint:
             raise ValueError(str(exc)) from exc
         if fanout < 1:
             raise ValueError(f"sampler_fanout must be >= 1, got {fanout}")
-        return cls(
-            model=str(data["model"]),
-            arch=arch,
-            seed=seed,
-            schema_digest=digest,
-            stats=stats,
-            encoder=encoder,
-            decoder=decoder,
-            fanout=fanout,
-        )
+        return cls(str(data["model"]), arch, seed, digest, stats, encoder, decoder, fanout)

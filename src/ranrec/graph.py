@@ -11,6 +11,7 @@ statistics fitted on training cells; slots of the other technology are 0.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -296,7 +297,11 @@ def network_from_json(data: dict, source: str = "<memory>") -> RanGraph:
             raise NetworkFormatError(f"{source}: missing top-level key {key!r}")
     schema = AttributeSchema.from_json(data["schema"], source)
     cells = _parse_cells(data["cells"], source, configs_required=True)
-    return RanGraph(schema=schema, cells=cells, edges=_parse_edges(data["edges"], source))
+    edges = _parse_edges(data["edges"], source)
+    try:
+        return RanGraph(schema=schema, cells=cells, edges=edges)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{source}: {exc}") from None
 
 
 def _parse_entries(items: list, source: str, kind: str, parse: Callable[[Any], T]) -> list[T]:
@@ -312,6 +317,75 @@ def _parse_entries(items: list, source: str, kind: str, parse: Callable[[Any], T
         except (AttributeError, TypeError, ValueError) as exc:
             raise NetworkFormatError(f"{source}: {kind} entry {i}: {exc}") from exc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Settings records: run configs, synth specs, checkpoint architectures
+
+
+class SettingsError(ValueError):
+    """A settings record has an unknown key or a bad value; ``key`` names the setting."""
+
+    def __init__(self, message: str, key: str | None = None) -> None:
+        super().__init__(message)
+        self.key = key
+
+
+def require(ok: bool, key: str, rule: str) -> None:
+    """A range check in a settings ``__post_init__``: raise naming ``key`` unless ``ok``."""
+    if not ok:
+        raise SettingsError(f"key {key!r}: {rule}", key)
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Declared field type -> (what a value must be, its check). Fields of any
+# other type hold nested records, not settings.
+SETTING_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int | None": ("an integer", lambda v: v is None or _is_int(v)),
+}
+
+
+def setting_fields(cls: type) -> dict[str, str]:
+    """Name -> declared type of each setting field of the dataclass ``cls``."""
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.type in SETTING_TYPES}
+
+
+def settings_from(
+    cls: type[T], values: Any, source: str, lines: Mapping[str, int] | None = None, **records: Any
+) -> T:
+    """Build the settings dataclass ``cls`` from a record read from ``source``.
+
+    Rejects a record that is not a mapping, unknown or missing keys and values
+    of the wrong type; building the object runs its range checks.
+    ``records`` pass already-built nested fields through unchecked. Every
+    error names ``source``, the key's line when ``lines`` holds it, and the key.
+    """
+
+    def where(key: str | None) -> str:
+        return f"{source}:{lines[key]}" if lines and key in lines else source
+
+    if not isinstance(values, Mapping):
+        raise SettingsError(f"{source}: expected an object of settings, got {type(values).__name__}")
+    types = setting_fields(cls)
+    for key, value in values.items():
+        if key not in types:
+            raise SettingsError(f"{where(key)}: unknown key {key!r}", key)
+        expected, ok = SETTING_TYPES[types[key]]
+        if not ok(value):
+            raise SettingsError(f"{where(key)}: key {key!r}: expected {expected}, got {value!r}", key)
+    try:
+        return cls(**values, **records)
+    except SettingsError as exc:
+        raise SettingsError(f"{where(exc.key)}: {exc}", exc.key) from None
+    except TypeError as exc:  # a required key is missing
+        raise SettingsError(f"{source}: {exc}") from None
 
 
 def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list[CellRecord]:

@@ -13,24 +13,18 @@ attributes and is flagged as misconfigured in the ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .autodiff import cosine
-from .graph import AttributeSchema, AttributeSpec, CellRecord, RanGraph
+from .graph import AttributeSchema, AttributeSpec, CellRecord, RanGraph, require, settings_from
 from .rng import substream
 
 CORNER_HIGH = 0.82
 CORNER_LOW = 0.08
 BANDWIDTH_JITTER = 0.25  # chance a cell deviates from its cluster's bandwidth class
-
-
-@dataclass(frozen=True)
-class _PredictorDesign:
-    name: str
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -102,44 +96,22 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("sites", "cells_per_site", "context_clusters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.lte_ratio < 0 or self.nr_ratio < 0 or self.lte_ratio + self.nr_ratio == 0:
-            raise ValueError("technology ratio must have a positive total")
-        if not 0.0 <= self.misconfig_rate <= 1.0:
-            raise ValueError("misconfig_rate must be in [0, 1]")
-        if self.config_noise < 0.0:
-            raise ValueError("config_noise must be >= 0")
-        if self.inter_site_degree < 0:
-            raise ValueError("inter_site_degree must be >= 0")
-        if self.sites > 1 and self.inter_site_degree > self.sites - 1:
-            raise ValueError(
-                f"inter_site_degree={self.inter_site_degree} is infeasible for "
-                f"{self.sites} sites"
-            )
-
-    @property
-    def total_cells(self) -> int:
-        return self.sites * self.cells_per_site
+        for key in ("sites", "cells_per_site", "context_clusters"):
+            require(getattr(self, key) >= 1, key, f"must be >= 1, got {getattr(self, key)}")
+        for key in ("lte_ratio", "nr_ratio", "inter_site_degree", "config_noise"):
+            require(getattr(self, key) >= 0, key, f"must be >= 0, got {getattr(self, key)}")
+        require(self.lte_ratio + self.nr_ratio > 0, "nr_ratio", "lte_ratio + nr_ratio must be positive")
+        rate = self.misconfig_rate
+        require(0.0 <= rate <= 1.0, "misconfig_rate", f"must be in [0, 1], got {rate}")
+        degree, sites = self.inter_site_degree, self.sites
+        require(sites == 1 or degree < sites, "inter_site_degree", f"{degree} is infeasible for {sites} sites")
 
     def to_json(self) -> dict:
-        return {
-            "sites": self.sites,
-            "cells_per_site": self.cells_per_site,
-            "lte_ratio": self.lte_ratio,
-            "nr_ratio": self.nr_ratio,
-            "context_clusters": self.context_clusters,
-            "config_noise": self.config_noise,
-            "misconfig_rate": self.misconfig_rate,
-            "misconfig_magnitude": self.misconfig_magnitude,
-            "inter_site_degree": self.inter_site_degree,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "SynthSpec":
-        return cls(**data)
+    def from_json(cls, data: dict, source: str = "<spec>") -> "SynthSpec":
+        return settings_from(cls, data, source)
 
 
 @dataclass(frozen=True)
@@ -393,7 +365,7 @@ def learnability_check(graph: RanGraph, truth: GroundTruth) -> LearnabilityRepor
             continue
         cosines.append(cosine(y, means[key]))
     accuracy = float(np.mean(cosines)) if cosines else 0.0
-    return LearnabilityReport(oracle_accuracy=accuracy, learnable=accuracy >= 0.98)
+    return LearnabilityReport(accuracy, learnable=accuracy >= LearnabilityReport.threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ from .gnn import (
     init_decoder,
     init_encoder,
 )
+from .graph import require
 from .rng import substream
 from .sampler import DatasetEntry
 
@@ -49,16 +50,14 @@ class PairSample:
 
 @dataclass(frozen=True)
 class MiningConfig:
-    enabled: bool = True
-    hard_fraction: float = 0.5
+    hard_fraction: float = 0.5  # 0 turns mining off: every pair is uniform
     sim_high: float = 0.5
     sim_low: float = -0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.hard_fraction <= 1.0:
-            raise ValueError("hard_fraction must be in [0, 1]")
-        if self.sim_low >= self.sim_high:
-            raise ValueError("sim_low must be below sim_high")
+        frac = self.hard_fraction
+        require(0.0 <= frac <= 1.0, "hard_fraction", f"must be in [0, 1], got {frac}")
+        require(self.sim_low < self.sim_high, "sim_low", f"must be below sim_high ({self.sim_high})")
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,13 @@ class TrainingConfig:
     loss_form: str = "standard"
 
     def __post_init__(self) -> None:
-        if self.margin <= 0.0:
-            raise ValueError("margin must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.loss_form not in LOSS_FORMS:
-            raise ValueError(f"loss_form must be one of {LOSS_FORMS}")
+        require(self.margin > 0.0, "margin", f"must be positive, got {self.margin}")
+        ppe = self.pairs_per_epoch
+        require(ppe is None or ppe >= 1, "pairs_per_epoch", f"must be >= 1, got {ppe}")
+        require(self.epochs >= 0, "epochs", f"must be >= 0, got {self.epochs}")
+        lr = self.learning_rate
+        require(lr > 0.0, "learning_rate", f"must be positive, got {lr}")
+        require(self.loss_form in LOSS_FORMS, "loss_form", f"must be one of {LOSS_FORMS}")
 
 
 @dataclass
@@ -87,11 +87,7 @@ class TrainReport:
     checkpoint_path: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "epoch_losses": self.epoch_losses,
-            "wall_time_s": self.wall_time_s,
-            "checkpoint_path": self.checkpoint_path,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,7 @@ def mine_informative_pairs(
 
     n_hard = 0
     hard_pick = np.empty(0, dtype=np.intp)
-    if cfg.mining.enabled and cfg.mining.hard_fraction > 0.0:
+    if cfg.mining.hard_fraction > 0.0:
         median = float(np.median(dists))
         hard = ((dists < median) & (pair_labels < cfg.mining.sim_low)) | (
             (dists > median) & (pair_labels > cfg.mining.sim_high)

@@ -124,10 +124,10 @@ def test_criterion_2_gradient_correctness():
         subgraph = _random_subgraph(rng, in_dim)
 
         def f(tape: Tape):
-            from ranrec.gnn import decode_on_tape, encode_on_tape
+            from ranrec.gnn import decode_group_on_tape, encode_group_on_tape
 
-            z = encode_on_tape(tape, encoder, subgraph)
-            x_hat = decode_on_tape(tape, decoder, subgraph, z)
+            z = encode_group_on_tape(tape, encoder, [subgraph])
+            x_hat = decode_group_on_tape(tape, decoder, [subgraph], z)
             diff = tape.sub(tape.const(subgraph.features), x_hat)
             return tape.mean(tape.rownorm(diff))
 

@@ -3,6 +3,8 @@ differences."""
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,7 +281,8 @@ PRIMITIVE_CASES = [
 @pytest.mark.parametrize("op", PRIMITIVE_CASES)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_every_primitive_passes_grad_check(op, seed):
-    rng = np.random.default_rng(seed + hash(op) % 1000)
+    # crc32, unlike str hash, is not salted per process: every run checks the same inputs.
+    rng = np.random.default_rng(seed + zlib.crc32(op.encode()) % 1000)
     p = _random_param(rng, (4, 6))
     other = rng.normal(size=(4, 6))
     tall = rng.normal(size=(6, 3))

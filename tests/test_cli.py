@@ -449,6 +449,125 @@ class TestNonFiniteInputs:
         assert str(bad) in capsys.readouterr().err
 
 
+def _assert_rejected(capsys, code: int, *fragments: str) -> None:
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestBadSettings:
+    """Every settings record is checked on read: exit 1, naming the file and the key."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pairs_per_epoch = 0",
+            "pairs_per_epoch = -5",
+            "margin = inf",
+            "margin = nan",
+            "learning_rate = nan",
+            "learning_rate = -1",
+            "epochs = -1",
+            "layers = 0",
+            "fanout = 0",
+        ],
+    )
+    def test_config_through_train(self, workspace, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"epochs = 2\n{line}\n")
+        out = tmp_path / "ckpt.json"
+        network = str(workspace / "net" / "network.json")
+        code = main(["train", network, "--config", str(config), "--out", str(out)])
+        key = line.split()[0]
+        _assert_rejected(capsys, code, f"{config}:2: key '{key}'")
+        assert not out.exists()
+
+    def test_config_checked_before_network_is_read(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("layers = 0\n")
+        network = tmp_path / "network.json"
+        network.write_text("{not json")
+        code = main(["train", str(network), "--config", str(config), "--out", str(tmp_path / "x")])
+        _assert_rejected(capsys, code, f"{config}:1: key 'layers'")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sites", True),
+            ("sites", 1.5),
+            ("cells_per_site", 2.5),
+            ("lte_ratio", 0.5),
+            ("inter_site_degree", 1.5),
+            ("config_noise", float("nan")),
+            ("seed", 1.5),
+        ],
+    )
+    def test_spec_through_synth(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({key: value}))
+        out = tmp_path / "net"
+        code = main(["synth", str(spec), "--out", str(out)])
+        _assert_rejected(capsys, code, f"{spec}: key '{key}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("layers", 2.5), ("slope", "0.2")])
+    def test_arch_through_embed(self, workspace, tmp_path, capsys, key, value):
+        checkpoint = json.loads((workspace / "ckpt.json").read_text())
+        checkpoint["arch"][key] = value
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(checkpoint))
+        out = tmp_path / "store.json"
+        code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: invalid checkpoint: arch: key '{key}'")
+        assert not out.exists()
+
+
+GRAPH_ERRORS = {
+    "duplicate": "duplicate cell_id 'S000C0'",
+    "unknown_cell": "edge references unknown cell 'NOPE'",
+    "self_loop": "self-loop edge on cell",
+    "edge_kind": "unknown edge kind 'sideways'",
+    "missing_attribute": "missing predictor attributes",
+}
+
+
+@pytest.mark.parametrize("route", ["train", "recommend"])
+@pytest.mark.parametrize("case", sorted(GRAPH_ERRORS))
+def test_graph_errors_name_the_file(workspace, tmp_path, capsys, case, route):
+    """A graph invariant broken by a network or a new-cells file names that file."""
+    if route == "train":
+        payload = json.loads((workspace / "net" / "network.json").read_text())
+        cell = payload["cells"][1]
+    else:
+        payload = json.loads(json.dumps(NEW_CELLS))
+        cell = payload["cells"][0]
+    cid = cell["cell_id"]
+    if case == "duplicate":
+        if route == "train":
+            payload["cells"].append(payload["cells"][0])
+        else:
+            cell["cell_id"] = "S000C0"
+    elif case == "unknown_cell":
+        payload["edges"].append([cid, "NOPE", "inter_node"])
+    elif case == "self_loop":
+        payload["edges"].append([cid, cid, "inter_node"])
+    elif case == "edge_kind":
+        payload["edges"].append([cid, "S000C0", "sideways"])
+    else:
+        del cell["predictors"][sorted(cell["predictors"])[0]]
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    if route == "train":
+        code = main(["train", str(bad), "--config", str(workspace / "train.cfg"), "--out", str(out)])
+    else:
+        code = main(["recommend", str(workspace / "store.json"), str(bad), "--out", str(out)])
+    _assert_rejected(capsys, code, f"{bad}: ", GRAPH_ERRORS[case])
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, workspace, tmp_path):
         inputs_before = {

@@ -11,10 +11,9 @@ from ranrec.gnn import (
     Checkpoint,
     attention_matrices,
     attention_scores,
-    decode_on_tape,
+    decode_group_on_tape,
     encode,
     encode_group_on_tape,
-    encode_on_tape,
     init_decoder,
     init_encoder,
     schema_hash,
@@ -155,7 +154,7 @@ class TestEncodeDecode:
         dec = init_decoder(arch, seed=10)
         sub = make_subgraph(2)
         tape = Tape()
-        x_hat = decode_on_tape(tape, dec, sub, encode_on_tape(tape, enc, sub))
+        x_hat = decode_group_on_tape(tape, dec, [sub], encode_group_on_tape(tape, enc, [sub]))
         assert x_hat.shape == sub.features.shape
 
     def test_decode_deterministic(self):
@@ -163,7 +162,7 @@ class TestEncodeDecode:
         dec = init_decoder(arch, seed=11)
         sub = make_subgraph(2)
         z = np.random.default_rng(1).normal(size=(3, arch.embedding_dim))
-        first, second = (decode_on_tape(t, dec, sub, t.const(z)).value for t in (Tape(), Tape()))
+        first, second = (decode_group_on_tape(t, dec, [sub], t.const(z)).value for t in (Tape(), Tape()))
         assert np.array_equal(first, second)
 
     def test_reconstruction_gradient(self):
@@ -173,8 +172,8 @@ class TestEncodeDecode:
         sub = make_subgraph(2, in_dim=3)
 
         def f(tape: Tape):
-            z = encode_on_tape(tape, enc, sub)
-            x_hat = decode_on_tape(tape, dec, sub, z)
+            z = encode_group_on_tape(tape, enc, [sub])
+            x_hat = decode_group_on_tape(tape, dec, [sub], z)
             diff = tape.sub(tape.const(sub.features), x_hat)
             return tape.mean(tape.rownorm(diff))
 

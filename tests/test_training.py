@@ -181,7 +181,7 @@ class TestMining:
 
     def test_disabled_mining_is_random_uniform(self):
         embeddings, targets = self._inputs()
-        cfg = TrainingConfig(pairs_per_epoch=4, mining=MiningConfig(enabled=False))
+        cfg = TrainingConfig(pairs_per_epoch=4, mining=MiningConfig(hard_fraction=0.0))
         rng = np.random.default_rng(0)
         pairs = mine_informative_pairs(embeddings, targets, cfg, rng)
         assert len(pairs) == 4
@@ -194,7 +194,7 @@ class TestMining:
         embeddings, targets = self._inputs()
         cfg = TrainingConfig(
             pairs_per_epoch=6,
-            mining=MiningConfig(enabled=True, hard_fraction=1.0, sim_high=0.5, sim_low=-0.5),
+            mining=MiningConfig(hard_fraction=1.0, sim_high=0.5, sim_low=-0.5),
         )
         # brute force over all 6 pairs
         dists = {}
@@ -218,7 +218,7 @@ class TestMining:
         embeddings = np.array([[0.0, 0.0], [0.05, 0.0], [9.0, 0.0], [0.1, 0.0]])
         targets = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
         cfg = TrainingConfig(
-            pairs_per_epoch=2, mining=MiningConfig(enabled=True, hard_fraction=1.0)
+            pairs_per_epoch=2, mining=MiningConfig(hard_fraction=1.0)
         )
         pairs = mine_informative_pairs(embeddings, targets, cfg, np.random.default_rng(0))
         assert PairSample(0, 2, pytest.approx(1.0)) in [
