@@ -75,33 +75,6 @@ def _split_value(rng: np.random.Generator, lo: float, hi: float) -> float:
             return value
 
 
-def _grow(
-    points: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list[list]
-) -> int:
-    """Append one subtree in pre-order, left before right; return its root.
-
-    A node row is ``[feature, threshold, left, right, path]``.
-    """
-    index = len(nodes)
-    nodes.append([0, math.nan, index, index, 0.0])
-    m = points.shape[0]
-    if m > 1 and depth < limit:
-        lows = points.min(axis=0)
-        highs = points.max(axis=0)
-        # A split needs a representable value strictly between low and high.
-        splittable = np.flatnonzero(np.nextafter(lows, highs) < highs)
-        if splittable.size:
-            dim = int(splittable[rng.integers(splittable.size)])
-            value = _split_value(rng, float(lows[dim]), float(highs[dim]))
-            mask = points[:, dim] < value
-            left = _grow(points[mask], depth + 1, limit, rng, nodes)
-            right = _grow(points[~mask], depth + 1, limit, rng, nodes)
-            nodes[index][:4] = [dim, value, left, right]
-            return index
-    nodes[index][4] = depth + average_path_length(m)
-    return index
-
-
 def fit_forest(
     embeddings: Sequence[np.ndarray] | np.ndarray,
     t: int = 100,
@@ -131,24 +104,70 @@ def fit_forest(
             "all embeddings are identical; no split separates them, so scores "
             "carry no ranking - produce a threshold-free report instead"
         )
-    limit = math.ceil(math.log2(psi))
-    nodes: list[list] = []
-    roots = []
-    for index in range(t):
-        rng = substream(seed, "tree", index)
-        sample = matrix[rng.choice(n, size=psi, replace=False)]
-        roots.append(_grow(sample, 0, limit, rng, nodes))
-    table = np.array(nodes, dtype=np.float64)  # node indices stay exact below 2**53
+    limit, dim = math.ceil(math.log2(psi)), matrix.shape[1]
+    leaf_c = [average_path_length(m) for m in range(psi + 1)]
+    rngs = [substream(seed, "tree", index) for index in range(t)]
+    # Tree k's subsample fills rows k*psi to (k+1)*psi of ``points``. A node
+    # owns the points order[start:stop]; its split puts the left ones first.
+    points = matrix[np.concatenate([rng.choice(n, size=psi, replace=False) for rng in rngs])]
+    order = np.arange(t * psi)
+    # Each tree's node rows [feature, threshold, left, right, path] in
+    # pre-order, and its pending (start, stop, depth, parent, side), next last.
+    trees: list[list[list]] = [[] for _ in range(t)]
+    stacks = [[(k * psi, (k + 1) * psi, 0, -1, 0)] for k in range(t)]
+    live = list(range(t))
+    while live:
+        # One pass grows the next pre-order node of every unfinished tree:
+        # bounds and the left/right test for all of them at once, while each
+        # tree draws from its own generator exactly as if grown alone.
+        grow = []
+        for k in live:
+            start, stop, depth, parent, side = stacks[k].pop()
+            nodes = trees[k]
+            if parent >= 0:
+                nodes[parent][2 + side] = len(nodes)
+            nodes.append([0, math.nan, len(nodes), len(nodes), depth + leaf_c[stop - start]])
+            if stop - start > 1 and depth < limit:
+                grow.append((k, start, stop, depth))
+        if grow:
+            starts, sizes = np.array([(start, stop - start) for _, start, stop, _ in grow]).T
+            offsets = np.cumsum(sizes) - sizes
+            at = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+            rows = points[order[at]]
+            lows, highs = np.minimum.reduceat(rows, offsets), np.maximum.reduceat(rows, offsets)
+            # A split needs a representable value strictly between low and high.
+            splittable = np.nextafter(lows, highs) < highs
+            every, can = splittable.all(axis=1).tolist(), splittable.tolist()
+            lows, highs = lows.tolist(), highs.tolist()
+            dims, values = [0] * len(grow), [math.inf] * len(grow)  # a leaf sends every point left
+            for i, (k, _, _, _) in enumerate(grow):
+                options = range(dim) if every[i] else [j for j, ok in enumerate(can[i]) if ok]
+                if options:
+                    dims[i] = int(options[rngs[k].integers(len(options))])
+                    values[i] = _split_value(rngs[k], lows[i][dims[i]], highs[i][dims[i]])
+                    trees[k][-1][:2], trees[k][-1][4] = [dims[i], values[i]], 0.0
+            left = rows[np.arange(rows.shape[0]), np.repeat(dims, sizes)] < np.repeat(values, sizes)
+            segment = np.repeat(np.arange(len(grow)), sizes)
+            order[at] = order[at][np.argsort(2 * segment + ~left, kind="stable")]
+            cuts = np.add.reduceat(left, offsets, dtype=np.intp).tolist()
+            for (k, start, stop, depth), value, cut in zip(grow, values, cuts):
+                if value != math.inf:
+                    node, cut = len(trees[k]) - 1, start + cut
+                    stacks[k] += [(cut, stop, depth + 1, node, 1), (start, cut, depth + 1, node, 0)]
+        live = [k for k in live if stacks[k]]
+    counts = [len(nodes) for nodes in trees]
+    roots = np.cumsum([0, *counts[:-1]])
+    table = np.array([row for nodes in trees for row in nodes], dtype=np.float64)
     return IsolationForest(
         feature=table[:, 0].astype(np.intp),
         threshold=table[:, 1].copy(),
-        children=table[:, 2:4].astype(np.intp),
+        children=table[:, 2:4].astype(np.intp) + np.repeat(roots, counts)[:, None],
         path=table[:, 4].copy(),
-        roots=np.array(roots, dtype=np.intp),
+        roots=roots.astype(np.intp),
         psi=psi,
         n=n,
         seed=seed,
-        dim=matrix.shape[1],
+        dim=dim,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Node, Parameter, Tape, leaky_relu_values
-from .graph import AttributeSchema, NormalizationStats, require, settings_from
+from .graph import SETTING_TYPES, AttributeSchema, NormalizationStats, require, settings_from
 from .rng import substream
 from .sampler import Subgraph
 
@@ -258,6 +258,14 @@ def schema_hash(schema: AttributeSchema) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _checkpoint_int(data: dict, key: str, default: int | None = None) -> int:
+    """A top-level integer of a checkpoint, held to the settings' rule: an int, not a bool."""
+    value = data[key] if default is None else data.get(key, default)
+    expected, ok = SETTING_TYPES["int"]
+    require(ok(value), key, f"expected {expected}, got {value!r}")
+    return value
+
+
 def _dump_params(stack: GatStack) -> list[dict]:
     return [
         {"name": p.name, "shape": list(p.shape), "data": p.value.ravel().tolist()}
@@ -317,7 +325,7 @@ class Checkpoint:
             if schema is not None and schema_hash(schema) != digest:
                 raise ValueError("checkpoint schema hash does not match the network schema")
             arch = ArchConfig.from_json(data["arch"])
-            seed = int(data["seed"])
+            seed = _checkpoint_int(data, "seed")
             encoder = init_encoder(arch, seed)
             _load_params(encoder, data["params"])
             decoder = None
@@ -325,7 +333,7 @@ class Checkpoint:
                 decoder = init_decoder(arch, seed)
                 _load_params(decoder, data["decoder"]["params"])
             stats = NormalizationStats.from_json(data["stats"])
-            fanout = int(data.get("sampler_fanout", 8))
+            fanout = _checkpoint_int(data, "sampler_fanout", 8)
         except (AttributeError, TypeError) as exc:  # a field of the wrong JSON type
             raise ValueError(str(exc)) from exc
         if fanout < 1:

@@ -11,9 +11,11 @@ statistics fitted on training cells; slots of the other technology are 0.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, TypeVar
@@ -176,46 +178,57 @@ class RanGraph:
         edges: Iterable[tuple[str, str, str]] = (),
     ) -> None:
         self.schema = schema
-        self.cells: tuple[CellRecord, ...] = tuple(cells)
         # Attribute names each (technology, role) must carry, worked out once.
-        expected = {
+        self._expected = {
             (tech, role): {e.name for e in schema.layout(role) if e.technology == tech}
             for tech in TECHNOLOGIES
             for role in ROLES
         }
+        self.cells: tuple[CellRecord, ...] = ()
         self.row_of: dict[str, int] = {}
-        for row, cell in enumerate(self.cells):
-            if cell.cell_id in self.row_of:
-                raise NetworkFormatError(f"duplicate cell_id {cell.cell_id!r}")
-            _validate_attributes(cell, expected)
-            self.row_of[cell.cell_id] = row
+        self._edge_kinds: dict[tuple[str, str], str] = {}  # (smaller id, larger id) -> kind
+        self._adjacency: dict[str, tuple[str, ...]] = {}  # cell id -> sorted neighbour ids
+        self._by_node: dict[str, tuple[str, ...]] = {}  # node id -> its cell ids, in cell order
+        self._add(cells, edges)
 
-        edge_kinds: dict[tuple[str, str], str] = {}
+    def _add(self, cells: Iterable[CellRecord], edges: Iterable[tuple[str, str, str]]) -> None:
+        """Join cells, then edges, then the intra-node pairs the cells complete.
+        Only these are validated, in the order a build from scratch checks them."""
+        new = tuple(cells)
+        row_of = self.row_of
+        for cell in new:
+            if cell.cell_id in row_of:
+                raise NetworkFormatError(f"duplicate cell_id {cell.cell_id!r}")
+            _validate_attributes(cell, self._expected)
+            row_of[cell.cell_id] = len(row_of)
+        self.cells += new
+        cells, kinds, linked = self.cells, self._edge_kinds, defaultdict(set)
         for a, b, kind in edges:
             if a == b:
                 raise NetworkFormatError(f"self-loop edge on cell {a!r}")
             if kind not in EDGE_KINDS:
                 raise NetworkFormatError(f"unknown edge kind {kind!r}")
             for cid in (a, b):
-                if cid not in self.row_of:
+                if cid not in row_of:
                     raise NetworkFormatError(f"edge references unknown cell {cid!r}")
-            edge_kinds[(min(a, b), max(a, b))] = kind
-
-        # Intra-node completeness: same radio node implies a clique.
-        by_node: dict[str, list[str]] = {}
-        for cell in self.cells:
-            by_node.setdefault(cell.node_id, []).append(cell.cell_id)
-        for members in by_node.values():
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    edge_kinds[(min(a, b), max(a, b))] = "intra_node"
-
-        self._edge_kinds = edge_kinds
-        adj: dict[str, set[str]] = {c.cell_id: set() for c in self.cells}
-        for a, b in edge_kinds:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adjacency = {cid: tuple(sorted(nbrs)) for cid, nbrs in adj.items()}
+            # Intra-node completeness: same radio node implies a clique.
+            same_node = cells[row_of[a]].node_id == cells[row_of[b]].node_id
+            kinds[(a, b) if a < b else (b, a)] = "intra_node" if same_node else kind
+            linked[a].add(b)
+            linked[b].add(a)
+        for cell in new:
+            cid, members = cell.cell_id, self._by_node.get(cell.node_id, ())
+            for other in members:
+                pair = (cid, other) if cid < other else (other, cid)
+                if pair not in kinds:  # not listed as an edge
+                    kinds[pair] = "intra_node"
+                    linked[cid].add(other)
+                    linked[other].add(cid)
+            self._by_node[cell.node_id] = (*members, cid)
+            self._adjacency[cid] = ()
+        for cid, nbrs in linked.items():
+            self._adjacency[cid] = tuple(sorted(nbrs.union(self._adjacency[cid])))
+        self._edges: tuple[tuple[str, str, str], ...] | None = None
 
     # -- queries ---------------------------------------------------------------
 
@@ -232,7 +245,9 @@ class RanGraph:
 
     @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple(sorted((a, b, k) for (a, b), k in self._edge_kinds.items()))
+        if self._edges is None:
+            self._edges = tuple(sorted((a, b, k) for (a, b), k in self._edge_kinds.items()))
+        return self._edges
 
     @property
     def cell_ids(self) -> tuple[str, ...]:
@@ -256,6 +271,9 @@ class RanGraph:
 
 
 def _validate_attributes(cell: CellRecord, expected: Mapping[tuple[str, str], set[str]]) -> None:
+    predictors, configs = (expected[(cell.technology, role)] for role in ROLES)
+    if cell.raw_predictors.keys() == predictors and cell.raw_configs.keys() in (configs, set()):
+        return  # the common case; the checks below name what is wrong
     for role in ROLES:
         names = expected[(cell.technology, role)]
         got = set(cell.raw_values(role))
@@ -566,12 +584,13 @@ def extend_network(
     new_cells: Iterable[CellRecord],
     new_edges: Iterable[tuple[str, str, str]] = (),
 ) -> RanGraph:
-    """A new graph with extra cells and edges; the original is untouched."""
-    return RanGraph(
-        schema=graph.schema,
-        cells=(*graph.cells, *new_cells),
-        edges=(*graph.edges, *new_edges),
-    )
+    """A new graph with extra cells and edges; the original is untouched. It equals
+    ``RanGraph`` over old and new together, errors included, but checks only what is new."""
+    extended = copy.copy(graph)
+    for name in ("row_of", "_edge_kinds", "_adjacency", "_by_node"):
+        setattr(extended, name, dict(getattr(graph, name)))
+    extended._add(new_cells, new_edges)
+    return extended
 
 
 def parse_cells_payload(

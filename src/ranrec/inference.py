@@ -199,15 +199,17 @@ def recommend_cells(
 ) -> list[tuple[CellRecord, np.ndarray, Recommendation]]:
     """Recommend configurations for cells joining ``graph``, in the given order.
 
-    Each cell is embedded from a subgraph of the extended network, then
-    joins the store with its recommendation, so later cells may retrieve
-    earlier ones. ``mode`` is "closest" or "majority" (over ``k``).
+    Every cell's subgraph of the extended network is sampled and all are
+    embedded in one batch; then each cell in turn joins the store with its
+    recommendation, so later cells may retrieve earlier ones. ``mode`` is
+    "closest" or "majority" (over ``k``).
     """
     augmented = extend_network(graph, new_cells, new_edges)
     features = feature_map(augmented, stats)
+    subgraphs = (sample_subgraph(augmented, cell.cell_id, sampler_cfg, features) for cell in new_cells)
+    entries = [DatasetEntry(sub, features.y[augmented.row_of[sub.center]]) for sub in subgraphs]
     results = []
-    for cell in new_cells:
-        z = embed_new_cell(store, sample_subgraph(augmented, cell.cell_id, sampler_cfg, features))
+    for cell, z in zip(new_cells, encode_centers(store.encoder, entries)):
         if mode == "majority":
             rec = recommend_majority(store, z, k, graph.schema)
         else:
@@ -255,19 +257,24 @@ class StoreBundle:
         graph = network_from_json(data["network"], source="store")
         checkpoint = Checkpoint.from_json(data["checkpoint"], schema=graph.schema)
         bundle = cls(graph=graph, checkpoint=checkpoint)
-        items = data["records"]
-        z = np.empty((len(items), bundle.store.embedding_dim))
-        y = np.empty((len(items), graph.schema.config_dim))
-        for index, item in enumerate(items):
-            for name, out in (("z", z), ("y", y)):
-                raw = item[name]
-                try:
-                    value = np.array(raw, dtype=np.float64)
-                except (TypeError, ValueError):  # a string, a ragged list
-                    value = None
-                if value is None or value.shape != out.shape[1:] or not np.isfinite(value).all():
-                    raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")
-                out[index] = value
+        items, widths = data["records"], (bundle.store.embedding_dim, graph.schema.config_dim)
+        try:  # in bulk; when that fails, the loop below names the lowest bad record
+            z, y = (np.array([item[name] for item in items], dtype=np.float64) for name in ("z", "y"))
+            bulk = all(m.shape == (len(items), w) and np.isfinite(m).all() for m, w in zip((z, y), widths))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            bulk = False
+        if not bulk:
+            z, y = (np.empty((len(items), w)) for w in widths)
+            for index, item in enumerate(items):
+                for name, out in (("z", z), ("y", y)):
+                    raw = item[name]
+                    try:
+                        value = np.array(raw, dtype=np.float64)
+                    except (TypeError, ValueError):  # a string, a ragged list
+                        value = None
+                    if value is None or value.shape != out.shape[1:] or not np.isfinite(value).all():
+                        raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")
+                    out[index] = value
         bundle.store.extend([str(item["cell_id"]) for item in items], z, y)
         return bundle
 

@@ -15,6 +15,7 @@ import ranrec
 from ranrec.anomaly import (
     DegenerateEmbeddingsError,
     IsolationForest,
+    _split_value,
     anomaly_score,
     average_path_length,
     expected_path_length,
@@ -24,6 +25,7 @@ from ranrec.anomaly import (
 )
 from ranrec.gnn import ArchConfig, init_encoder
 from ranrec.inference import EmbeddingStore
+from ranrec.rng import substream
 
 
 def cluster_with_outlier(n=99, d=2, radius=1.0, factor=10.0, seed=0):
@@ -43,6 +45,100 @@ def walk(forest, node, depth=0):
     if not is_leaf(forest, node):
         for child in forest.children[node]:
             yield from walk(forest, child, depth + 1)
+
+
+def _grow(points, depth, limit, rng, nodes):
+    """Oracle: grow one tree alone, recursively, appending node rows
+    ``[feature, threshold, left, right, path]`` in pre-order; return its root."""
+    index = len(nodes)
+    nodes.append([0, math.nan, index, index, 0.0])
+    m = points.shape[0]
+    if m > 1 and depth < limit:
+        lows = points.min(axis=0)
+        highs = points.max(axis=0)
+        splittable = np.flatnonzero(np.nextafter(lows, highs) < highs)
+        if splittable.size:
+            dim = int(splittable[rng.integers(splittable.size)])
+            value = _split_value(rng, float(lows[dim]), float(highs[dim]))
+            mask = points[:, dim] < value
+            left = _grow(points[mask], depth + 1, limit, rng, nodes)
+            right = _grow(points[~mask], depth + 1, limit, rng, nodes)
+            nodes[index][:4] = [dim, value, left, right]
+            return index
+    nodes[index][4] = depth + average_path_length(m)
+    return index
+
+
+def oracle_forest(matrix, t, psi, seed):
+    """The five node arrays of ``t`` trees grown one after another."""
+    nodes, roots = [], []
+    for index in range(t):
+        rng = substream(seed, "tree", index)
+        sample = matrix[rng.choice(matrix.shape[0], size=psi, replace=False)]
+        roots.append(_grow(sample, 0, math.ceil(math.log2(psi)), rng, nodes))
+    table = np.array(nodes, dtype=np.float64)
+    return {
+        "feature": table[:, 0].astype(np.intp),
+        "threshold": table[:, 1],
+        "children": table[:, 2:4].astype(np.intp),
+        "path": table[:, 4],
+        "roots": np.array(roots, dtype=np.intp),
+    }
+
+
+def assert_matches_oracle(matrix, t, psi, seed):
+    forest = fit_forest(matrix, t=t, psi=psi, seed=seed)
+    for field, expected in oracle_forest(matrix, t, psi, seed).items():
+        got = getattr(forest, field)
+        assert got.dtype == expected.dtype, field
+        assert np.array_equal(got, expected, equal_nan=True), field
+
+
+class TestLockstepMatchesOracle:
+    @pytest.mark.parametrize(
+        "t, psi, d, seed",
+        [
+            (1, 2, 1, 0),
+            (1, 256, 20, 1),
+            (1, 16, 14, 2),
+            (7, 3, 2, 3),
+            (7, 16, 14, 4),
+            (7, 256, 1, 5),
+            (7, 256, 20, 6),
+            (100, 2, 14, 7),
+            (100, 3, 20, 8),
+            (100, 16, 2, 9),
+            (100, 256, 14, 10),
+            (100, 256, 14, 11),
+        ],
+    )
+    def test_random_points(self, t, psi, d, seed):
+        matrix = np.random.default_rng(seed).normal(size=(300, d))
+        assert_matches_oracle(matrix, t, psi, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_only_some_dimensions_split(self, seed):
+        # A constant column never splits, and a three-valued column stops
+        # splitting once a node holds one of its values.
+        rng = np.random.default_rng(seed)
+        matrix = np.column_stack(
+            [rng.normal(size=200), np.full(200, 2.5), rng.choice([0.0, 0.5, 1.0], size=200)]
+        )
+        assert_matches_oracle(matrix, 50, 64, seed)
+
+    def test_duplicate_rows(self):
+        matrix = np.repeat(np.random.default_rng(3).normal(size=(20, 3)), 8, axis=0)
+        assert_matches_oracle(matrix, 40, 64, 3)
+
+    def test_one_ulp_and_overflowing_spans(self):
+        rng = np.random.default_rng(4)
+        matrix = np.column_stack(
+            [
+                rng.choice([1.0, np.nextafter(1.0, 2.0)], size=40),
+                rng.choice([-1e308, 0.0, 1e308], size=40),
+            ]
+        )
+        assert_matches_oracle(matrix, 30, 16, 4)
 
 
 class TestFit:

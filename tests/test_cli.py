@@ -307,10 +307,22 @@ class TestValidationErrors:
 
 
 CHECKPOINT_CASES = ["arch_unknown_key", "arch_list", "param_not_object", "stats_slot_not_object", "fanout_zero"]
+# Top-level integers a hand edit may break: (key, value).
+CHECKPOINT_INTEGERS = [
+    ("seed", 1.5),
+    ("seed", True),
+    ("seed", "3"),
+    ("sampler_fanout", 2.7),
+    ("sampler_fanout", True),
+    ("sampler_fanout", "3"),
+]
 
 
 def _corrupt_checkpoint(checkpoint: dict, case: str) -> None:
-    if case == "arch_unknown_key":
+    if isinstance(case, tuple):
+        key, value = case
+        checkpoint[key] = value
+    elif case == "arch_unknown_key":
         checkpoint["arch"]["bogus"] = 1
     elif case == "arch_list":
         checkpoint["arch"] = list(checkpoint["arch"].values())
@@ -349,6 +361,34 @@ class TestMalformedCheckpoint:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{bad}: invalid store: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", CHECKPOINT_INTEGERS)
+    def test_embed_rejects_non_integer(self, workspace, tmp_path, capsys, case):
+        checkpoint = json.loads((workspace / "ckpt.json").read_text())
+        _corrupt_checkpoint(checkpoint, case)
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(checkpoint))
+        out = tmp_path / "store.json"
+        code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
+        assert code == 1
+        key, value = case
+        expected = f"{bad}: invalid checkpoint: key {key!r}: expected an integer, got {value!r}"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "detect"])
+    @pytest.mark.parametrize("case", CHECKPOINT_INTEGERS)
+    def test_store_rejects_non_integer(self, workspace, tmp_path, capsys, case, command):
+        store = json.loads((workspace / "store.json").read_text())
+        _corrupt_checkpoint(store["checkpoint"], case)
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "out.json"
+        new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
+        code = main([command, str(bad), *new_cells, "--out", str(out)])
+        assert code == 1
+        assert f"{bad}: invalid store: key {case[0]!r}: expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
 

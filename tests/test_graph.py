@@ -332,3 +332,115 @@ class TestProperties:
         assert technologies.count("LTE") == 1
         assert technologies.count("NR") == 2
         assert technologies.count("LTE") + technologies.count("NR") == len(graph.cells)
+
+
+NODES = ("n1", "n2", "n3")
+IDS = ("c0", "c1", "c2", "c3", "c4", "c5", "c6")
+
+
+def _cell(cid: str, node: str, technology: str, variant: str = "ok") -> CellRecord:
+    predictors = {"bw": 10.0, "chan": 100.0}
+    configs = {"power": -100.0, "preamble": -120.0}
+    if variant == "missing":
+        del predictors["chan"]
+    elif variant == "unknown":
+        configs["extra"] = 1.0
+    elif variant == "bare":  # awaiting a recommendation
+        configs = {}
+    return CellRecord(cid, node, technology, predictors, configs)
+
+
+@st.composite
+def _extensions(draw):
+    """A valid graph's cells and edges, plus cells and edges to add, some of them bad."""
+    n_old = draw(st.integers(1, 4))
+    old_cells = [
+        _cell(IDS[i], draw(st.sampled_from(NODES)), draw(st.sampled_from(("LTE", "NR"))))
+        for i in range(n_old)
+    ]
+    old_id = st.sampled_from(IDS[:n_old])
+    old_edges = draw(
+        st.lists(
+            st.tuples(old_id, old_id, st.sampled_from(("intra_node", "inter_node"))).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=5,
+        )
+    )
+    variant = st.sampled_from(("ok", "ok", "ok", "bare", "missing", "unknown"))
+    new_cells = draw(
+        st.lists(
+            st.builds(
+                _cell,
+                st.sampled_from(IDS),  # may repeat an old or an earlier new id
+                st.sampled_from((*NODES, "n4")),  # existing nodes and a new one
+                st.sampled_from(("LTE", "NR")),
+                variant,
+            ),
+            max_size=4,
+        )
+    )
+    any_id = st.sampled_from((*IDS, "ghost"))
+    kind = st.sampled_from(("intra_node", "inter_node", "inter_node", "bogus"))
+    new_edges = draw(st.lists(st.tuples(any_id, any_id, kind), max_size=6))
+    return old_cells, old_edges, new_cells, new_edges
+
+
+def _snapshot(graph: RanGraph) -> tuple:
+    return (
+        graph.cells,
+        dict(graph.row_of),
+        graph.edges,
+        {cid: graph.neighbors(cid) for cid in graph.row_of},
+    )
+
+
+def _outcome(build):
+    try:
+        return _snapshot(build())
+    except NetworkFormatError as exc:
+        return str(exc)
+
+
+class TestExtendNetwork:
+    @given(case=_extensions())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_build_from_scratch(self, case):
+        old_cells, old_edges, new_cells, new_edges = case
+        graph = RanGraph(small_schema(), old_cells, old_edges)
+        before = _snapshot(graph)
+        expected = _outcome(lambda: RanGraph(small_schema(), old_cells + new_cells, old_edges + new_edges))
+        assert _outcome(lambda: extend_network(graph, new_cells, new_edges)) == expected
+        assert _snapshot(graph) == before
+
+    @pytest.mark.parametrize(
+        "cells, edges, message",
+        [
+            ([_cell("c0", "n9", "LTE")], [], "duplicate cell_id 'c0'"),
+            ([], [("c0", "ghost", "inter_node")], "edge references unknown cell 'ghost'"),
+            ([], [("c1", "c1", "inter_node")], "self-loop edge on cell 'c1'"),
+            ([], [("c0", "c1", "bogus")], "unknown edge kind 'bogus'"),
+            ([_cell("c9", "n9", "NR", "missing")], [], "missing predictor attributes ['chan']"),
+            ([_cell("c9", "n9", "LTE", "unknown")], [], "wrong-technology config attributes ['extra']"),
+        ],
+    )
+    def test_each_bad_addition_names_itself(self, cells, edges, message):
+        old = [_cell("c0", "n1", "LTE"), _cell("c1", "n2", "NR")]
+        graph = RanGraph(small_schema(), old)
+        with pytest.raises(NetworkFormatError) as scratch:
+            RanGraph(small_schema(), old + cells, edges)
+        with pytest.raises(NetworkFormatError) as extended:
+            extend_network(graph, cells, edges)
+        assert str(extended.value) == str(scratch.value)
+        assert message in str(extended.value)
+
+    def test_new_cell_on_existing_node_joins_its_clique(self):
+        graph = RanGraph(small_schema(), [_cell("c0", "n1", "LTE"), _cell("c1", "n1", "NR")])
+        extended = extend_network(graph, [_cell("c2", "n1", "LTE", "bare")], [("c0", "c2", "inter_node")])
+        assert extended.edges == (
+            ("c0", "c1", "intra_node"),
+            ("c0", "c2", "intra_node"),
+            ("c1", "c2", "intra_node"),
+        )
+        assert graph.neighbors("c0") == ("c1",)
+        assert extended.neighbors("c0") == ("c1", "c2")

@@ -430,3 +430,24 @@ class TestStoreBundle:
         payload["records"][2][name] = value
         with pytest.raises(ValueError, match=f"record 2: {name} is not"):
             StoreBundle.from_json(payload)
+
+    def test_lowest_of_two_bad_records_named(self):
+        payload = self._bundle().to_json()
+        payload["records"][3]["z"] = [0.0, 0.0]
+        payload["records"][1]["y"] = [0.5, float("nan"), 0.5, 0.5]
+        with pytest.raises(ValueError, match="record 1: y is not 4 finite numbers"):
+            StoreBundle.from_json(payload)
+
+    def test_z_of_one_element_lists_rejected_by_index(self):
+        payload = self._bundle().to_json()
+        for record in payload["records"]:
+            record["z"] = [[v] for v in record["z"]]
+        with pytest.raises(ValueError, match="record 0: z is not 3 finite numbers"):
+            StoreBundle.from_json(payload)
+
+    def test_zero_records_load_empty(self):
+        payload = self._bundle().to_json()
+        payload["records"] = []
+        loaded = StoreBundle.from_json(payload)
+        assert len(loaded.store) == 0
+        assert loaded.store.z.shape == (0, 3) and loaded.store.y.shape == (0, 4)
