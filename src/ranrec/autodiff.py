@@ -118,14 +118,13 @@ class Node:
 class Tape:
     """Records primitives in application order; replays them in reverse.
 
-    One tape is confined to one training step on one thread. ``backward``
-    zeroes the gradients of every parameter bound to the tape before
-    accumulating chain-rule contributions.
+    One tape is confined to one thread. ``backward`` adds its chain-rule
+    contributions to every bound parameter's ``grad``; the caller zeroes
+    the gradients, so several tapes can add into one step.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self._params: list[Parameter] = []
 
     # -- leaves -------------------------------------------------------------
 
@@ -138,7 +137,6 @@ class Tape:
         return self._record(Node(_as_matrix(value), (), None))
 
     def param(self, p: Parameter) -> Node:
-        self._params.append(p)
         return self._record(Node(p.value, (), None, param=p))
 
     # -- primitives ----------------------------------------------------------
@@ -320,17 +318,23 @@ class Tape:
 
     # -- reverse pass ----------------------------------------------------------
 
-    def backward(self, output: Node) -> None:
-        """Accumulate d(output)/d(param) into every bound Parameter's grad."""
-        if output.shape != (1, 1):
-            raise ShapeError(f"backward needs a scalar output, got {output.shape}")
-        for p in self._params:
-            p.grad = np.zeros_like(p.value)
+    def backward(self, output: Node, seed: np.ndarray | None = None) -> None:
+        """Add ``seed``-weighted d(output)/d(param) into every bound Parameter's grad.
+
+        ``seed`` is the adjoint of ``output`` (same shape); without one,
+        ``output`` must be a scalar and its adjoint is 1.
+        """
+        if seed is None:
+            if output.shape != (1, 1):
+                raise ShapeError(f"backward needs a scalar output or a seed, got {output.shape}")
+            seed = np.ones((1, 1))
+        elif seed.shape != output.shape:
+            raise ShapeError(f"seed shape {seed.shape} != output shape {output.shape}")
         adjoint: list[np.ndarray | None] = [None] * len(self.nodes)
         # Adjoints start as possibly-aliased views and are copied only when a
         # second contribution arrives (copy-on-write).
         owned = [False] * len(self.nodes)
-        adjoint[output.index] = np.ones((1, 1))
+        adjoint[output.index] = seed
         for node in reversed(self.nodes[: output.index + 1]):
             g = adjoint[node.index]
             if g is None:
@@ -376,6 +380,7 @@ def grad_check(
     try:
         for p in params:
             p.value = p.value.astype(np.longdouble)
+            p.grad = np.zeros_like(p.value)
         tape = Tape()
         out = fn(tape)
         if not np.isfinite(out.value).all():

@@ -207,7 +207,7 @@ def _read_checkpoint(path: Path, schema) -> Checkpoint:
 def _read_store(path: Path) -> StoreBundle:
     try:
         return load_store(path)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetworkFormatError(f"{path}: invalid store: {exc}") from exc
 
 

@@ -282,7 +282,7 @@ def _load_params(stack: GatStack, items: list[dict]) -> None:
             raise ValueError(f"checkpoint tensor mismatch at {item['name']!r}")
         try:
             p.value = np.array(item["data"], dtype=np.float64).reshape(p.shape)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"checkpoint tensor {p.name!r}: {exc}") from exc
         if not np.isfinite(p.value).all():
             raise ValueError(f"checkpoint tensor {p.name!r} has non-finite values")

@@ -332,7 +332,7 @@ def _parse_entries(items: list, source: str, kind: str, parse: Callable[[Any], T
             out.append(parse(item))
         except KeyError as exc:
             raise NetworkFormatError(f"{source}: {kind} entry {i}: missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise NetworkFormatError(f"{source}: {kind} entry {i}: {exc}") from exc
     return out
 
@@ -359,11 +359,20 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite_number(v: Any) -> bool:
+    if not (_is_int(v) or isinstance(v, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 # Declared field type -> (what a value must be, its check). Fields of any
 # other type hold nested records, not settings.
 SETTING_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "int": ("an integer", _is_int),
-    "float": ("a finite number", lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v)),
+    "float": ("a finite number", _is_finite_number),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "int | None": ("an integer", lambda v: v is None or _is_int(v)),

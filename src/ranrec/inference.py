@@ -270,7 +270,7 @@ class StoreBundle:
                     raw = item[name]
                     try:
                         value = np.array(raw, dtype=np.float64)
-                    except (TypeError, ValueError):  # a string, a ragged list
+                    except (TypeError, ValueError, OverflowError):  # a string, a ragged list, 10**400
                         value = None
                     if value is None or value.shape != out.shape[1:] or not np.isfinite(value).all():
                         raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")

@@ -11,15 +11,18 @@ the median embedding distance yet dissimilar, or farther yet similar. The
 auto-encoder baseline instead minimizes the mean per-vertex Euclidean
 reconstruction error of its decoder. Both loops take one Adam step per
 epoch on the full accumulated objective and are deterministic per seed.
+Their gradient is added up one encoding group at a time, so training
+memory is bounded by one group's tape, not by the training set.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import resource
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,6 +87,8 @@ class TrainingConfig:
 class TrainReport:
     epoch_losses: list[float]
     wall_time_s: float
+    epoch_seconds: list[float]
+    peak_rss_mb: float  # the process's peak resident set when training ended
     checkpoint_path: str | None = None
 
     def to_json(self) -> dict:
@@ -131,14 +136,34 @@ def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
 # Pair mining
 
 
-def _similarity_matrix(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise labels and a validity mask (zero config vectors rejected)."""
+# Entries of one row block's pair work: the block's rows times the n
+# columns of its label product and distance broadcast (~15 MB of float64
+# differences at 14 dimensions).
+MINING_BLOCK_ENTRIES = 1 << 17
+
+
+def _row_blocks(n: int) -> np.ndarray:
+    """Bounds of the row blocks mining works in: near-equal, at least 2 rows each.
+
+    One block when ``n * n`` fits, so a small set computes its labels in the
+    same single product as the full matrix. A block never has one row, which
+    numpy would send to a matrix-vector product that can round differently.
+    """
+    count = max(1, min(-(-n * n // MINING_BLOCK_ENTRIES), n // 2))
+    return np.arange(count + 1) * n // count
+
+
+def _unit_targets(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm config rows and a validity mask (zero config vectors rejected)."""
     norms = np.linalg.norm(targets, axis=1)
     valid = norms > 0.0
     safe = np.where(valid, norms, 1.0)
-    unit = targets / safe[:, None]
-    labels = np.clip(2.0 * (unit @ unit.T) - 1.0, -1.0, 1.0)
-    return labels, valid
+    return targets / safe[:, None], valid
+
+
+def _block_labels(unit: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows ``r0:r1`` of the pairwise label matrix ``clip(2 cos - 1, -1, 1)``."""
+    return np.clip(2.0 * (unit[r0:r1] @ unit.T) - 1.0, -1.0, 1.0)
 
 
 def mine_informative_pairs(
@@ -153,22 +178,37 @@ def mine_informative_pairs(
     under ``sim_low`` (hard negatives) or above the median with a label over
     ``sim_high`` (hard positives). The remainder is uniform over the unpicked
     valid pairs. Output is in canonical (a, b) order.
+
+    Pairs are numbered in row-major upper-triangle order over the valid rows.
+    Distances and labels are computed one row block at a time; only the
+    distances, a label class and the hard mask are kept per pair.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    n = embeddings.shape[0]
-    labels, valid = _similarity_matrix(targets)
-    if int(valid.sum()) < 2:
+    n, dim = embeddings.shape
+    unit, valid = _unit_targets(targets)
+    rows = np.flatnonzero(valid)
+    m = rows.shape[0]
+    if m < 2:
         raise ValueError("pair mining needs at least 2 entries with nonzero targets")
 
-    ii, jj = np.triu_indices(n, k=1)
-    keep = valid[ii] & valid[jj]
-    ii, jj = ii[keep], jj[keep]
-    diffs = embeddings[ii] - embeddings[jj]
-    dists = np.linalg.norm(diffs, axis=1)
-    pair_labels = labels[ii, jj]
+    total = m * (m - 1) // 2
+    dists = np.empty(total)
+    side = np.empty(total, dtype=np.int8)  # -1 label < sim_low, 1 label > sim_high
+    bounds = _row_blocks(n)
+    col = np.arange(n)
+    offset = 0
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        # Pairs (i, j > i) of the block, both valid, in row-major order.
+        keep = (col[r0 + 1 :] > col[r0:r1, None]) & valid[r0:r1, None] & valid[r0 + 1 :]
+        diffs = (embeddings[r0:r1, None, :] - embeddings[None, r0 + 1 :, :]).reshape(-1, dim)
+        block = np.linalg.norm(diffs, axis=1)[keep.ravel()]
+        labels = _block_labels(unit, r0, r1)[:, r0 + 1 :][keep]
+        end = offset + block.shape[0]
+        dists[offset:end] = block
+        side[offset:end] = (labels > cfg.mining.sim_high).astype(np.int8) - (labels < cfg.mining.sim_low)
+        offset = end
 
-    total = ii.shape[0]
     budget = cfg.pairs_per_epoch if cfg.pairs_per_epoch is not None else 10 * n
     budget = min(budget, total)
 
@@ -176,24 +216,32 @@ def mine_informative_pairs(
     hard_pick = np.empty(0, dtype=np.intp)
     if cfg.mining.hard_fraction > 0.0:
         median = float(np.median(dists))
-        hard = ((dists < median) & (pair_labels < cfg.mining.sim_low)) | (
-            (dists > median) & (pair_labels > cfg.mining.sim_high)
-        )
+        hard = ((dists < median) & (side < 0)) | ((dists > median) & (side > 0))
         hard_idx = np.flatnonzero(hard)
         n_hard = min(int(round(cfg.mining.hard_fraction * budget)), hard_idx.shape[0])
         if n_hard > 0:
             hard_pick = hard_idx[rng.choice(hard_idx.shape[0], size=n_hard, replace=False)]
 
-    unpicked = np.ones(total, dtype=bool)
-    unpicked[hard_pick] = False
-    rest = np.flatnonzero(unpicked)
-    n_rand = min(budget - n_hard, rest.shape[0])
-    rand_pick = rest[rng.choice(rest.shape[0], size=n_rand, replace=False)] if n_rand else np.empty(0, dtype=np.intp)
+    # The r-th unpicked pair is r plus the number of picks at or below it.
+    n_rand = min(budget - n_hard, total - n_hard)
+    rand_pick = np.empty(0, dtype=np.intp)
+    if n_rand:
+        ranks = rng.choice(total - n_hard, size=n_rand, replace=False)
+        picked = np.sort(hard_pick)
+        rand_pick = ranks + np.searchsorted(picked - np.arange(n_hard), ranks, side="right")
 
     chosen = np.sort(np.concatenate([hard_pick, rand_pick]))
-    return [
-        PairSample(int(ii[k]), int(jj[k]), float(pair_labels[k])) for k in chosen
-    ]
+    # Valid row p opens the pairs starting at starts[p]; pair k is (p, q > p).
+    starts = np.concatenate([[0], np.cumsum(np.arange(m - 1, 0, -1))])
+    p = np.searchsorted(starts, chosen, side="right") - 1
+    a = rows[p]
+    b = rows[p + 1 + chosen - starts[p]]
+    c = np.empty(chosen.shape[0])
+    cuts = np.searchsorted(a, bounds)
+    for r0, r1, lo, hi in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]):
+        if hi > lo:
+            c[lo:hi] = _block_labels(unit, r0, r1)[a[lo:hi] - r0, b[lo:hi]]
+    return [PairSample(int(i), int(j), float(x)) for i, j, x in zip(a, b, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +316,24 @@ def _size_groups(entries: Sequence[DatasetEntry]) -> list[tuple[int, list[int]]]
     return sorted(groups.items())
 
 
+# Pair rows (subgraphs x n^2) per encoding group: 32 subgraphs at fanout 8.
+# Groups of 16 to 64 ran alike; larger ones ran slower, and peak memory
+# grows with group size. Training holds one group's tape at a time.
+ENCODE_GROUP_PAIR_ROWS = 32 * 81
+
+
+def _encoding_groups(entries: Sequence[DatasetEntry]) -> Iterator[tuple[int, list[int]]]:
+    """``(n, entry indices)`` of each encoding group, by vertex count then entry order.
+
+    A group holds subgraphs of one vertex count ``n`` and at most
+    ``ENCODE_GROUP_PAIR_ROWS`` pair rows (at least one subgraph).
+    """
+    for n, idxs in _size_groups(entries):
+        step = max(1, ENCODE_GROUP_PAIR_ROWS // (n * n))
+        for start in range(0, len(idxs), step):
+            yield n, idxs[start : start + step]
+
+
 def encode_centers_on_tape(
     tape: Tape, encoder: GatStack, entries: Sequence[DatasetEntry]
 ) -> Node:
@@ -283,26 +349,17 @@ def encode_centers_on_tape(
     return tape.gather(grouped, centers)
 
 
-# Pair rows (subgraphs x n^2) per eager encoding group: 32 subgraphs at
-# fanout 8. Groups of 16 to 64 ran alike; larger ones ran slower, and peak
-# memory grows with group size.
-ENCODE_GROUP_PAIR_ROWS = 32 * 81
-
-
 def encode_centers(encoder: GatStack, entries: Sequence[DatasetEntry]) -> np.ndarray:
     """Eager center embeddings for a dataset, one row per entry.
 
-    Equally-sized subgraphs are encoded in groups of bounded size, each on a
-    fresh tape. The forward pass is batch-invariant, so every row equals the
-    center row of ``encode`` on that entry's subgraph alone.
+    Each encoding group runs on a fresh tape. The forward pass is
+    batch-invariant, so every row equals the center row of ``encode`` on
+    that entry's subgraph alone.
     """
     out = np.empty((len(entries), encoder.out_dim))
-    for n, idxs in _size_groups(entries):
-        step = max(1, ENCODE_GROUP_PAIR_ROWS // (n * n))
-        for start in range(0, len(idxs), step):
-            chunk = idxs[start : start + step]
-            z = encode_group_on_tape(Tape(), encoder, [entries[i].subgraph for i in chunk])
-            out[chunk] = z.value[::n]
+    for n, idxs in _encoding_groups(entries):
+        z = encode_group_on_tape(Tape(), encoder, [entries[i].subgraph for i in idxs])
+        out[idxs] = z.value[::n]
     return out
 
 
@@ -311,12 +368,14 @@ def _fit(
     params: Sequence[Parameter],
     cfg: TrainingConfig,
     provider: DatasetProvider | None,
-    loss_fn: Callable[[Tape, list[DatasetEntry], int], Node],
+    step: Callable[[list[DatasetEntry], int], float],
     label: str,
 ) -> TrainReport:
-    """One Adam step per epoch on ``loss_fn(tape, entries, epoch)``.
+    """One Adam step per epoch on the gradient ``step(entries, epoch)`` adds up.
 
-    A ``provider`` may substitute re-sampled entries from the second epoch on.
+    ``step`` returns the epoch's loss and adds its gradient into the zeroed
+    ``grad`` of every parameter. A ``provider`` may substitute
+    re-sampled entries from the second epoch on.
     """
     entries = list(entries)
     if len(entries) < 2:
@@ -324,23 +383,73 @@ def _fit(
     started = time.perf_counter()
     adam = Adam(params, cfg.learning_rate)
     losses: list[float] = []
+    seconds: list[float] = []
     for epoch in range(cfg.epochs):
+        epoch_started = time.perf_counter()
         if provider is not None and epoch > 0:
             entries = list(provider(epoch))
-        tape = Tape()
-        loss_node = loss_fn(tape, entries, epoch)
-        loss = float(loss_node.value[0, 0])
+        for p in params:
+            p.grad = np.zeros_like(p.value)
+        loss = step(entries, epoch)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"{label} training diverged: non-finite loss {loss} at epoch {epoch}"
             )
-        tape.backward(loss_node)
         adam.step()
-        del tape, loss_node  # free this epoch's graph before the next one is built
         losses.append(loss)
+        seconds.append(time.perf_counter() - epoch_started)
         if epoch % 25 == 0:
             logger.debug("%s epoch %d loss %.6f", label, epoch, loss)
-    return TrainReport(epoch_losses=losses, wall_time_s=time.perf_counter() - started)
+    return TrainReport(
+        epoch_losses=losses,
+        wall_time_s=time.perf_counter() - started,
+        epoch_seconds=seconds,
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    )
+
+
+def contrastive_step(
+    encoder: GatStack, entries: Sequence[DatasetEntry], cfg: TrainingConfig, epoch: int
+) -> float:
+    """One epoch's mean pair loss; adds its gradient into the encoder's ``grad``.
+
+    The loss and ``dL/dz`` come from a small tape over the eager center
+    embeddings ``z``. Each encoding group's forward pass then runs again on
+    a fresh tape, which backpropagates that group's rows of ``dL/dz``.
+    """
+    z = Parameter("z", encode_centers(encoder, entries))
+    targets = np.stack([e.target for e in entries])
+    pairs = mine_informative_pairs(z.value, targets, cfg, substream(cfg.seed, "pairs", epoch))
+    tape = Tape()
+    loss = pair_loss_on_tape(tape, tape.param(z), pairs, cfg)
+    tape.backward(loss)
+    for _, idxs in _encoding_groups(entries):
+        tape = Tape()
+        centers = encode_centers_on_tape(tape, encoder, [entries[i] for i in idxs])
+        tape.backward(centers, z.grad[idxs])
+    return float(loss.value[0, 0])
+
+
+def reconstruction_step(
+    encoder: GatStack, decoder: GatStack, entries: Sequence[DatasetEntry]
+) -> float:
+    """One epoch's mean reconstruction error; adds its gradient into every ``grad``.
+
+    Each encoding group runs forward and backward on its own tape, an
+    entry's error entering the mean with weight ``1/N``.
+    """
+    errors = []
+    for n, idxs in _encoding_groups(entries):
+        subgraphs = [entries[i].subgraph for i in idxs]
+        tape = Tape()
+        z = encode_group_on_tape(tape, encoder, subgraphs)
+        x_hat = decode_group_on_tape(tape, decoder, subgraphs, z)
+        features = np.concatenate([s.features for s in subgraphs])
+        row_errors = tape.rownorm(tape.sub(tape.const(features), x_hat))
+        per_entry = tape.scale(tape.sum_blocks(row_errors, n), 1.0 / n)
+        tape.backward(per_entry, np.full(per_entry.shape, 1.0 / len(entries)))
+        errors.append(per_entry.value)
+    return float(np.concatenate(errors).mean())
 
 
 def train_sgnn(
@@ -356,16 +465,8 @@ def train_sgnn(
     ``dataset_provider`` may substitute re-sampled subgraphs per epoch.
     """
     encoder = init_encoder(arch, cfg.seed)
-
-    def loss_fn(tape: Tape, entries: list[DatasetEntry], epoch: int) -> Node:
-        z_all = encode_centers_on_tape(tape, encoder, entries)
-        targets = np.stack([e.target for e in entries])
-        pairs = mine_informative_pairs(
-            z_all.value, targets, cfg, substream(cfg.seed, "pairs", epoch)
-        )
-        return pair_loss_on_tape(tape, z_all, pairs, cfg)
-
-    report = _fit(dataset, encoder.parameters(), cfg, dataset_provider, loss_fn, "contrastive")
+    step = lambda entries, epoch: contrastive_step(encoder, entries, cfg, epoch)  # noqa: E731
+    report = _fit(dataset, encoder.parameters(), cfg, dataset_provider, step, "contrastive")
     return encoder, report
 
 
@@ -382,18 +483,7 @@ def train_gae(
     """
     encoder = init_encoder(arch, cfg.seed)
     decoder = init_decoder(arch, cfg.seed)
-
-    def loss_fn(tape: Tape, entries: list[DatasetEntry], epoch: int) -> Node:
-        per_entry = []
-        for n, idxs in _size_groups(entries):
-            subgraphs = [entries[i].subgraph for i in idxs]
-            z = encode_group_on_tape(tape, encoder, subgraphs)
-            x_hat = decode_group_on_tape(tape, decoder, subgraphs, z)
-            features = np.concatenate([s.features for s in subgraphs])
-            row_errors = tape.rownorm(tape.sub(tape.const(features), x_hat))
-            per_entry.append(tape.scale(tape.sum_blocks(row_errors, n), 1.0 / n))
-        return tape.mean(per_entry[0] if len(per_entry) == 1 else tape.concat(per_entry, axis=0))
-
+    step = lambda entries, epoch: reconstruction_step(encoder, decoder, entries)  # noqa: E731
     params = encoder.parameters() + decoder.parameters()
-    report = _fit(dataset, params, cfg, dataset_provider, loss_fn, "reconstruction")
+    report = _fit(dataset, params, cfg, dataset_provider, step, "reconstruction")
     return encoder, decoder, report

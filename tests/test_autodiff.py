@@ -149,6 +149,32 @@ class TestAttentionHead:
             tape.attention_head(six, six, tape.const(np.ones((2, 1))), masks, 0.2, 3)
 
 
+
+class TestBackward:
+    def test_seed_weights_a_matrix_output(self):
+        rng = np.random.default_rng(5)
+        x, w_value, seed = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+        w = Parameter("w", w_value)
+        tape = Tape()
+        out = tape.matmul(tape.const(x), tape.param(w))
+        tape.backward(out, seed)
+        assert np.array_equal(w.grad, x.T @ seed)  # d sum(seed * (x w)) / dw
+
+    def test_gradients_add_across_tapes(self):
+        w = Parameter("w", np.array([[2.0, -1.0]]))
+        for _ in range(3):
+            tape = Tape()
+            tape.backward(tape.mean(tape.param(w)))
+        assert np.array_equal(w.grad, np.full((1, 2), 1.5))
+
+    def test_seed_shape_is_checked(self):
+        tape = Tape()
+        out = tape.param(Parameter("w", np.ones((2, 3))))
+        with pytest.raises(ShapeError, match="scalar output or a seed"):
+            tape.backward(out)
+        with pytest.raises(ShapeError, match="seed shape"):
+            tape.backward(out, np.ones((3, 2)))
+
 class TestLeakyRelu:
     def test_negative_scaled(self):
         assert leaky_relu_values(np.array(-1.0), 0.2) == pytest.approx(-0.2)

@@ -98,6 +98,7 @@ class TestPipeline:
         assert ckpt["model"] == "sgnn"
         report = json.loads((workspace / "ckpt.json.report.json").read_text())
         assert len(report["epoch_losses"]) == 6
+        assert len(report["epoch_seconds"]) == 6 and report["peak_rss_mb"] > 0.0
 
     def test_gae_checkpoint_flags_decoder(self, workspace):
         out = workspace / "gae.json"
@@ -488,6 +489,63 @@ class TestNonFiniteInputs:
         assert code == 1
         assert str(bad) in capsys.readouterr().err
 
+
+
+class TestOverflowInputs:
+    """A JSON integer beyond the float range exits 1, naming the file and the place."""
+
+    HUGE = 10**400
+
+    def test_train_names_network_entry(self, workspace, tmp_path, capsys):
+        network = json.loads((workspace / "net" / "network.json").read_text())
+        cell = network["cells"][3]
+        cell["predictors"][sorted(cell["predictors"])[0]] = self.HUGE
+        bad = tmp_path / "network.json"
+        bad.write_text(json.dumps(network))
+        out = tmp_path / "x.json"
+        config = str(workspace / "train.cfg")
+        code = main(["train", str(bad), "--config", config, "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: cell entry 3:")
+        assert not out.exists()
+
+    def test_recommend_names_new_cells_entry(self, workspace, tmp_path, capsys):
+        payload = json.loads(json.dumps(NEW_CELLS))
+        payload["cells"][0]["predictors"]["lteChannelNumber"] = self.HUGE
+        bad = tmp_path / "new_cells.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "recs.json"
+        code = main(["recommend", str(workspace / "store.json"), str(bad), "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: cell entry 0:")
+        assert not out.exists()
+
+    def test_detect_names_store_record(self, workspace, tmp_path, capsys):
+        store = json.loads((workspace / "store.json").read_text())
+        store["records"][5]["z"][0] = self.HUGE
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "flags.json"
+        code = main(["detect", str(bad), "--out", str(out)])
+        _assert_rejected(capsys, code, str(bad), "record 5: z")
+        assert not out.exists()
+
+    def test_embed_names_checkpoint_tensor(self, workspace, tmp_path, capsys):
+        checkpoint = json.loads((workspace / "ckpt.json").read_text())
+        tensor = checkpoint["params"][2]
+        tensor["data"][0] = self.HUGE
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(checkpoint))
+        out = tmp_path / "store.json"
+        code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
+        _assert_rejected(capsys, code, str(bad), f"checkpoint tensor '{tensor['name']}'")
+        assert not out.exists()
+
+    def test_synth_names_spec_key(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"config_noise": self.HUGE}))
+        out = tmp_path / "net"
+        code = main(["synth", str(spec), "--out", str(out)])
+        _assert_rejected(capsys, code, f"{spec}: key 'config_noise'", "expected a finite number")
+        assert not out.exists()
 
 def _assert_rejected(capsys, code: int, *fragments: str) -> None:
     assert code == 1

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from ranrec import training
 from ranrec.autodiff import Tape, UndefinedCosineError, grad_check
-from ranrec.gnn import ArchConfig, encode, init_encoder
+from ranrec.gnn import ArchConfig, decode_group_on_tape, encode, encode_group_on_tape, init_decoder, init_encoder
 from ranrec.graph import fit_normalization
+from ranrec.rng import substream
 from ranrec.sampler import SamplerConfig, build_dataset
 from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
@@ -20,10 +21,12 @@ from ranrec.training import (
     config_similarity,
     contrastive_loss,
     encode_centers,
+    contrastive_step,
     encode_centers_on_tape,
     mine_informative_pairs,
     pair_loss_on_tape,
     reconstruction_loss,
+    reconstruction_step,
     train_gae,
     train_sgnn,
 )
@@ -47,6 +50,66 @@ def quick_config(**overrides) -> TrainingConfig:
     base = dict(epochs=5, learning_rate=1e-2, seed=0)
     base.update(overrides)
     return TrainingConfig(**base)
+
+
+def oracle_mine_informative_pairs(embeddings, targets, cfg, rng):
+    """Pair mining over the full pair set, as it was before blockwise mining.
+
+    Materializes every valid pair's index, difference row and label; kept as
+    the reference the blockwise ``mine_informative_pairs`` must equal.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    n = embeddings.shape[0]
+    norms = np.linalg.norm(targets, axis=1)
+    valid = norms > 0.0
+    safe = np.where(valid, norms, 1.0)
+    unit = targets / safe[:, None]
+    labels = np.clip(2.0 * (unit @ unit.T) - 1.0, -1.0, 1.0)
+    if int(valid.sum()) < 2:
+        raise ValueError("pair mining needs at least 2 entries with nonzero targets")
+
+    ii, jj = np.triu_indices(n, k=1)
+    keep = valid[ii] & valid[jj]
+    ii, jj = ii[keep], jj[keep]
+    diffs = embeddings[ii] - embeddings[jj]
+    dists = np.linalg.norm(diffs, axis=1)
+    pair_labels = labels[ii, jj]
+
+    total = ii.shape[0]
+    budget = cfg.pairs_per_epoch if cfg.pairs_per_epoch is not None else 10 * n
+    budget = min(budget, total)
+
+    n_hard = 0
+    hard_pick = np.empty(0, dtype=np.intp)
+    if cfg.mining.hard_fraction > 0.0:
+        median = float(np.median(dists))
+        hard = ((dists < median) & (pair_labels < cfg.mining.sim_low)) | (
+            (dists > median) & (pair_labels > cfg.mining.sim_high)
+        )
+        hard_idx = np.flatnonzero(hard)
+        n_hard = min(int(round(cfg.mining.hard_fraction * budget)), hard_idx.shape[0])
+        if n_hard > 0:
+            hard_pick = hard_idx[rng.choice(hard_idx.shape[0], size=n_hard, replace=False)]
+
+    unpicked = np.ones(total, dtype=bool)
+    unpicked[hard_pick] = False
+    rest = np.flatnonzero(unpicked)
+    n_rand = min(budget - n_hard, rest.shape[0])
+    rand_pick = rest[rng.choice(rest.shape[0], size=n_rand, replace=False)] if n_rand else np.empty(0, dtype=np.intp)
+
+    chosen = np.sort(np.concatenate([hard_pick, rand_pick]))
+    return [
+        PairSample(int(ii[k]), int(jj[k]), float(pair_labels[k])) for k in chosen
+    ]
+
+
+@pytest.fixture(scope="module")
+def network_1200():
+    """The 1200-cell network of the train benchmark, its stats and sampler settings."""
+    graph, _ = generate(SynthSpec(sites=200, seed=1))
+    stats = fit_normalization(graph, graph.cell_ids)
+    return graph, stats, SamplerConfig(fanout=8, seed=1)
 
 
 class TestConfigSimilarity:
@@ -242,6 +305,106 @@ class TestMining:
             )
 
 
+def _mine_both(embeddings, targets, cfg, seed):
+    """New and oracle pair lists from equal generators, and whether the generators end equal."""
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = mine_informative_pairs(embeddings, targets, cfg, rng_new)
+    old = oracle_mine_informative_pairs(embeddings, targets, cfg, rng_old)
+    return new, old, rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@st.composite
+def mining_cases(draw):
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Small integer coordinates give many equal distances, so ties at the median.
+    embeddings = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+    zero_rows = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    one_hot = draw(st.booleans())
+    if one_hot:
+        # Scaled one-hot configs have exact labels (+-1), so any row block
+        # size must reproduce the full product.
+        targets = np.zeros((n, q))
+        targets[np.arange(n), rng.integers(0, q, size=n)] = rng.integers(1, 4, size=n)
+        block = draw(st.sampled_from([4, 9, 50, training.MINING_BLOCK_ENTRIES]))
+    else:
+        targets = rng.random((n, q))
+        block = training.MINING_BLOCK_ENTRIES
+    targets[zero_rows] = 0.0
+    frac = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+    budget = draw(st.integers(1, 1000) | st.none())  # up to above the 780 pairs of n = 40
+    cfg = TrainingConfig(pairs_per_epoch=budget, mining=MiningConfig(hard_fraction=frac))
+    return embeddings, targets, cfg, block, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBlockwiseMiningOracle:
+    def test_equals_oracle_at_1200_cells_over_three_epochs(self, network_1200):
+        graph, stats, sampling = network_1200
+        encoder = init_encoder(ArchConfig(in_dim=graph.schema.predictor_dim), 1)
+        cfg = TrainingConfig(seed=1)
+        assert len(training._row_blocks(len(graph.cells))) > 2  # several row blocks
+        for epoch in range(3):
+            entries = build_dataset(graph, stats, sampling, epoch=epoch)
+            z = encode_centers(encoder, entries)
+            targets = np.stack([e.target for e in entries])
+            new, old, same_state = _mine_both(z, targets, cfg, epoch)
+            assert len(new) == cfg.pairs_per_epoch or len(new) == 10 * len(entries)
+            assert new == old, epoch
+            assert same_state
+
+    @given(mining_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle(self, case):
+        embeddings, targets, cfg, block, seed = case
+        original = training.MINING_BLOCK_ENTRIES
+        training.MINING_BLOCK_ENTRIES = block
+        try:
+            if int((np.linalg.norm(targets, axis=1) > 0).sum()) < 2:
+                for mine in (mine_informative_pairs, oracle_mine_informative_pairs):
+                    with pytest.raises(ValueError, match="nonzero"):
+                        mine(embeddings, targets, cfg, np.random.default_rng(seed))
+                return
+            new, old, same_state = _mine_both(embeddings, targets, cfg, seed)
+        finally:
+            training.MINING_BLOCK_ENTRIES = original
+        assert new == old
+        assert same_state
+
+    def test_row_blocks_equal_full_computation(self, network_1200):
+        # Mining relies on a row block of the label product and of the pair
+        # norms rounding exactly as the full computation does.
+        graph, stats, sampling = network_1200
+        entries = build_dataset(graph, stats, sampling)
+        targets = np.stack([e.target for e in entries])
+        z = encode_centers(init_encoder(ArchConfig(in_dim=graph.schema.predictor_dim), 1), entries)
+        unit, _ = training._unit_targets(targets)
+        full = np.clip(2.0 * (unit @ unit.T) - 1.0, -1.0, 1.0)
+        n = len(entries)
+        bounds = training._row_blocks(n)
+        assert np.diff(bounds).min() >= 2
+        ii, jj = np.triu_indices(n, k=1)
+        full_norms = np.linalg.norm(z[ii] - z[jj], axis=1)
+        offset = 0
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            assert np.array_equal(training._block_labels(unit, r0, r1), full[r0:r1])
+            diffs = (z[r0:r1, None, :] - z[None, r0 + 1 :, :]).reshape(-1, z.shape[1])
+            upper = (np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]).ravel()
+            block = np.linalg.norm(diffs, axis=1)[upper]
+            assert np.array_equal(block, full_norms[offset : offset + block.shape[0]])
+            offset += block.shape[0]
+        assert offset == full_norms.shape[0]
+
+    def test_row_blocks_never_hold_one_row(self):
+        for n in (2, 3, 362, 363, 1199, 1200, 4801, 12000):
+            bounds = training._row_blocks(n)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert np.diff(bounds).min() >= 2
+            assert np.diff(bounds).max() <= max(-(-training.MINING_BLOCK_ENTRIES // n), 3)
+
+
 class TestEncodeCenters:
     def test_rows_match_single_subgraph_encode_for_any_grouping(self, monkeypatch):
         # Degree-limited sites give subgraphs below the fanout: sizes 7, 8, 9.
@@ -260,6 +423,114 @@ class TestEncodeCenters:
         encoder = init_encoder(tiny_arch(data[0].subgraph.features.shape[1]), 2)
         on_tape = encode_centers_on_tape(Tape(), encoder, data).value
         assert np.array_equal(encode_centers(encoder, data), on_tape)
+
+
+def _groupwise_dataset():
+    """A 250-cell dataset with subgraphs of 7, 8 and 9 vertices."""
+    graph, _ = generate(SynthSpec(sites=50, cells_per_site=5, inter_site_degree=2, seed=3))
+    stats = fit_normalization(graph, graph.cell_ids)
+    entries = build_dataset(graph, stats, SamplerConfig(fanout=8, seed=0))
+    return entries, ArchConfig(in_dim=graph.schema.predictor_dim)
+
+
+def _zeroed(params):
+    for p in params:
+        p.grad = np.zeros_like(p.value)
+    return params
+
+
+def single_tape_sgnn(encoder, entries, cfg, epoch):
+    """The epoch's loss and gradient with every subgraph on one tape."""
+    params = _zeroed(encoder.parameters())
+    tape = Tape()
+    z = encode_centers_on_tape(tape, encoder, entries)
+    targets = np.stack([e.target for e in entries])
+    rng = substream(cfg.seed, "pairs", epoch)
+    loss = pair_loss_on_tape(tape, z, oracle_mine_informative_pairs(z.value, targets, cfg, rng), cfg)
+    tape.backward(loss)
+    return float(loss.value[0, 0]), [p.grad for p in params]
+
+
+def single_tape_gae(encoder, decoder, entries):
+    params = _zeroed(encoder.parameters() + decoder.parameters())
+    tape = Tape()
+    per_entry = []
+    for n, idxs in training._size_groups(entries):
+        subgraphs = [entries[i].subgraph for i in idxs]
+        x_hat = decode_group_on_tape(tape, decoder, subgraphs, encode_group_on_tape(tape, encoder, subgraphs))
+        features = tape.const(np.concatenate([s.features for s in subgraphs]))
+        row_errors = tape.rownorm(tape.sub(features, x_hat))
+        per_entry.append(tape.scale(tape.sum_blocks(row_errors, n), 1.0 / n))
+    loss = tape.mean(tape.concat(per_entry, axis=0))
+    tape.backward(loss)
+    return float(loss.value[0, 0]), [p.grad for p in params]
+
+
+def assert_gradients_close(params, expected):
+    # Entries that are 0 in exact arithmetic hold rounding noise in both sums
+    # (the last bias, since the pair loss sees only differences of
+    # embeddings; some W_dst rows, since a softmax ignores a shift shared by
+    # a row's scores), so they are compared at the gradient's overall scale.
+    scale = max(np.abs(want).max() for want in expected)
+    for p, want in zip(params, expected):
+        np.testing.assert_allclose(p.grad, want, rtol=1e-12, atol=1e-12 * scale, err_msg=p.name)
+
+
+class TestGroupwiseTraining:
+    """Training adds its gradient up one encoding group at a time."""
+
+    GROUP = 4 * 81  # pair rows per group: 4 subgraphs of 9 vertices, so ~60 groups
+
+    def test_sgnn_gradient_matches_single_tape(self, monkeypatch):
+        entries, arch = _groupwise_dataset()
+        encoder = init_encoder(arch, 4)
+        cfg = TrainingConfig(seed=4)
+        expected_loss, expected = single_tape_sgnn(encoder, entries, cfg, 0)
+        monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", self.GROUP)
+        params = _zeroed(encoder.parameters())
+        assert contrastive_step(encoder, entries, cfg, 0) == expected_loss
+        assert_gradients_close(params, expected)
+
+    def test_gae_gradient_matches_single_tape(self, monkeypatch):
+        entries, arch = _groupwise_dataset()
+        encoder, decoder = init_encoder(arch, 4), init_decoder(arch, 4)
+        expected_loss, expected = single_tape_gae(encoder, decoder, entries)
+        monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", self.GROUP)
+        params = _zeroed(encoder.parameters() + decoder.parameters())
+        assert reconstruction_step(encoder, decoder, entries) == expected_loss
+        assert_gradients_close(params, expected)
+
+    @pytest.mark.parametrize("model", ["sgnn", "gae"])
+    def test_no_tape_node_holds_more_than_one_group(self, monkeypatch, model):
+        entries, arch = _groupwise_dataset()
+        monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", self.GROUP)
+        tapes = []
+        init = Tape.__init__
+
+        def recording_init(tape):
+            init(tape)
+            tapes.append(tape)
+
+        monkeypatch.setattr(Tape, "__init__", recording_init)
+        cfg = quick_config(epochs=2)
+        if model == "sgnn":
+            encoder, _ = train_sgnn(entries, arch, cfg)
+            model_params = encoder.parameters()
+        else:
+            encoder, decoder, _ = train_gae(entries, arch, cfg)
+            model_params = encoder.parameters() + decoder.parameters()
+        model_ids = {id(p) for p in model_params}
+        sizes = {e.subgraph.size for e in entries}
+        group_rows = max(max(1, self.GROUP // (n * n)) * n for n in sizes)
+        model_tapes = [t for t in tapes if any(id(node.param) in model_ids for node in t.nodes)]
+        groups = len(list(training._encoding_groups(entries)))
+        # sgnn encodes each group twice per epoch: eagerly, then to backpropagate.
+        assert len(model_tapes) == (2 if model == "sgnn" else 1) * cfg.epochs * groups
+        for tape in model_tapes:
+            rows = max(node.value.shape[0] for node in tape.nodes if node.param is None)
+            assert rows <= group_rows
+        # The loss tape over all embeddings holds no model parameter.
+        assert len(tapes) - len(model_tapes) == (2 if model == "sgnn" else 0)
 
 
 class TestTrainSgnn:
@@ -291,6 +562,15 @@ class TestTrainSgnn:
         first = np.mean(report.epoch_losses[:3])
         last = np.mean(report.epoch_losses[-3:])
         assert last <= first
+
+    def test_report_times_each_epoch_and_peak_rss(self):
+        data = small_dataset()
+        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        _, report = train_sgnn(data, arch, quick_config(epochs=3))
+        assert len(report.epoch_seconds) == 3 and min(report.epoch_seconds) > 0.0
+        assert sum(report.epoch_seconds) <= report.wall_time_s
+        assert report.peak_rss_mb > 0.0
+        assert {"epoch_losses", "epoch_seconds", "peak_rss_mb"} <= set(report.to_json())
 
     def test_needs_two_entries(self):
         data = small_dataset()[:1]
