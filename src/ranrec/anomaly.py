@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .inference import EmbeddingStore
 from .rng import substream
+
+if TYPE_CHECKING:
+    from .inference import EmbeddingStore
 
 EULER_GAMMA = 0.5772156649
 
@@ -36,6 +38,10 @@ class IsolationForest:
     point landing in leaf ``i`` gets: the leaf's depth plus ``c(size)`` for
     the points that reached it. Nodes of a tree are stored in pre-order,
     starting at ``roots[k]`` for tree ``k``.
+
+    A table that a walk of ``depth_limit`` steps could not follow to a leaf
+    is rejected on construction, naming the array and the first bad node,
+    so a hand-edited stored forest fails on read rather than mid-score.
     """
 
     feature: np.ndarray  # (nodes,) split dimension; 0 at leaves
@@ -47,6 +53,51 @@ class IsolationForest:
     n: int
     seed: int
     dim: int
+
+    def __post_init__(self) -> None:
+        for name in ("psi", "n", "seed", "dim"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name}: expected an integer, got {value!r}")
+        if not 2 <= self.psi <= self.n:
+            raise ValueError(f"psi: {self.psi} is not in [2, n={self.n}]")
+        if self.dim < 1:
+            raise ValueError(f"dim: {self.dim} is not positive")
+        nodes = self.feature.shape[0]
+        for name, shape in (("threshold", (nodes,)), ("children", (nodes, 2)), ("path", (nodes,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name}: shape {getattr(self, name).shape} for {nodes} nodes")
+        if self.roots.shape[0] < 1:
+            raise ValueError("roots: a forest needs at least one tree")
+
+        def first(name: str, bad: np.ndarray, what: str) -> None:
+            if bad.any():
+                node = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"{name}: node {node} {what}")
+
+        own = np.arange(nodes)
+        first("feature", (self.feature < 0) | (self.feature >= self.dim), f"splits outside [0, {self.dim})")
+        outside = ((self.children < 0) | (self.children >= nodes)).any(axis=1)
+        first("children", outside, "has a child out of range")
+        leaf, inner = (self.children == own[:, None]).any(axis=1), (self.children != own[:, None]).any(axis=1)
+        first("children", leaf & inner, "is its own child in one slot only")
+        first("threshold", ~leaf & ~np.isfinite(self.threshold), "splits at a non-finite value")
+        first("path", ~(np.isfinite(self.path) & (self.path >= 0)), "has a non-finite or negative path")
+        if ((self.roots < 0) | (self.roots >= nodes)).any():
+            raise ValueError(f"roots: a root is outside [0, {nodes})")
+        parents = np.bincount(np.concatenate([self.roots, self.children[~leaf].ravel()]), minlength=nodes)
+        first("children", parents != 1, "is not reached exactly once from the roots")
+        # With one way into every node, walking down from the roots visits each
+        # node at most once; it must end on leaves within the depth limit and
+        # have seen every node, or part of the table is a cycle no root reaches.
+        frontier, seen = self.roots, self.roots.shape[0]
+        for _ in range(self.depth_limit):
+            frontier = self.children[frontier[~leaf[frontier]]].ravel()
+            seen += frontier.shape[0]
+        too_deep = np.isin(own, frontier[~leaf[frontier]])
+        first("children", too_deep, f"splits at depth {self.depth_limit} = ceil(log2(psi))")
+        if seen != nodes:
+            raise ValueError(f"children: {nodes - seen} nodes are not reachable from any root")
 
     @property
     def depth_limit(self) -> int:

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -20,13 +21,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .anomaly import (
-    DegenerateEmbeddingsError,
-    anomaly_score,
-    fit_forest,
-    score_network,
-    store_matrix,
-)
+from .anomaly import anomaly_score, fit_forest, score_network, store_matrix
 from .config import RunConfig, load_config
 from .evaluation import compare_models, pca_project
 from .gnn import Checkpoint, schema_hash
@@ -37,7 +32,7 @@ from .graph import (
     load_network,
     parse_cells_payload,
 )
-from .inference import StoreBundle, embed_entries, load_store, recommend_cells
+from .inference import StoreBundle, embed_entries, encode_new_cells, load_store, recommend_cells
 from .sampler import SamplerConfig, build_dataset
 from .synth import SynthSpec, generate
 from .training import train_gae, train_sgnn
@@ -55,6 +50,17 @@ EXIT_RUNTIME = 2
 
 def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
+
+
+# Stages a manifest of embed, recommend and detect times, in seconds each.
+STAGES = ("load", "forest", "sample_encode", "retrieve", "write")
+
+
+def _lap(stages: dict[str, float], stage: str, since: float) -> float:
+    """Add the time from ``since`` to ``stage``; return the new start."""
+    now = time.perf_counter()
+    stages[stage] += now - since
+    return now
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -90,6 +96,7 @@ def _write_manifest(
     resolved: dict,
     started: float,
     beside: Path,
+    stages: dict[str, float] | None = None,
 ) -> None:
     manifest = {
         "command": command,
@@ -98,6 +105,7 @@ def _write_manifest(
         "inputs": {str(p): _sha256(p) for p in inputs if p.exists()},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_time_s": time.perf_counter() - started,
+        **({"stages": stages} if stages is not None else {}),
     }
     _atomic_write(beside.with_name(beside.name + ".manifest.json"), _canonical_json(manifest))
 
@@ -213,18 +221,29 @@ def _read_store(path: Path) -> StoreBundle:
 
 def cmd_embed(args) -> int:
     started = time.perf_counter()
+    stages = dict.fromkeys(STAGES, 0.0)
     network_path = _require_file(args.network, "network")
     checkpoint_path = _require_file(args.checkpoint, "checkpoint")
     graph = load_network(network_path)
     checkpoint = _read_checkpoint(checkpoint_path, graph.schema)
     seed = args.seed if args.seed is not None else checkpoint.seed
     bundle = StoreBundle(graph=graph, checkpoint=checkpoint)
+    lap = _lap(stages, "load", started)
     dataset = build_dataset(
         graph, checkpoint.stats, SamplerConfig(fanout=checkpoint.fanout, seed=seed)
     )
     embed_entries(bundle.store, dataset)
+    lap = _lap(stages, "sample_encode", lap)
+    # The novelty forest recommend scores against; it takes this seed.
+    try:
+        bundle.forest = fit_forest(store_matrix(bundle.store), seed=seed)
+    except ValueError:  # fewer than 2 rows, or all identical: no novelty scores
+        bundle.forest = None
+    lap = _lap(stages, "forest", lap)
     out = Path(args.out)
-    _atomic_write(out, _canonical_json(bundle.to_json()))
+    # Compact, so json runs its C encoder; the store is read by machine only.
+    _atomic_write(out, json.dumps(bundle.to_json(), sort_keys=True))
+    _lap(stages, "write", lap)
     _write_manifest(
         "embed",
         seed,
@@ -233,6 +252,7 @@ def cmd_embed(args) -> int:
         {"fanout": checkpoint.fanout},
         started,
         out,
+        stages,
     )
     logger.info("embedded %d cells", len(bundle.store))
     return EXIT_OK
@@ -240,6 +260,7 @@ def cmd_embed(args) -> int:
 
 def cmd_recommend(args) -> int:
     started = time.perf_counter()
+    stages = dict.fromkeys(STAGES, 0.0)
     store_path = _require_file(args.store, "store")
     cells_path = _require_file(args.new_cells, "new-cells")
     bundle = _read_store(store_path)
@@ -251,30 +272,35 @@ def cmd_recommend(args) -> int:
         raise NetworkFormatError(
             f"--k {args.k} is out of range for a store of {store_size} records"
         )
+    # --seed drives sampling only; the stored forest keeps the seed embed used.
     seed = args.seed if args.seed is not None else bundle.checkpoint.seed
-    try:
-        forest = fit_forest(store_matrix(bundle.store), seed=seed)
-    except (DegenerateEmbeddingsError, ValueError):
-        forest = None  # novelty scores unavailable, recommendations still valid
     sampling = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=seed)
+    lap = _lap(stages, "load", started)
     try:
-        recommended = recommend_cells(
-            bundle.store, bundle.graph, bundle.stats, new_cells, new_edges, sampling, args.mode, args.k
+        rows = encode_new_cells(
+            bundle.checkpoint.encoder, bundle.graph, bundle.stats, new_cells, new_edges, sampling
         )
     except NetworkFormatError as exc:  # a new cell breaks a graph invariant
         raise NetworkFormatError(f"{cells_path}: {exc}") from None
+    lap = _lap(stages, "sample_encode", lap)
+    recommended = recommend_cells(bundle.store, new_cells, rows, args.mode, args.k, bundle.schema)
+    lap = _lap(stages, "retrieve", lap)
+    forest = bundle.forest  # None: novelty scores unavailable, recommendations still valid
+    scores = [anomaly_score(forest, z) if forest is not None else None for _, z, _ in recommended]
+    lap = _lap(stages, "forest", lap)
     results = [
         {
             "cell_id": cell.cell_id,
             "mode": rec.mode,
             "y_hat": denormalize(rec.y_hat, bundle.stats, bundle.schema),
             "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
-            "anomaly_score": anomaly_score(forest, z) if forest is not None else None,
+            "anomaly_score": score,
         }
-        for cell, z, rec in recommended
+        for (cell, _, rec), score in zip(recommended, scores)
     ]
     out = Path(args.out)
     _atomic_write(out, _canonical_json(results))
+    _lap(stages, "write", lap)
     _write_manifest(
         "recommend",
         seed,
@@ -283,22 +309,28 @@ def cmd_recommend(args) -> int:
         {"mode": args.mode, "k": args.k},
         started,
         out,
+        stages,
     )
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
     started = time.perf_counter()
+    stages = dict.fromkeys(STAGES, 0.0)
+    if not math.isfinite(args.threshold):
+        raise NetworkFormatError(f"--threshold must be a finite number, got {args.threshold}")
     store_path = _require_file(args.store, "store")
     bundle = _read_store(store_path)
     if len(bundle.store) < 2:
         raise NetworkFormatError(f"{store_path}: need at least 2 records to fit a forest")
     seed = args.seed if args.seed is not None else bundle.checkpoint.seed
+    lap = _lap(stages, "load", started)
     # Configs join the embedding features: corrupted settings are invisible
     # in the embedding coordinates, which derive from predictors only.
     rows = store_matrix(bundle.store, include_configs=True)
     forest = fit_forest(rows, seed=seed)
     report = score_network(bundle.store, forest, args.threshold, include_configs=True)
+    lap = _lap(stages, "forest", lap)
     payload = {
         "threshold": args.threshold,
         "cells": [
@@ -308,8 +340,9 @@ def cmd_detect(args) -> int:
     }
     out = Path(args.out)
     _atomic_write(out, _canonical_json(payload))
+    _lap(stages, "write", lap)
     _write_manifest(
-        "detect", seed, [store_path], [out], {"threshold": args.threshold}, started, out
+        "detect", seed, [store_path], [out], {"threshold": args.threshold}, started, out, stages
     )
     logger.info("flagged %d of %d cells", len(report.flagged), len(bundle.store))
     return EXIT_OK

@@ -28,7 +28,7 @@ from .graph import (
     feature_map,
     fit_normalization,
 )
-from .inference import EmbeddingStore, embed_entries, nearest, recommend_cells
+from .inference import EmbeddingStore, embed_entries, encode_new_cells, nearest, recommend_cells
 from .sampler import DatasetEntry, build_dataset, split_indices
 from .synth import (
     GroundTruth,
@@ -398,16 +398,10 @@ def _recommend_for_new_cells(
     # Grows a private copy: deployment artifacts stay frozen for reruns.
     store = EmbeddingStore(artifacts.encoder)
     store.extend(artifacts.store.ids, artifacts.store.z, artifacts.store.y)
-    results = recommend_cells(
-        store,
-        artifacts.graph,
-        artifacts.stats,
-        new_cells,
-        new_edges,
-        artifacts.config.sampler(),
-        scenario.mode,
-        scenario.k,
+    rows = encode_new_cells(
+        store.encoder, artifacts.graph, artifacts.stats, new_cells, new_edges, artifacts.config.sampler()
     )
+    results = recommend_cells(store, new_cells, rows, scenario.mode, scenario.k, schema)
     truth_vecs: list[np.ndarray] = []
     predicted: list[np.ndarray] = []
     ids: list[str] = []

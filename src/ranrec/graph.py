@@ -174,7 +174,7 @@ class RanGraph:
     def __init__(
         self,
         schema: AttributeSchema,
-        cells: Iterable[CellRecord],
+        cells: Iterable[CellRecord] = (),
         edges: Iterable[tuple[str, str, str]] = (),
     ) -> None:
         self.schema = schema
@@ -252,6 +252,143 @@ class RanGraph:
     @property
     def cell_ids(self) -> tuple[str, ...]:
         return tuple(c.cell_id for c in self.cells)
+
+    def columns(self) -> dict[str, Any]:
+        """The network as columns, row ``i`` for ``cells[i]``.
+
+        ``cell_ids`` and ``node_ids`` are lists; ``technology`` indexes
+        ``TECHNOLOGIES``; ``predictor`` and ``config`` hold raw values in
+        layout order, 0 in other-technology slots and NaN in every own slot of
+        a cell without configs; ``edges`` lists every edge, intra-node pairs
+        included, as (row, row, index into ``EDGE_KINDS``) in ``edges`` order.
+        """
+        columns: dict[str, Any] = {
+            "cell_ids": [c.cell_id for c in self.cells],
+            "node_ids": [c.node_id for c in self.cells],
+            "technology": np.array([TECHNOLOGIES.index(c.technology) for c in self.cells], dtype=np.intp),
+        }
+        for role in ROLES:
+            layout = self.schema.layout(role)
+            columns[role] = np.array(
+                [
+                    [raw.get(s.name, math.nan) if s.technology == c.technology else 0.0 for s in layout]
+                    for c, raw in ((c, c.raw_values(role)) for c in self.cells)
+                ],
+                dtype=np.float64,
+            ).reshape(len(self.cells), len(layout))
+        row_of = self.row_of
+        columns["edges"] = np.array(
+            [(row_of[a], row_of[b], EDGE_KINDS.index(k)) for a, b, k in self.edges], dtype=np.intp
+        ).reshape(-1, 3)
+        return columns
+
+    @classmethod
+    def from_columns(cls, schema: AttributeSchema, columns: Mapping[str, Any]) -> "RanGraph":
+        """The graph ``columns()`` describes, checked one column at a time.
+
+        It rejects whatever ``RanGraph(schema, cells, edges)`` would reject for
+        the same network, and what ``columns()`` never writes: a repeated or
+        same-node inter-node edge, or a missing intra-node pair. Errors name
+        the column and its first bad entry.
+        """
+        cell_ids, node_ids, technology = columns["cell_ids"], columns["node_ids"], columns["technology"]
+        for name, ids in (("cell_ids", cell_ids), ("node_ids", node_ids)):
+            if not isinstance(ids, list) or not all(type(i) is str for i in ids):
+                raise NetworkFormatError(f"{name}: expected a list of strings")
+        n = len(cell_ids)
+        if len(node_ids) != n:
+            raise NetworkFormatError(f"node_ids: {len(node_ids)} entries for {n} cells")
+        graph = cls(schema)
+        graph.row_of = dict(zip(cell_ids, range(n)))
+        if len(graph.row_of) < n:
+            seen: set[str] = set()
+            for cid in cell_ids:
+                if cid in seen:
+                    raise NetworkFormatError(f"cell_ids: duplicate cell_id {cid!r}")
+                seen.add(cid)
+        bad = np.flatnonzero((technology < 0) | (technology >= len(TECHNOLOGIES)))
+        if bad.size:
+            cid, code = cell_ids[bad[0]], technology[bad[0]]
+            raise NetworkFormatError(f"technology: cell {cid!r}: unknown technology code {code}")
+        raw: dict[str, list[dict[str, float]]] = {}
+        for role in ROLES:
+            layout, matrix = schema.layout(role), columns[role]
+            slot_tech = np.array([TECHNOLOGIES.index(s.technology) for s in layout], dtype=np.intp)
+            own = slot_tech == technology[:, None]
+            # A cell awaiting a recommendation carries no configs: NaN in every own slot.
+            absent = (own == np.isnan(matrix)).all(axis=1) & own.any(axis=1) & (role == "config")
+            wrong = np.where(own, ~np.isfinite(matrix) & ~absent[:, None], matrix != 0)
+            if wrong.any():
+                row, col = np.argwhere(wrong)[0]
+                where, name, value = f"{role}: cell {cell_ids[row]!r}", layout[col].name, matrix[row, col]
+                if own[row, col]:
+                    raise NetworkFormatError(f"{where}: {role} {name!r} is {value}, not a finite number")
+                raise NetworkFormatError(f"{where}: unknown or wrong-technology {role} attributes [{name!r}]")
+            raw[role] = [{} for _ in range(n)]
+            for code, tech in enumerate(TECHNOLOGIES):
+                slots = np.flatnonzero(slot_tech == code)
+                members = np.flatnonzero((technology == code) & ~absent)
+                names = [layout[i].name for i in slots]
+                for row, values in zip(members.tolist(), matrix[np.ix_(members, slots)].tolist()):
+                    raw[role][row] = dict(zip(names, values))
+        technologies = [TECHNOLOGIES[code] for code in technology.tolist()]
+        fields = zip(cell_ids, node_ids, technologies, raw["predictor"], raw["config"])
+        graph.cells = tuple(CellRecord(*cell) for cell in fields)
+        by_node: dict[str, list[str]] = defaultdict(list)
+        for cid, node in zip(cell_ids, node_ids):
+            by_node[node].append(cid)
+        graph._by_node = {node: tuple(members) for node, members in by_node.items()}
+        graph._link(columns["edges"])
+        return graph
+
+    def _link(self, edges: np.ndarray) -> None:
+        """Fill the edge maps from ``(row, row, kind)`` triples; see ``from_columns``."""
+        cell_ids, n = list(self.row_of), len(self.row_of)
+        a, b, kind = edges.T
+        for bad, what in (
+            ((a < 0) | (a >= n) | (b < 0) | (b >= n), "references a row outside the cells"),
+            (a == b, "is a self loop"),
+            ((kind < 0) | (kind >= len(EDGE_KINDS)), "has an unknown kind"),
+        ):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise NetworkFormatError(f"edges: edge {i} {what}: {edges[i].tolist()}")
+        # Each cell id's rank in sorted order: (smaller id, larger id) pairs and
+        # sorted neighbour lists then come from integer comparisons.
+        rank = np.empty(n, dtype=np.intp)
+        rank[sorted(range(n), key=cell_ids.__getitem__)] = np.arange(n)
+        swap = rank[a] > rank[b]
+        lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+        pair = lo * n + hi
+        order = np.argsort(pair, kind="stable")
+        repeated = np.flatnonzero(np.diff(pair[order]) == 0)
+        if repeated.size:
+            i = int(order[repeated[0] + 1])
+            ends = cell_ids[lo[i]], cell_ids[hi[i]]
+            raise NetworkFormatError(f"edges: edge {i} repeats the pair {ends[0]!r}, {ends[1]!r}")
+        codes: dict[str, int] = {}
+        node = np.array([codes.setdefault(c.node_id, len(codes)) for c in self.cells], dtype=np.intp)
+        same = node[a] == node[b]
+        bad = np.flatnonzero(same & (kind != EDGE_KINDS.index("intra_node")))
+        if bad.size:
+            raise NetworkFormatError(f"edges: edge {bad[0]} joins two cells of one node as inter_node")
+        sizes = np.bincount(node, minlength=len(codes))
+        if same.sum() < (sizes * (sizes - 1) // 2).sum():
+            linked = set(pair[same].tolist())
+            for members in self._by_node.values():
+                for i, x in enumerate(members):
+                    for y in members[:i]:
+                        ends = sorted((self.row_of[x], self.row_of[y]), key=rank.__getitem__)
+                        if ends[0] * n + ends[1] not in linked:
+                            raise NetworkFormatError(
+                                f"edges: cells {y!r} and {x!r} share a node but no intra_node edge joins them"
+                            )
+        ids = [cell_ids[i] for i in lo.tolist()], [cell_ids[i] for i in hi.tolist()]
+        self._edge_kinds = dict(zip(zip(*ids), (EDGE_KINDS[k] for k in kind.tolist())))
+        source, target = np.concatenate([a, b]), np.concatenate([b, a])
+        neighbours = [cell_ids[i] for i in target[np.lexsort((rank[target], source))].tolist()]
+        ends = np.cumsum(np.bincount(source, minlength=n)).tolist()
+        self._adjacency = {cid: tuple(neighbours[i:j]) for cid, i, j in zip(cell_ids, [0, *ends], ends)}
 
     def to_json(self) -> dict:
         return {

@@ -9,22 +9,25 @@ appended, so later queries may retrieve cells recommended earlier.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .anomaly import IsolationForest
 from .gnn import Checkpoint, GatStack, encode
 from .graph import (
     AttributeSchema,
     CellRecord,
+    NetworkFormatError,
     NormalizationStats,
     RanGraph,
     extend_network,
     feature_map,
-    network_from_json,
 )
 from .sampler import DatasetEntry, SamplerConfig, Subgraph, sample_subgraph
 from .training import encode_centers
@@ -187,31 +190,40 @@ def recommend_majority(
     return Recommendation(y_hat=y_hat, mode="majority", sources=sources)
 
 
-def recommend_cells(
-    store: EmbeddingStore,
+def encode_new_cells(
+    encoder: GatStack,
     graph: RanGraph,
     stats: NormalizationStats,
     new_cells: Sequence[CellRecord],
     new_edges: Sequence[tuple[str, str, str]],
     sampler_cfg: SamplerConfig,
-    mode: str,
-    k: int,
-) -> list[tuple[CellRecord, np.ndarray, Recommendation]]:
-    """Recommend configurations for cells joining ``graph``, in the given order.
-
-    Every cell's subgraph of the extended network is sampled and all are
-    embedded in one batch; then each cell in turn joins the store with its
-    recommendation, so later cells may retrieve earlier ones. ``mode`` is
-    "closest" or "majority" (over ``k``).
-    """
+) -> np.ndarray:
+    """Embed cells joining ``graph``, one row each in the given order: every
+    cell's subgraph of the extended network is sampled and all are encoded
+    in one batch."""
     augmented = extend_network(graph, new_cells, new_edges)
     features = feature_map(augmented, stats)
     subgraphs = (sample_subgraph(augmented, cell.cell_id, sampler_cfg, features) for cell in new_cells)
     entries = [DatasetEntry(sub, features.y[augmented.row_of[sub.center]]) for sub in subgraphs]
+    return encode_centers(encoder, entries)
+
+
+def recommend_cells(
+    store: EmbeddingStore,
+    new_cells: Sequence[CellRecord],
+    rows: np.ndarray,
+    mode: str,
+    k: int,
+    schema: AttributeSchema,
+) -> list[tuple[CellRecord, np.ndarray, Recommendation]]:
+    """Recommend a configuration for each new cell from its embedding row, in
+    order; each cell then joins the store with its recommendation, so later
+    cells may retrieve earlier ones. ``mode`` is "closest" or "majority"
+    (over ``k``)."""
     results = []
-    for cell, z in zip(new_cells, encode_centers(store.encoder, entries)):
+    for cell, z in zip(new_cells, rows):
         if mode == "majority":
-            rec = recommend_majority(store, z, k, graph.schema)
+            rec = recommend_majority(store, z, k, schema)
         else:
             rec = recommend_closest(store, z)
         store.add(cell.cell_id, z, rec.y_hat)
@@ -223,12 +235,44 @@ def recommend_cells(
 # Store persistence (self-contained inference bundle)
 
 
+STORE_FORMAT = "ranrec-store/2"
+
+# Binary store columns: dtype of the little-endian array each one encodes.
+NETWORK_COLUMNS = {"technology": "u1", "predictor": "<f8", "config": "<f8", "edges": "<i4"}
+FOREST_COLUMNS = {"feature": "<i4", "threshold": "<f8", "children": "<i4", "path": "<f8", "roots": "<i4"}
+FOREST_SCALARS = ("psi", "n", "seed", "dim")
+
+
+def _encode(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _decode(data: dict, name: str, dtype: str, where: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The int or float64 array of ``shape`` that ``data[name]`` encodes; a
+    leading -1 takes as many rows as there are."""
+    try:
+        raw = base64.b64decode(data[name], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"{where}.{name}: not a base64 string: {exc}") from None
+    item, width = np.dtype(dtype).itemsize, math.prod(shape[1:])
+    count = len(raw) // item
+    if count * item != len(raw) or (count % width if shape[0] < 0 else count != shape[0] * width):
+        raise ValueError(f"{where}.{name}: {len(raw)} bytes do not hold a {shape} array of {dtype}")
+    return np.frombuffer(raw, dtype=dtype).astype(np.float64 if "f" in dtype else np.intp).reshape(shape)
+
+
 @dataclass
 class StoreBundle:
-    """Everything needed to embed and recommend for cells joining a network."""
+    """Everything needed to embed and recommend for cells joining a network.
+
+    ``forest`` is the novelty forest ``embed`` fits on the store's
+    embeddings; it is None when no forest can be fit (fewer than 2 records,
+    or all identical).
+    """
 
     graph: RanGraph
     checkpoint: Checkpoint
+    forest: IsolationForest | None = None
     store: EmbeddingStore = field(init=False)
 
     def __post_init__(self) -> None:
@@ -243,9 +287,21 @@ class StoreBundle:
         return self.checkpoint.stats
 
     def to_json(self) -> dict:
+        columns = self.graph.columns()
+        network = {"schema": self.schema.to_json(), "cell_ids": columns["cell_ids"]}
+        network["node_ids"] = columns["node_ids"]
+        for name, dtype in NETWORK_COLUMNS.items():
+            network[name] = _encode(columns[name], dtype)
+        forest = None
+        if self.forest is not None:
+            forest = {name: getattr(self.forest, name) for name in FOREST_SCALARS}
+            for name, dtype in FOREST_COLUMNS.items():
+                forest[name] = _encode(getattr(self.forest, name), dtype)
         return {
-            "network": self.graph.to_json(),
+            "format": STORE_FORMAT,
+            "network": network,
             "checkpoint": self.checkpoint.to_json(),
+            "forest": forest,
             "records": [
                 {"cell_id": cid, "z": z, "y": y}
                 for cid, z, y in zip(self.store.ids, self.store.z.tolist(), self.store.y.tolist())
@@ -254,7 +310,24 @@ class StoreBundle:
 
     @classmethod
     def from_json(cls, data: dict) -> "StoreBundle":
-        graph = network_from_json(data["network"], source="store")
+        found = data.get("format") if isinstance(data, dict) else None
+        if found != STORE_FORMAT:
+            raise ValueError(
+                f"format: {found!r}, expected {STORE_FORMAT!r}: the store was written by an "
+                "older ranrec; re-run `ranrec embed` to rebuild it"
+            )
+        network = data["network"]
+        schema = AttributeSchema.from_json(network["schema"], "network.schema")
+        n = len(network["cell_ids"]) if isinstance(network["cell_ids"], list) else 0
+        shapes = {"technology": (n,), "predictor": (n, schema.predictor_dim)}
+        shapes["config"] = (n, schema.config_dim)
+        columns = {name: network[name] for name in ("cell_ids", "node_ids")}
+        for name, dtype in NETWORK_COLUMNS.items():
+            columns[name] = _decode(network, name, dtype, "network", shapes.get(name, (-1, 3)))
+        try:
+            graph = RanGraph.from_columns(schema, columns)
+        except NetworkFormatError as exc:
+            raise NetworkFormatError(f"network.{exc}") from None
         checkpoint = Checkpoint.from_json(data["checkpoint"], schema=graph.schema)
         bundle = cls(graph=graph, checkpoint=checkpoint)
         items, widths = data["records"], (bundle.store.embedding_dim, graph.schema.config_dim)
@@ -276,7 +349,26 @@ class StoreBundle:
                         raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")
                     out[index] = value
         bundle.store.extend([str(item["cell_id"]) for item in items], z, y)
+        if data["forest"] is not None:
+            bundle.forest = _forest_from_json(data["forest"], len(bundle.store), bundle.store.embedding_dim)
         return bundle
+
+
+def _forest_from_json(data: dict, n: int, dim: int) -> IsolationForest:
+    """The stored forest, checked against the ``n`` records of width ``dim`` it was fit on."""
+    arrays = {
+        name: _decode(data, name, dtype, "forest", (-1, 2) if name == "children" else (-1,))
+        for name, dtype in FOREST_COLUMNS.items()
+    }
+    try:
+        forest = IsolationForest(**arrays, **{name: data[name] for name in FOREST_SCALARS})
+    except ValueError as exc:
+        raise ValueError(f"forest.{exc}") from None
+    if forest.n != n:
+        raise ValueError(f"forest.n: fit on {forest.n} rows, but the store holds {n} records")
+    if forest.dim != dim:
+        raise ValueError(f"forest.dim: {forest.dim} is not the embedding width {dim}")
+    return forest
 
 
 def load_store(path: str | Path) -> StoreBundle:

@@ -308,6 +308,33 @@ class TestPathLength:
         # a point on a threshold goes right: the walk tests ``not x < threshold``
         assert path_length([0.5, 0.7]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "children, roots, message",
+        [
+            # node 2 hangs under both 0 and 1
+            ([[1, 2], [2, 2], [2, 2]], [0], "children: node 2 is not reached exactly once"),
+            # nodes 1 and 2 point at each other; no root reaches them
+            ([[0, 0], [2, 3], [1, 4], [3, 3], [4, 4]], [0], "children: 4 nodes are not reachable"),
+            # the same root listed twice
+            ([[1, 2], [1, 1], [2, 2]], [0, 0], "children: node 0 is not reached exactly once"),
+            ([[1, 2], [1, 1], [2, 2]], [3], "roots: a root is outside"),
+        ],
+    )
+    def test_malformed_table_rejected(self, children, roots, message):
+        nodes = len(children)
+        with pytest.raises(ValueError, match=message):
+            IsolationForest(
+                feature=np.zeros(nodes, dtype=np.intp),
+                threshold=np.full(nodes, 0.5),
+                children=np.array(children),
+                path=np.ones(nodes),
+                roots=np.array(roots),
+                psi=4,
+                n=4,
+                seed=0,
+                dim=1,
+            )
+
     def test_dimension_mismatch(self):
         forest = fit_forest(np.random.default_rng(0).normal(size=(8, 3)), t=2, psi=4, seed=0)
         with pytest.raises(ValueError, match="dimension"):

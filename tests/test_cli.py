@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ranrec.cli import main
-from ranrec.graph import feature_map
-from ranrec.inference import embed_new_cell, load_store
+from ranrec.anomaly import anomaly_score, fit_forest, store_matrix
+from ranrec.cli import STAGES, main
+from ranrec.graph import EDGE_KINDS, denormalize, feature_map, parse_cells_payload
+from ranrec.inference import (
+    FOREST_COLUMNS,
+    NETWORK_COLUMNS,
+    embed_new_cell,
+    encode_new_cells,
+    load_store,
+    recommend_cells,
+)
 from ranrec.sampler import SamplerConfig, sample_subgraph
 
 SPEC = {
@@ -43,6 +53,33 @@ NEW_CELLS = {
         }
     ],
     "edges": [],
+}
+
+
+# A greenfield site of two cells joined to an existing cell, and an expansion
+# cell on an existing node.
+MULTI_CELLS = {
+    "cells": [
+        {
+            "cell_id": "GF-A",
+            "node_id": "GFNODE",
+            "technology": "LTE",
+            "predictors": {"lteBandwidthMhz": 20, "lteChannelNumber": 1800, "lteAntennaAzimuth": 120},
+        },
+        {
+            "cell_id": "GF-B",
+            "node_id": "GFNODE",
+            "technology": "NR",
+            "predictors": {"nrBandwidthMhz": 100, "nrChannelNumber": 640000, "nrAntennaAzimuth": 240},
+        },
+        {
+            "cell_id": "EXP-A",
+            "node_id": "N002",
+            "technology": "LTE",
+            "predictors": {"lteBandwidthMhz": 10, "lteChannelNumber": 1500, "lteAntennaAzimuth": 300},
+        },
+    ],
+    "edges": [["GF-A", "S000C0", "inter_node"]],
 }
 
 
@@ -736,3 +773,209 @@ class TestDeterminism:
         # inputs untouched by any command
         for path, before in inputs_before.items():
             assert path.read_bytes() == before
+
+
+def _column(section: dict, name: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(section[name]), dtype=dtype).copy()
+
+
+def _set_column(section: dict, name: str, dtype: str, values: np.ndarray) -> None:
+    section[name] = base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+# Hand edits of a stored forest or network, each with the field its error must name.
+STORE_EDITS = {
+    "child_out_of_range": "forest.children",
+    "leaf_not_own_child": "forest.children",
+    "threshold_nan": "forest.threshold",
+    "path_inf": "forest.path",
+    "feature_ge_dim": "forest.feature",
+    "dim_not_width": "forest.dim",
+    "too_deep": "forest.children",
+    "n_not_records": "forest.n",
+    "forest_truncated_base64": "forest.children",
+    "forest_wrong_length": "forest.threshold",
+    "network_truncated_base64": "network.predictor",
+    "network_wrong_length": "network.config",
+    "edge_row_out_of_range": "network.edges",
+    "self_loop": "network.edges",
+    "duplicate_cell_id": "network.cell_ids",
+    "missing_intra_pair": "network.edges",
+    "non_finite_predictor": "network.predictor",
+}
+
+
+def _edit_store(store: dict, case: str) -> None:
+    forest, network = store["forest"], store["network"]
+    arrays = {name: _column(forest, name, dtype) for name, dtype in FOREST_COLUMNS.items()}
+    children = arrays["children"].reshape(-1, 2)
+    leaf = children[:, 0] == np.arange(children.shape[0])
+    first_leaf, first_split = np.flatnonzero(leaf)[0], np.flatnonzero(~leaf)[0]
+    edges = _column(network, "edges", NETWORK_COLUMNS["edges"]).reshape(-1, 3)
+    predictor = _column(network, "predictor", NETWORK_COLUMNS["predictor"])
+    if case == "child_out_of_range":
+        children[first_split, 1] = children.shape[0] + 5
+    elif case == "leaf_not_own_child":
+        children[first_leaf, 1] = first_split
+    elif case == "threshold_nan":
+        arrays["threshold"][first_split] = np.nan
+    elif case == "path_inf":
+        arrays["path"][first_leaf] = np.inf
+    elif case == "feature_ge_dim":
+        arrays["feature"][first_split] = forest["dim"]
+    elif case == "dim_not_width":
+        forest["dim"] += 1
+    elif case == "too_deep":
+        forest["psi"] = 2  # every tree splits below depth ceil(log2(2)) = 1
+    elif case == "n_not_records":
+        forest["n"] += 1
+    elif case == "forest_wrong_length":
+        arrays["threshold"] = arrays["threshold"][:-1]
+    elif case == "network_wrong_length":
+        _set_column(network, "config", "<f8", _column(network, "config", "<f8")[:-1])
+    elif case == "edge_row_out_of_range":
+        edges[0, 1] = len(network["cell_ids"])
+    elif case == "self_loop":
+        edges[0, 1] = edges[0, 0]
+    elif case == "duplicate_cell_id":
+        network["cell_ids"][1] = network["cell_ids"][0]
+    elif case == "missing_intra_pair":
+        edges = np.delete(edges, np.flatnonzero(edges[:, 2] == EDGE_KINDS.index("intra_node"))[0], axis=0)
+    elif case == "non_finite_predictor":
+        # The predictor layout starts with the LTE block: slot 0 of an LTE cell is its own.
+        lte = np.flatnonzero(_column(network, "technology", NETWORK_COLUMNS["technology"]) == 0)[0]
+        predictor[lte * (predictor.size // len(network["cell_ids"]))] = np.nan
+    for name, dtype in FOREST_COLUMNS.items():
+        _set_column(forest, name, dtype, arrays[name])
+    _set_column(network, "edges", NETWORK_COLUMNS["edges"], edges)
+    _set_column(network, "predictor", NETWORK_COLUMNS["predictor"], predictor)
+    if case == "forest_truncated_base64":
+        forest["children"] = forest["children"][:-3]
+    elif case == "network_truncated_base64":
+        network["predictor"] = network["predictor"][:-2]
+
+
+class TestStoreFormat:
+    """The store carries the network as binary columns and the fitted novelty forest."""
+
+    @pytest.mark.parametrize("command", ["recommend", "detect"])
+    @pytest.mark.parametrize("case", STORE_EDITS)
+    def test_hand_edit_names_store_and_field(self, workspace, tmp_path, capsys, command, case):
+        store = json.loads((workspace / "store.json").read_text())
+        _edit_store(store, case)
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "out.json"
+        new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
+        code = main([command, str(bad), *new_cells, "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: invalid store: {STORE_EDITS[case]}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "detect", "project"])
+    def test_old_format_store_asks_for_embed(self, workspace, tmp_path, capsys, command):
+        bundle = load_store(workspace / "store.json")
+        old = {
+            "network": bundle.graph.to_json(),
+            "checkpoint": bundle.checkpoint.to_json(),
+            "records": [
+                {"cell_id": r.cell_id, "z": r.z.tolist(), "y": r.y.tolist()} for r in bundle.store.records
+            ],
+        }
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(old, indent=1))
+        out = tmp_path / "out.json"
+        new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
+        code = main([command, str(bad), *new_cells, "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: invalid store: format", "re-run `ranrec embed`")
+        assert not out.exists()
+
+    def test_stored_forest_equals_refit(self, workspace):
+        bundle = load_store(workspace / "store.json")
+        refit = fit_forest(store_matrix(bundle.store), seed=bundle.checkpoint.seed)
+        for name in ("feature", "threshold", "children", "path", "roots"):
+            assert np.array_equal(getattr(bundle.forest, name), getattr(refit, name), equal_nan=True), name
+        for name in ("psi", "n", "seed", "dim"):
+            assert getattr(bundle.forest, name) == getattr(refit, name), name
+
+    def test_embed_seed_seeds_the_forest(self, workspace, tmp_path):
+        out = tmp_path / "store.json"
+        argv = ["embed", str(workspace / "net" / "network.json"), str(workspace / "ckpt.json")]
+        assert main([*argv, "--seed", "5", "--out", str(out)]) == 0
+        bundle = load_store(out)
+        refit = fit_forest(store_matrix(bundle.store), seed=5)
+        assert bundle.forest.seed == 5
+        assert np.array_equal(bundle.forest.threshold, refit.threshold, equal_nan=True)
+
+    def test_repeated_embed_is_byte_identical(self, workspace, tmp_path):
+        argv = ["embed", str(workspace / "net" / "network.json"), str(workspace / "ckpt.json")]
+        for name in ("a.json", "b.json"):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (workspace / "store.json").read_bytes()
+
+    @staticmethod
+    def _refit_oracle(store_path, cells_path, mode, k, seed, forest_seed):
+        """recommend as it ran before the store carried its forest: refit on every request."""
+        bundle = load_store(store_path)
+        forest = fit_forest(store_matrix(bundle.store), seed=forest_seed)
+        new_cells, new_edges = parse_cells_payload(json.loads(cells_path.read_text()))
+        sampling = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=seed)
+        encoder = bundle.checkpoint.encoder
+        rows = encode_new_cells(encoder, bundle.graph, bundle.stats, new_cells, new_edges, sampling)
+        return [
+            {
+                "cell_id": cell.cell_id,
+                "mode": rec.mode,
+                "y_hat": denormalize(rec.y_hat, bundle.stats, bundle.schema),
+                "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
+                "anomaly_score": anomaly_score(forest, z),
+            }
+            for cell, z, rec in recommend_cells(bundle.store, new_cells, rows, mode, k, bundle.schema)
+        ]
+
+    @pytest.mark.parametrize("mode, seed", [("closest", None), ("majority", None), ("closest", 9)])
+    def test_recommend_equals_refit_oracle(self, workspace, tmp_path, mode, seed):
+        cells = tmp_path / "new_cells.json"
+        cells.write_text(json.dumps(MULTI_CELLS))
+        out = tmp_path / "recs.json"
+        seed_args = ["--seed", str(seed)] if seed is not None else []
+        argv = ["recommend", str(workspace / "store.json"), str(cells), "--mode", mode, "--k", "3"]
+        assert main([*argv, *seed_args, "--out", str(out)]) == 0
+        embed_seed = load_store(workspace / "store.json").checkpoint.seed
+        expected = self._refit_oracle(
+            workspace / "store.json", cells, mode, 3, embed_seed if seed is None else seed, embed_seed
+        )
+        assert json.loads(out.read_text()) == json.loads(json.dumps(expected))
+
+    def test_store_without_forest_scores_nothing(self, workspace, tmp_path):
+        store = json.loads((workspace / "store.json").read_text())
+        store["forest"] = None
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(store))
+        out = tmp_path / "recs.json"
+        assert main(["recommend", str(path), str(workspace / "new_cells.json"), "--out", str(out)]) == 0
+        assert [r["anomaly_score"] for r in json.loads(out.read_text())] == [None]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_detect_rejects_non_finite_threshold(self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "flags.json"
+        code = main(["detect", str(workspace / "store.json"), f"--threshold={value}", "--out", str(out)])
+        _assert_rejected(capsys, code, "--threshold")
+        assert not out.exists()
+
+    def test_manifest_stages_within_wall_time(self, workspace, tmp_path):
+        store = tmp_path / "store.json"
+        names = ("net/network.json", "ckpt.json", "new_cells.json")
+        network, checkpoint, cells = (str(workspace / name) for name in names)
+        runs = [
+            ["embed", network, checkpoint, "--out", str(store)],
+            ["recommend", str(store), cells, "--out", str(tmp_path / "recs.json")],
+            ["detect", str(store), "--out", str(tmp_path / "flags.json")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0
+            manifest = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+            stages = manifest["stages"]
+            assert set(stages) == set(STAGES), argv[0]
+            assert all(seconds >= 0.0 for seconds in stages.values()), stages
+            assert sum(stages.values()) <= manifest["wall_time_s"], argv[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -444,3 +445,82 @@ class TestExtendNetwork:
         )
         assert graph.neighbors("c0") == ("c1",)
         assert extended.neighbors("c0") == ("c1", "c2")
+
+
+def _same_graph(built: RanGraph, expected: RanGraph) -> None:
+    assert built.cells == expected.cells
+    assert built.row_of == expected.row_of
+    assert list(built._adjacency.items()) == list(expected._adjacency.items())
+    assert built._edge_kinds == expected._edge_kinds
+    assert list(built._by_node.items()) == list(expected._by_node.items())
+    assert built.edges == expected.edges
+
+
+class TestColumns:
+    """``RanGraph.from_columns(schema, graph.columns())`` rebuilds the graph a full parse gives."""
+
+    @pytest.mark.parametrize("sites", [1, 7, 60])
+    def test_synth_network_round_trips(self, sites, tmp_path):
+        from ranrec.synth import SynthSpec, generate, synthesize_expansion, synthesize_greenfield
+
+        spec = SynthSpec(sites=sites, seed=sites)
+        graph, truth = generate(spec)
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(graph.to_json()))
+        parsed = load_network(path)
+        built = RanGraph.from_columns(parsed.schema, parsed.columns())
+        _same_graph(built, parsed)
+        # Both extend alike: expansion cells on existing nodes plus a greenfield site.
+        cells, edges, _ = synthesize_greenfield(parsed, truth, spec, 1, 3)
+        more, _, _ = synthesize_expansion(parsed, truth, spec, 3, 3)
+        grown, expected = (extend_network(g, cells + more, edges) for g in (built, parsed))
+        _same_graph(grown, expected)
+        _same_graph(RanGraph.from_columns(expected.schema, expected.columns()), expected)
+
+    def test_cell_without_configs_round_trips(self, schema):
+        bare = CellRecord("bare", "n1", "LTE", {"bw": 5.0, "chan": 7.0}, {})
+        graph = RanGraph(schema, [lte_cell("a"), bare, nr_cell("b")], [("a", "b", "inter_node")])
+        columns = graph.columns()
+        assert np.isnan(columns["config"][1, :2]).all() and (columns["config"][1, 2:] == 0).all()
+        _same_graph(RanGraph.from_columns(schema, columns), graph)
+
+    def _columns(self, schema):
+        graph = RanGraph(
+            schema,
+            [lte_cell("a", node_id="n1"), lte_cell("c", node_id="n1"), nr_cell("b", node_id="n2")],
+            [("a", "b", "inter_node")],
+        )
+        return graph.columns()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c["cell_ids"].__setitem__(2, "a"), "cell_ids: duplicate cell_id 'a'"),
+            (lambda c: c["node_ids"].pop(), "node_ids: 2 entries for 3 cells"),
+            (lambda c: c["cell_ids"].__setitem__(0, 7), "cell_ids: expected a list of strings"),
+            (lambda c: c["technology"].__setitem__(1, 2), "technology: cell 'c': unknown technology code 2"),
+            (lambda c: c["predictor"].__setitem__((0, 1), np.inf), "predictor: cell 'a': predictor 'chan' is inf"),
+            (
+                lambda c: c["predictor"].__setitem__((0, 2), 1.0),
+                "predictor: cell 'a': unknown or wrong-technology predictor attributes ['bw']",
+            ),
+            (lambda c: c["config"].__setitem__((2, 2), np.nan), "config: cell 'b': config 'power' is nan"),
+            (lambda c: c["edges"].__setitem__((0, 2), 2), "edges: edge 0 has an unknown kind"),
+            (lambda c: c["edges"].__setitem__((0, 1), -1), "edges: edge 0 references a row outside the cells"),
+            (lambda c: c["edges"].__setitem__((1, 2), 1), "edges: edge 1 joins two cells of one node as inter_node"),
+        ],
+    )
+    def test_bad_column_named(self, schema, edit, message):
+        columns = self._columns(schema)
+        edit(columns)
+        with pytest.raises(NetworkFormatError, match=re.escape(message)):
+            RanGraph.from_columns(schema, columns)
+
+    def test_repeated_and_missing_edges_named(self, schema):
+        columns = self._columns(schema)
+        columns["edges"] = np.concatenate([columns["edges"], columns["edges"][:1, [1, 0, 2]]])
+        with pytest.raises(NetworkFormatError, match="edge 2 repeats the pair 'a', 'b'"):
+            RanGraph.from_columns(schema, columns)
+        columns["edges"] = columns["edges"][:1]
+        with pytest.raises(NetworkFormatError, match="cells 'a' and 'c' share a node but no intra_node edge"):
+            RanGraph.from_columns(schema, columns)

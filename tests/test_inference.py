@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from ranrec.anomaly import fit_forest
 from ranrec.gnn import ArchConfig, Checkpoint, init_encoder, schema_hash
 from ranrec.graph import fit_normalization
 from ranrec.inference import (
+    STORE_FORMAT,
     EmbeddingStore,
     StoreBundle,
     distance_set,
@@ -451,3 +455,18 @@ class TestStoreBundle:
         loaded = StoreBundle.from_json(payload)
         assert len(loaded.store) == 0
         assert loaded.store.z.shape == (0, 3) and loaded.store.y.shape == (0, 4)
+
+    def test_forest_and_network_round_trip_through_json(self):
+        bundle = self._bundle()
+        bundle.forest = fit_forest(bundle.store.z, t=7, seed=4)
+        loaded = StoreBundle.from_json(json.loads(json.dumps(bundle.to_json(), sort_keys=True)))
+        for name in ("feature", "threshold", "children", "path", "roots"):
+            assert np.array_equal(getattr(loaded.forest, name), getattr(bundle.forest, name), equal_nan=True)
+        assert (loaded.forest.psi, loaded.forest.n, loaded.forest.seed, loaded.forest.dim) == (6, 6, 4, 3)
+        assert loaded.graph.cells == bundle.graph.cells and loaded.graph.edges == bundle.graph.edges
+        assert loaded.graph._adjacency == bundle.graph._adjacency
+
+    def test_no_forest_round_trips_as_null(self):
+        payload = self._bundle().to_json()
+        assert payload["forest"] is None and payload["format"] == STORE_FORMAT
+        assert StoreBundle.from_json(payload).forest is None
