@@ -318,12 +318,18 @@ class StoreBundle:
             )
         network = data["network"]
         schema = AttributeSchema.from_json(network["schema"], "network.schema")
-        n = len(network["cell_ids"]) if isinstance(network["cell_ids"], list) else 0
-        shapes = {"technology": (n,), "predictor": (n, schema.predictor_dim)}
-        shapes["config"] = (n, schema.config_dim)
+        if not isinstance(network["cell_ids"], list):
+            raise ValueError("network.cell_ids: expected a list of strings")
+        n = len(network["cell_ids"])
+        shapes = {
+            "technology": (n,),
+            "predictor": (n, schema.predictor_dim),
+            "config": (n, schema.config_dim),
+            "edges": (-1, 3),
+        }
         columns = {name: network[name] for name in ("cell_ids", "node_ids")}
         for name, dtype in NETWORK_COLUMNS.items():
-            columns[name] = _decode(network, name, dtype, "network", shapes.get(name, (-1, 3)))
+            columns[name] = _decode(network, name, dtype, "network", shapes[name])
         try:
             graph = RanGraph.from_columns(schema, columns)
         except NetworkFormatError as exc:
