@@ -3,13 +3,14 @@
 The op set is deliberately small and hand-verifiable: every primitive
 carries its own backward rule, and ``grad_check`` validates any scalar
 computation against central finite differences. Matrices are plain numpy
-``float64`` arrays with two dimensions; vectors enter the eager helpers
-(`cosine`, `masked_softmax`) as 1-D arrays.
+``float64`` arrays with two dimensions; vectors enter `cosine` as 1-D
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,22 +41,13 @@ def leaky_relu_values(x: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(x, slope * x)
 
 
-def _masked_softmax_kernel(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    if scores.shape != mask.shape:
-        raise ShapeError(f"mask shape {mask.shape} != scores shape {scores.shape}")
-    if not mask.any(axis=-1).all():
-        raise ValueError("masked softmax requires at least one unmasked entry per row")
-    shifted = np.where(mask, scores, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with a one-row ``a`` doubled first.
 
-
-def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Exp-normalize ``scores`` over unmasked entries; masked entries are 0."""
-    return _masked_softmax_kernel(
-        np.asarray(scores, dtype=np.float64), np.asarray(mask, dtype=bool)
-    )
+    numpy sends a one-row operand to BLAS gemv, which can round differently
+    from the gemm that computes the same row in a larger batch.
+    """
+    return a @ b if a.shape[0] > 1 else (np.concatenate([a, a]) @ b)[:1]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -72,6 +64,58 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Tape
+
+
+class EdgeList:
+    """Directed edges ``src[k] -> dst[k]`` for ``Tape.attention_head``, sorted by
+    destination, then source; every destination ``0 .. targets-1`` has one at
+    least (its self loop). ``sources`` counts the source rows, which may lack
+    edges. Each destination is kept as the run of its edges (``starts``,
+    ``counts``); the runs in source order are found on the first backward pass.
+    """
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, sources: int) -> None:
+        if src.shape != dst.shape or src.ndim != 1 or not src.size:
+            raise ShapeError(f"edge lists of shapes {src.shape} and {dst.shape}")
+        steps = np.diff(dst, prepend=-1)
+        if steps[0] != 1 or steps.min() < 0 or steps.max() > 1:
+            raise ValueError("edge destinations must be sorted and cover 0 .. targets-1")
+        if src.min() < 0 or src.max() >= sources:
+            raise ValueError(f"edge sources outside 0 .. {sources - 1}")
+        # 32-bit indices halve what a batch kept between passes holds.
+        index = np.int32 if src.size < 2**31 and sources < 2**31 else np.intp
+        first = np.flatnonzero(steps).astype(index)
+        self.src = src.astype(index)
+        self.sources = sources
+        self.starts = first  # first edge of each destination
+        self.counts = np.diff(first, append=index(src.size))  # edges into each destination
+
+    @property
+    def targets(self) -> int:
+        return self.starts.shape[0]
+
+    def _per_edge(self, values: np.ndarray) -> np.ndarray:
+        """Each destination's row (or value) of ``values``, repeated for each of its edges."""
+        return np.repeat(values, self.counts, axis=0)
+
+    @cached_property
+    def _source_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge indices in source order, the first position of each source
+        there, and the sources that have an edge, ascending."""
+        order = np.argsort(self.src, kind="stable").astype(self.src.dtype)
+        ordered = self.src[order]
+        firsts = np.flatnonzero(np.diff(ordered, prepend=-1)).astype(self.src.dtype)
+        return order, firsts, ordered[firsts]
+
+    def _source_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per-edge ``rows`` added up by source: (sources, cols), 0 for a source without edges."""
+        order, firsts, ids = self._source_order
+        sums = np.add.reduceat(np.take(rows, order, axis=0), firsts, axis=0)
+        if ids.shape[0] == self.sources:
+            return sums
+        out = np.zeros((self.sources, rows.shape[1]))
+        out[ids] = sums
+        return out
 
 
 @dataclass
@@ -150,7 +194,7 @@ class Tape:
         def backward(g: np.ndarray):
             return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
 
-        return self._record(Node(av @ bv, (a, b), backward))
+        return self._record(Node(_product(av, bv), (a, b), backward))
 
     def add(self, a: Node, b: Node) -> Node:
         # Row broadcast (n,k)+(1,k) supported for bias terms.
@@ -253,68 +297,67 @@ class Tape:
 
         return self._record(Node(norms, (a,), backward))
 
-    # -- block primitives (x viewed as B stacked blocks of n rows) ------------
+    # -- graph primitives ------------------------------------------------------
 
     def attention_head(
-        self, s: Node, t: Node, a: Node, masks: np.ndarray, slope: float, n: int
+        self, s: Node, t: Node, a: Node, edges: EdgeList, slope: float
     ) -> tuple[Node, np.ndarray]:
-        """One GATv2 attention head over B stacked blocks of ``n`` vertices.
+        """One GATv2 attention head over an edge list.
 
-        ``s`` and ``t`` are the (B*n, c) source and target projections, ``a``
-        the (c, 1) score vector and ``masks`` the B stacked (n, n)
-        self-inclusive masks. Vertex i scores vertex j of its block as
-        ``a . leaky_relu(s_j + t_i, slope)``, normalizes the scores over the
-        unmasked j, and gets ``sum_j alpha_ij s_j``. Returns that (B*n, c)
-        output node and the (B*n, n) weights ``alpha``.
+        ``s`` holds the (sources, c) source projections, ``t`` the
+        (targets, c) target projections and ``a`` the (c, 1) score vector.
+        Edge ``j -> i`` scores ``a . leaky_relu(s_j + t_i, slope)``; target
+        ``i`` normalizes its edges' scores and gets ``sum_j alpha_ij s_j``.
+        Returns that (targets, c) output node and the per-edge weights
+        ``alpha``.
 
-        The (B*n*n, c) pair rows are not kept: the node holds only its
+        The (edges, c) pair rows are not kept: the node holds only its
         operands and ``alpha``, and the backward pass recomputes the rows.
-        Every value is rounded as by the chain of elementary ops it replaces,
-        with one score product per block, so a block's values do not depend
-        on how many other blocks share the batch.
+        Each edge's score is its own dot product and each target's sums run
+        over its own edges in order, so a target's values do not depend on
+        the other edges in the list.
         """
-        rows, c = s.shape
-        if rows % n:
-            raise ShapeError(f"{rows} rows do not split into blocks of {n}")
-        if t.shape != s.shape or a.shape != (c, 1):
-            raise ShapeError(f"attention_head shapes {s.shape}, {t.shape}, {a.shape}")
-        b = rows // n
+        c = s.shape[1]
+        if s.shape[0] != edges.sources or t.shape != (edges.targets, c) or a.shape != (c, 1):
+            raise ShapeError(
+                f"attention_head shapes {s.shape}, {t.shape}, {a.shape} for "
+                f"{edges.sources} sources and {edges.targets} targets"
+            )
         sv, tv, av = s.value, t.value, a.value
-        s4 = sv.reshape(b, 1, n, c)  # pair (b, i, j) carries source j
-        t4 = tv.reshape(b, n, 1, c)  # and target i
-        lr = leaky_relu_values(s4 + t4, slope)
-        scores = lr.reshape(b, n * n, c) @ av
-        del lr
-        alpha = _masked_softmax_kernel(scores.reshape(rows, n), np.asarray(masks, dtype=bool))
-        alpha4 = alpha.reshape(b, n, n, 1)
-        out = (s4 * alpha4).reshape(rows, n, c).sum(axis=1)
+        src, starts, per_edge = edges.src, edges.starts, edges._per_edge
+        rows = np.take(sv, src, axis=0)
+        scores = np.einsum("kc,c->k", leaky_relu_values(rows + per_edge(tv), slope), av[:, 0])
+        e = np.exp(scores - per_edge(np.maximum.reduceat(scores, starts)))
+        alpha = e / per_edge(np.add.reduceat(e, starts))
+        out = np.add.reduceat(rows * alpha[:, None], starts, axis=0)
 
         def backward(g: np.ndarray):
-            g4 = g.reshape(b, n, 1, c)
-            g_alpha = (g4 * s4).sum(axis=-1).reshape(rows, n)
-            dot = (g_alpha * alpha).sum(axis=-1, keepdims=True)
-            g_scores = (alpha * (g_alpha - dot)).reshape(rows * n, 1)
-            pairs = (s4 + t4).reshape(rows * n, c)
-            factor = (pairs > 0.0) * (1.0 - slope) + slope  # subgradient at 0 is slope
-            g_a = leaky_relu_values(pairs, slope).T @ g_scores
-            g_pairs = ((g_scores @ av.T) * factor).reshape(b, n, n, c)
-            del pairs, factor
-            g_t = g_pairs.sum(axis=2).reshape(rows, c)
-            g_s = (g4 * alpha4 + g_pairs).sum(axis=1).reshape(rows, c)
-            return g_s, g_t, g_a
+            rows = np.take(sv, src, axis=0)
+            g_rows = per_edge(g)
+            g_alpha = np.einsum("kc,kc->k", g_rows, rows)
+            g_scores = alpha * (g_alpha - per_edge(np.add.reduceat(g_alpha * alpha, starts)))
+            pairs = rows + per_edge(tv)
+            g_a = leaky_relu_values(pairs, slope).T @ g_scores[:, None]
+            factor = (pairs > 0.0) * (1.0 - slope)
+            factor += slope  # subgradient at 0 is slope
+            g_pairs = np.outer(g_scores, av[:, 0]) * factor
+            g_t = np.add.reduceat(g_pairs, starts, axis=0)
+            g_pairs += g_rows * alpha[:, None]
+            return edges._source_sums(g_pairs), g_t, g_a
 
         return self._record(Node(out, (s, t, a), backward)), alpha
 
-    def sum_blocks(self, a: Node, n: int) -> Node:
-        """Sum every ``n`` consecutive rows."""
-        rows, cols = a.shape
-        if rows % n:
-            raise ShapeError(f"{rows} rows do not split into blocks of {n}")
+    def sum_blocks(self, a: Node, sizes: np.ndarray) -> Node:
+        """Sum runs of consecutive rows, ``sizes[i]`` rows for block ``i``."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if (sizes < 1).any() or sizes.sum() != a.shape[0]:
+            raise ShapeError(f"{a.shape[0]} rows do not split into blocks of {sizes.tolist()}")
+        starts = np.cumsum(sizes) - sizes
 
         def backward(g: np.ndarray):
-            return (np.repeat(g, n, axis=0),)
+            return (np.repeat(g, sizes, axis=0),)
 
-        return self._record(Node(a.value.reshape(-1, n, cols).sum(axis=1), (a,), backward))
+        return self._record(Node(np.add.reduceat(a.value, starts, axis=0), (a,), backward))
 
     # -- reverse pass ----------------------------------------------------------
 

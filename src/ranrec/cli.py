@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -54,6 +55,8 @@ def _canonical_json(payload) -> str:
 
 # Stages a manifest of embed, recommend and detect times, in seconds each.
 STAGES = ("load", "forest", "sample_encode", "retrieve", "write")
+# The same for train; "train" includes any per-epoch resampling.
+TRAIN_STAGES = ("load", "sample", "train", "write")
 
 
 def _lap(stages: dict[str, float], stage: str, since: float) -> float:
@@ -106,6 +109,7 @@ def _write_manifest(
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_time_s": time.perf_counter() - started,
         **({"stages": stages} if stages is not None else {}),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     _atomic_write(beside.with_name(beside.name + ".manifest.json"), _canonical_json(manifest))
 
@@ -170,12 +174,15 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
+    stages = dict.fromkeys(TRAIN_STAGES, 0.0)
     network_path = _require_file(args.network, "network")
     config = _load_run_config(args)
     graph = load_network(network_path)
     stats = fit_normalization(graph, graph.cell_ids)
+    lap = _lap(stages, "load", started)
     sampler_cfg = config.sampler()
     dataset = build_dataset(graph, stats, sampler_cfg)
+    lap = _lap(stages, "sample", lap)
     provider = None
     if config.resample_per_epoch:
         provider = lambda epoch: build_dataset(graph, stats, sampler_cfg, epoch=epoch)  # noqa: E731
@@ -185,6 +192,7 @@ def cmd_train(args) -> int:
         encoder, decoder, report = train_gae(dataset, arch, config.training, provider)
     else:
         encoder, report = train_sgnn(dataset, arch, config.training, provider)
+    lap = _lap(stages, "train", lap)
     checkpoint = Checkpoint(
         model=args.model,
         arch=arch,
@@ -196,11 +204,13 @@ def cmd_train(args) -> int:
         fanout=sampler_cfg.fanout,
     )
     out = Path(args.out)
-    _atomic_write(out, _canonical_json(checkpoint.to_json()))
+    # Compact, so json runs its C encoder; the checkpoint is read by machine only.
+    _atomic_write(out, json.dumps(checkpoint.to_json(), sort_keys=True))
     report.checkpoint_path = str(out)
     _atomic_write(out.with_name(out.name + ".report.json"), _canonical_json(report.to_json()))
+    _lap(stages, "write", lap)
     inputs = [network_path] + ([Path(args.config)] if args.config else [])
-    _write_manifest("train", config.seed, inputs, [out], {"model": args.model}, started, out)
+    _write_manifest("train", config.seed, inputs, [out], {"model": args.model}, started, out, stages)
     logger.info("trained %s for %d epochs", args.model, config.training.epochs)
     return EXIT_OK
 

@@ -4,7 +4,8 @@ Each layer runs H attention heads. A head scores a vertex pair by applying
 the nonlinearity before the attention projection,
 ``e_ij = a . leaky_relu(h_j W_src + h_i W_dst)``, normalizes scores over the
 vertex's subgraph neighbors plus itself, and averages source projections
-with those weights. Head outputs are concatenated and aggregated by a
+with those weights. Heads work over an edge list, so a vertex pays only for
+its own edges. Head outputs are concatenated and aggregated by a
 two-layer feed-forward network. Stacks compose layers into an encoder
 (features -> latent embeddings) or a decoder (embeddings -> reconstructed
 features) over the same subgraph topology.
@@ -15,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Node, Parameter, Tape, leaky_relu_values
+from .autodiff import EdgeList, Node, Parameter, Tape
 from .graph import SETTING_TYPES, AttributeSchema, NormalizationStats, require, settings_from
 from .rng import substream
 from .sampler import Subgraph
@@ -148,105 +150,117 @@ def init_decoder(arch: ArchConfig, seed: int) -> GatStack:
 # ---------------------------------------------------------------------------
 # Forward passes
 #
-# Subgraphs of a common vertex count n batch into one computation: feature
-# rows stack into (B*n, in_dim) and every op below works per block, so one
-# tape node covers the whole batch.
+# Subgraphs of any sizes batch into one computation: their feature rows
+# stack into (V, in_dim), their edges into one edge list over those rows,
+# and every op below works per edge or per row, so one tape node covers the
+# whole batch.
 
 
-def attention_mask(subgraph: Subgraph) -> np.ndarray:
-    """Self-inclusive adjacency mask: every vertex attends to itself."""
-    n = subgraph.size
-    mask = np.eye(n, dtype=bool)
-    for i, j in subgraph.edges:
-        mask[i, j] = True
-        mask[j, i] = True
-    return mask
+@dataclass(frozen=True)
+class SubgraphBatch:
+    """Subgraphs stacked for one forward pass, each subgraph's rows centre first.
 
-
-def attention_scores(head: HeadParams, h_i: np.ndarray, h_j: np.ndarray, slope: float) -> float:
-    """Raw attention score of vertex i attending to vertex j."""
-    pre = np.asarray(h_j) @ head.W_src.value + np.asarray(h_i) @ head.W_dst.value
-    return float(leaky_relu_values(pre, slope) @ head.a.value.ravel())
-
-
-def _layer(
-    tape: Tape, layer: LayerParams, h: Node, n: int, masks: np.ndarray, slope: float
-) -> tuple[Node, list[np.ndarray]]:
-    """``layer_forward`` together with every head's attention weights.
-
-    ``h`` is (B*n, in); ``masks`` the B stacked (n, n) self-inclusive masks.
+    ``edges`` holds every vertex's in-edges, self loops included;
+    ``center_edges`` only those into centres, with destination ``i`` the
+    centre of subgraph ``i``. Feature rows are stacked on each use, so a
+    batch kept between passes holds little beyond its edges.
     """
+
+    subgraphs: tuple[Subgraph, ...]
+    edges: EdgeList
+    center_edges: EdgeList
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.array([s.size for s in self.subgraphs], dtype=np.intp)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """Row of each subgraph's centre."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    @property
+    def features(self) -> np.ndarray:
+        return np.concatenate([s.features for s in self.subgraphs])
+
+
+def stack_subgraphs(subgraphs: Sequence[Subgraph]) -> SubgraphBatch:
+    """Stack subgraphs into one batch, building its edge lists in one pass."""
+    sizes = np.array([s.size for s in subgraphs], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    v = int(sizes.sum())
+    counts = [len(s.edges) for s in subgraphs]
+    flat = chain.from_iterable(chain.from_iterable(s.edges for s in subgraphs))
+    pairs = np.fromiter(flat, dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
+    i, j = (pairs + np.repeat(offsets, counts)[:, None]).T
+    # Edge j -> i has key i * v + j: sorted keys order by destination, then source.
+    keys = np.sort(np.concatenate([i * v + j, j * v + i, np.arange(v) * (v + 1)]))
+    dst, src = np.divmod(keys[np.diff(keys, prepend=-1) > 0], v)  # a listed pair counts once
+    owner = np.repeat(np.arange(sizes.shape[0]), sizes)  # subgraph of each row
+    into_center = dst == offsets[owner[dst]]
+    center_edges = EdgeList(src[into_center], owner[dst[into_center]], v)
+    return SubgraphBatch(tuple(subgraphs), EdgeList(src, dst, v), center_edges)
+
+
+def layer_forward(
+    tape: Tape,
+    layer: LayerParams,
+    h: Node,
+    edges: EdgeList,
+    slope: float,
+    targets: np.ndarray | None = None,
+) -> Node:
+    """One multi-head attention layer followed by the FFN aggregation.
+
+    ``h`` holds one row per source vertex of ``edges``. The layer's output
+    covers the rows ``targets`` of ``h`` (all rows when None), which must be
+    the destinations of ``edges`` in order.
+    """
+    h_dst = h if targets is None else tape.gather(h, targets)
     head_outs = []
-    alphas = []
     for head in layer.heads:
         s = tape.matmul(h, tape.param(head.W_src))
-        t = tape.matmul(h, tape.param(head.W_dst))
-        out, alpha = tape.attention_head(s, t, tape.param(head.a), masks, slope, n)
-        head_outs.append(out)
-        alphas.append(alpha)
+        t = tape.matmul(h_dst, tape.param(head.W_dst))
+        head_outs.append(tape.attention_head(s, t, tape.param(head.a), edges, slope)[0])
     concat = tape.concat(head_outs, axis=1)
     hidden = tape.leaky_relu(
         tape.add(tape.matmul(concat, tape.param(layer.W1)), tape.param(layer.b1)), slope
     )
-    return tape.add(tape.matmul(hidden, tape.param(layer.W2)), tape.param(layer.b2)), alphas
+    return tape.add(tape.matmul(hidden, tape.param(layer.W2)), tape.param(layer.b2))
 
 
-def layer_forward(
-    tape: Tape, layer: LayerParams, h: Node, n: int, masks: np.ndarray, slope: float
+def _stack_forward(tape: Tape, stack: GatStack, h: Node, batch: SubgraphBatch, centers: bool) -> Node:
+    """Every layer over every edge; with ``centers``, the last layer keeps only
+    the edges into centres and outputs one row per subgraph."""
+    for layer in stack.layers[:-1]:
+        h = layer_forward(tape, layer, h, batch.edges, stack.slope)
+    if centers:
+        return layer_forward(tape, stack.layers[-1], h, batch.center_edges, stack.slope, batch.centers)
+    return layer_forward(tape, stack.layers[-1], h, batch.edges, stack.slope)
+
+
+def encode_group_on_tape(
+    tape: Tape, stack: GatStack, batch: SubgraphBatch, centers: bool = False
 ) -> Node:
-    """One multi-head attention layer followed by the FFN aggregation."""
-    return _layer(tape, layer, h, n, masks, slope)[0]
-
-
-def stack_forward(tape: Tape, stack: GatStack, h0: Node, n: int, masks: np.ndarray) -> Node:
-    h = h0
-    for layer in stack.layers:
-        h = layer_forward(tape, layer, h, n, masks, stack.slope)
-    return h
-
-
-def _stacked_masks(subgraphs: Sequence[Subgraph]) -> np.ndarray:
-    return np.concatenate([attention_mask(s) for s in subgraphs])
-
-
-def encode_group_on_tape(tape: Tape, stack: GatStack, subgraphs: Sequence[Subgraph]) -> Node:
-    """Per-vertex embeddings of equally-sized subgraphs, stacked block-wise."""
-    n = subgraphs[0].size
-    if any(s.size != n for s in subgraphs):
-        raise ValueError("grouped subgraphs must share one vertex count")
-    features = np.concatenate([s.features for s in subgraphs])
+    """Embeddings of a batch: every vertex's rows, or with ``centers`` one
+    centre row per subgraph, in subgraph order."""
+    features = batch.features
     if features.shape[1] != stack.in_dim:
         raise ValueError(
-            f"subgraph features have {features.shape[1]} columns, "
-            f"encoder expects {stack.in_dim}"
+            f"subgraph features have {features.shape[1]} columns, encoder expects {stack.in_dim}"
         )
-    return stack_forward(tape, stack, tape.const(features), n, _stacked_masks(subgraphs))
+    return _stack_forward(tape, stack, tape.const(features), batch, centers)
 
 
-def decode_group_on_tape(
-    tape: Tape, stack: GatStack, subgraphs: Sequence[Subgraph], z: Node
-) -> Node:
-    n = subgraphs[0].size
-    if z.shape != (n * len(subgraphs), stack.in_dim):
+def decode_group_on_tape(tape: Tape, stack: GatStack, batch: SubgraphBatch, z: Node) -> Node:
+    if z.shape != (int(batch.sizes.sum()), stack.in_dim):
         raise ValueError(f"embedding matrix shape {z.shape} does not match decoder input")
-    return stack_forward(tape, stack, z, n, _stacked_masks(subgraphs))
+    return _stack_forward(tape, stack, z, batch, centers=False)
 
 
 def encode(stack: GatStack, subgraph: Subgraph) -> np.ndarray:
-    """Per-vertex embeddings; row 0 belongs to the center cell."""
-    return encode_group_on_tape(Tape(), stack, [subgraph]).value
-
-
-def attention_matrices(stack: GatStack, subgraph: Subgraph) -> list[list[np.ndarray]]:
-    """Per-layer, per-head attention weight matrices (rows sum to 1)."""
-    tape = Tape()
-    masks = attention_mask(subgraph)
-    h: Node = tape.const(subgraph.features)
-    out: list[list[np.ndarray]] = []
-    for layer in stack.layers:
-        h, weights = _layer(tape, layer, h, subgraph.size, masks, stack.slope)
-        out.append(weights)
-    return out
+    """The centre cell's embedding, shape (d,)."""
+    return encode_group_on_tape(Tape(), stack, stack_subgraphs([subgraph]), centers=True).value[0]
 
 
 # ---------------------------------------------------------------------------

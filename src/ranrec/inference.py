@@ -106,7 +106,7 @@ def embed_entries(store: EmbeddingStore, entries: Sequence[DatasetEntry]) -> Emb
 
 def embed_new_cell(store: EmbeddingStore, subgraph: Subgraph) -> np.ndarray:
     """Embed a cell from its subgraph; the store itself is not modified."""
-    return encode(store.encoder, subgraph)[0, :].copy()
+    return encode(store.encoder, subgraph)
 
 
 def distance_set(store: EmbeddingStore, z: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ vectors, center row first. Sampling is deterministic per (seed, cell id).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -132,10 +131,3 @@ def split_indices(n: int, test_fraction: float, seed: int) -> tuple[list[int], l
     train = sorted(int(i) for i in perm[n_test:])
     return train, test
 
-
-def split(
-    dataset: Sequence[DatasetEntry], test_fraction: float, seed: int
-) -> tuple[list[DatasetEntry], list[DatasetEntry]]:
-    """Disjoint, exhaustive train/test split, deterministic per seed."""
-    train_idx, test_idx = split_indices(len(dataset), test_fraction, seed)
-    return [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]

@@ -18,7 +18,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import cosine
 from .graph import AttributeSchema, AttributeSpec, CellRecord, RanGraph, require, settings_from
 from .rng import substream
 
@@ -320,52 +319,6 @@ def _inter_site_edges(
                 b = f"S{other:03d}C{c}"
                 edges.add((min(a, b), max(a, b)))
     return [(a, b, "inter_node") for a, b in sorted(edges)]
-
-
-# ---------------------------------------------------------------------------
-# Learnability diagnostic
-
-
-@dataclass(frozen=True)
-class LearnabilityReport:
-    oracle_accuracy: float
-    learnable: bool
-    threshold: float = 0.98
-
-
-def _design_space_config(cell: CellRecord) -> np.ndarray:
-    """Observed configs mapped into the generator's [0, 1] design profile."""
-    designs: tuple[_ConfigDesign, ...] = _TECH_DESIGN[cell.technology]["configs"]
-    return np.array(
-        [(cell.raw_configs[c.name] - c.low) / (c.high - c.low) for c in designs]
-    )
-
-
-def learnability_check(graph: RanGraph, truth: GroundTruth) -> LearnabilityReport:
-    """Score the trivial archetype-mean predictor against observed configs.
-
-    Predicts every non-corrupted cell's configuration by the mean observed
-    configuration of its (cluster, technology) group, in the generator's
-    design profile space; high cosine accuracy means configurations are
-    recoverable from context at all.
-    """
-    clean_ids = [cid for cid in graph.cell_ids if not truth.cells[cid].corrupted]
-    vectors = {cid: _design_space_config(graph.cell(cid)) for cid in clean_ids}
-    groups: dict[tuple[int, str], list[str]] = {}
-    for cid in clean_ids:
-        key = (truth.cells[cid].cluster, graph.cell(cid).technology)
-        groups.setdefault(key, []).append(cid)
-    means = {key: np.mean([vectors[cid] for cid in ids], axis=0) for key, ids in groups.items()}
-
-    cosines = []
-    for cid in clean_ids:
-        key = (truth.cells[cid].cluster, graph.cell(cid).technology)
-        y = vectors[cid]
-        if np.linalg.norm(y) == 0.0 or np.linalg.norm(means[key]) == 0.0:
-            continue
-        cosines.append(cosine(y, means[key]))
-    accuracy = float(np.mean(cosines)) if cosines else 0.0
-    return LearnabilityReport(accuracy, learnable=accuracy >= LearnabilityReport.threshold)
 
 
 # ---------------------------------------------------------------------------

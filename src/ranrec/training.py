@@ -30,10 +30,12 @@ from .autodiff import Node, Parameter, Tape, cosine
 from .gnn import (
     ArchConfig,
     GatStack,
+    SubgraphBatch,
     decode_group_on_tape,
     encode_group_on_tape,
     init_decoder,
     init_encoder,
+    stack_subgraphs,
 )
 from .graph import require
 from .rng import substream
@@ -308,58 +310,42 @@ def pair_loss_on_tape(
 DatasetProvider = Callable[[int], Sequence[DatasetEntry]]
 
 
-def _size_groups(entries: Sequence[DatasetEntry]) -> list[tuple[int, list[int]]]:
-    """Entry indices grouped by subgraph vertex count, for batched encoding."""
-    groups: dict[int, list[int]] = {}
+# Edge rows per encoding group (self loops included): about 22 subgraphs at
+# fanout 8. Training holds one group's tape at a time; larger groups ran
+# faster but left a higher peak RSS over repeated training runs.
+ENCODE_GROUP_EDGES = 1024
+
+
+def _batches(entries: Sequence[DatasetEntry]) -> Iterator[tuple[slice, SubgraphBatch]]:
+    """Consecutive runs of entries of at most ``ENCODE_GROUP_EDGES`` edge rows
+    (at least one entry each), stacked as they are reached."""
+    start, rows = 0, 0
     for i, entry in enumerate(entries):
-        groups.setdefault(entry.subgraph.size, []).append(i)
-    return sorted(groups.items())
+        size = entry.subgraph.size + 2 * len(entry.subgraph.edges)
+        if i > start and rows + size > ENCODE_GROUP_EDGES:
+            yield slice(start, i), stack_subgraphs([e.subgraph for e in entries[start:i]])
+            start, rows = i, 0
+        rows += size
+    if entries:
+        yield slice(start, len(entries)), stack_subgraphs([e.subgraph for e in entries[start:]])
 
 
-# Pair rows (subgraphs x n^2) per encoding group: 32 subgraphs at fanout 8.
-# Groups of 16 to 64 ran alike; larger ones ran slower, and peak memory
-# grows with group size. Training holds one group's tape at a time.
-ENCODE_GROUP_PAIR_ROWS = 32 * 81
-
-
-def _encoding_groups(entries: Sequence[DatasetEntry]) -> Iterator[tuple[int, list[int]]]:
-    """``(n, entry indices)`` of each encoding group, by vertex count then entry order.
-
-    A group holds subgraphs of one vertex count ``n`` and at most
-    ``ENCODE_GROUP_PAIR_ROWS`` pair rows (at least one subgraph).
-    """
-    for n, idxs in _size_groups(entries):
-        step = max(1, ENCODE_GROUP_PAIR_ROWS // (n * n))
-        for start in range(0, len(idxs), step):
-            yield n, idxs[start : start + step]
-
-
-def encode_centers_on_tape(
-    tape: Tape, encoder: GatStack, entries: Sequence[DatasetEntry]
-) -> Node:
-    """Center embeddings of every entry, in entry order, shape (len, d)."""
-    outs: list[Node] = []
-    centers = np.empty(len(entries), dtype=np.intp)  # row of each entry's center in the concat
-    offset = 0
-    for n, idxs in _size_groups(entries):
-        outs.append(encode_group_on_tape(tape, encoder, [entries[i].subgraph for i in idxs]))
-        centers[idxs] = offset + np.arange(len(idxs)) * n
-        offset += len(idxs) * n
-    grouped = outs[0] if len(outs) == 1 else tape.concat(outs, axis=0)
-    return tape.gather(grouped, centers)
+def encode_centers_on_tape(tape: Tape, encoder: GatStack, batch: SubgraphBatch) -> Node:
+    """Centre embeddings of a batch, one row per subgraph; the last layer runs
+    over the edges into centres only."""
+    return encode_group_on_tape(tape, encoder, batch, centers=True)
 
 
 def encode_centers(encoder: GatStack, entries: Sequence[DatasetEntry]) -> np.ndarray:
     """Eager center embeddings for a dataset, one row per entry.
 
     Each encoding group runs on a fresh tape. The forward pass is
-    batch-invariant, so every row equals the center row of ``encode`` on
-    that entry's subgraph alone.
+    batch-invariant, so every row equals ``encode`` of that entry's
+    subgraph alone.
     """
     out = np.empty((len(entries), encoder.out_dim))
-    for n, idxs in _encoding_groups(entries):
-        z = encode_group_on_tape(Tape(), encoder, [entries[i].subgraph for i in idxs])
-        out[idxs] = z.value[::n]
+    for rows, batch in _batches(entries):
+        out[rows] = encode_centers_on_tape(Tape(), encoder, batch).value
     return out
 
 
@@ -417,16 +403,17 @@ def contrastive_step(
     embeddings ``z``. Each encoding group's forward pass then runs again on
     a fresh tape, which backpropagates that group's rows of ``dL/dz``.
     """
-    z = Parameter("z", encode_centers(encoder, entries))
+    batches = list(_batches(entries))  # built once for both passes
+    eager = [encode_centers_on_tape(Tape(), encoder, batch).value for _, batch in batches]
+    z = Parameter("z", np.concatenate(eager))
     targets = np.stack([e.target for e in entries])
     pairs = mine_informative_pairs(z.value, targets, cfg, substream(cfg.seed, "pairs", epoch))
     tape = Tape()
     loss = pair_loss_on_tape(tape, tape.param(z), pairs, cfg)
     tape.backward(loss)
-    for _, idxs in _encoding_groups(entries):
+    for rows, batch in batches:
         tape = Tape()
-        centers = encode_centers_on_tape(tape, encoder, [entries[i] for i in idxs])
-        tape.backward(centers, z.grad[idxs])
+        tape.backward(encode_centers_on_tape(tape, encoder, batch), z.grad[rows])
     return float(loss.value[0, 0])
 
 
@@ -439,14 +426,13 @@ def reconstruction_step(
     entry's error entering the mean with weight ``1/N``.
     """
     errors = []
-    for n, idxs in _encoding_groups(entries):
-        subgraphs = [entries[i].subgraph for i in idxs]
+    for _, batch in _batches(entries):
         tape = Tape()
-        z = encode_group_on_tape(tape, encoder, subgraphs)
-        x_hat = decode_group_on_tape(tape, decoder, subgraphs, z)
-        features = np.concatenate([s.features for s in subgraphs])
-        row_errors = tape.rownorm(tape.sub(tape.const(features), x_hat))
-        per_entry = tape.scale(tape.sum_blocks(row_errors, n), 1.0 / n)
+        z = encode_group_on_tape(tape, encoder, batch)
+        x_hat = decode_group_on_tape(tape, decoder, batch, z)
+        sizes = batch.sizes
+        row_errors = tape.rownorm(tape.sub(tape.const(batch.features), x_hat))
+        per_entry = tape.cmul(tape.sum_blocks(row_errors, sizes), 1.0 / sizes[:, None])
         tape.backward(per_entry, np.full(per_entry.shape, 1.0 / len(entries)))
         errors.append(per_entry.value)
     return float(np.concatenate(errors).mean())

@@ -25,12 +25,20 @@ from ranrec.evaluation import (
     pca_project,
     roc_auc,
 )
-from ranrec.gnn import ArchConfig, attention_matrices, encode, init_decoder, init_encoder
+from ranrec.gnn import (
+    ArchConfig,
+    decode_group_on_tape,
+    encode,
+    encode_group_on_tape,
+    init_decoder,
+    init_encoder,
+    stack_subgraphs,
+)
 from ranrec.graph import fit_normalization, feature_map
 from ranrec.inference import EmbeddingStore, recommend_closest, recommend_majority
 from ranrec.rng import substream
 from ranrec.sampler import DatasetEntry, SamplerConfig, Subgraph, sample_subgraph
-from ranrec.synth import SynthSpec, generate, learnability_check
+from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
     PairSample,
     TrainingConfig,
@@ -40,7 +48,8 @@ from ranrec.training import (
     pair_loss_on_tape,
 )
 
-from conftest import small_schema, star_graph
+from conftest import learnability_check, small_schema, star_graph
+from dense_gat import edge_attention_matrices
 
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -90,6 +99,9 @@ def _grad_arch(in_dim: int) -> ArchConfig:
 
 
 def test_criterion_2_gradient_correctness():
+    # sgnn's centre embeddings come from the centre-only last layer; gae's
+    # from edge-list heads over every edge. Each sgnn case stacks three
+    # subgraphs of 3-6 vertices into one edge list.
     started = time.perf_counter()
     in_dim = 3
     cases = 20
@@ -102,6 +114,7 @@ def test_criterion_2_gradient_correctness():
             DatasetEntry(subgraph=_random_subgraph(rng, in_dim), target=rng.random(4))
             for _ in range(3)
         ]
+        batch = stack_subgraphs([e.subgraph for e in entries])
         pairs = [
             PairSample(0, 1, float(rng.uniform(-1, 1))),
             PairSample(1, 2, float(rng.uniform(-1, 1))),
@@ -110,7 +123,7 @@ def test_criterion_2_gradient_correctness():
         cfg = TrainingConfig(seed=case)
 
         def f(tape: Tape):
-            z = encode_centers_on_tape(tape, encoder, entries)
+            z = encode_centers_on_tape(tape, encoder, batch)
             return pair_loss_on_tape(tape, z, pairs, cfg)
 
         worst_sgnn = max(worst_sgnn, grad_check(f, encoder.parameters()))
@@ -122,12 +135,11 @@ def test_criterion_2_gradient_correctness():
         encoder = init_encoder(arch, seed=case)
         decoder = init_decoder(arch, seed=case)
         subgraph = _random_subgraph(rng, in_dim)
+        single = stack_subgraphs([subgraph])
 
         def f(tape: Tape):
-            from ranrec.gnn import decode_group_on_tape, encode_group_on_tape
-
-            z = encode_group_on_tape(tape, encoder, [subgraph])
-            x_hat = decode_group_on_tape(tape, decoder, [subgraph], z)
+            z = encode_group_on_tape(tape, encoder, single)
+            x_hat = decode_group_on_tape(tape, decoder, single, z)
             diff = tape.sub(tape.const(subgraph.features), x_hat)
             return tape.mean(tape.rownorm(diff))
 
@@ -322,13 +334,13 @@ def test_criterion_7_structural_invariants():
         edges=tuple(tuple(sorted((inv[i], inv[j]))) for i, j in edges),
         features=features[perm],
     )
-    drift = np.abs(encode(encoder, permuted)[0] - encode(encoder, sub)[0]).max()
+    drift = np.abs(encode(encoder, permuted) - encode(encoder, sub)).max()
     perm_ok = drift <= 1e-12
     details.append(f"permutation drift {drift:.1e}")
 
     # attention rows normalize
     rows_ok = True
-    for layer_weights in attention_matrices(encoder, sub):
+    for layer_weights in edge_attention_matrices(encoder, sub):
         for alpha in layer_weights:
             rows_ok &= bool(np.all(alpha >= 0.0))
             rows_ok &= bool(np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranrec.autodiff import (
+    EdgeList,
     Parameter,
     ShapeError,
     Tape,
@@ -18,8 +19,9 @@ from ranrec.autodiff import (
     cosine,
     grad_check,
     leaky_relu_values,
-    masked_softmax,
 )
+
+from dense_gat import dense_head, destinations, masked_softmax
 
 
 class TestMatmul:
@@ -53,6 +55,20 @@ class TestMatmul:
 
         assert grad_check(f, [a]) < 1e-6
 
+    @pytest.mark.parametrize("k, m", [(6, 16), (16, 64), (64, 64), (64, 14)])
+    def test_rows_do_not_depend_on_the_batch(self, k, m):
+        # The encoder's product shapes at the default dimensions. A lone row
+        # would go to BLAS gemv and could round differently from the same
+        # row of a larger product.
+        rng = np.random.default_rng(k)
+        a, b = rng.normal(size=(37, k)), rng.normal(size=(k, m))
+        tape = Tape()
+        full = tape.matmul(tape.const(a), tape.const(b)).value
+        for i in range(a.shape[0]):
+            assert np.array_equal(tape.matmul(tape.const(a[i : i + 1]), tape.const(b)).value, full[i : i + 1])
+        for rows in (2, 3, 8):
+            assert np.array_equal(tape.matmul(tape.const(a[:rows]), tape.const(b)).value, full[:rows])
+
     def test_associativity(self):
         rng = np.random.default_rng(1)
         a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
@@ -70,30 +86,39 @@ def _block_masks(rng, blocks: int, n: int) -> np.ndarray:
     return masks.reshape(blocks * n, n)
 
 
-def _reference_head(s, t, a, masks, slope, n, g):
-    """The elementary-op chain that ``attention_head`` replaced, forward and
-    backward for the output adjoint ``g``, in plain numpy: pair rows of
-    sources and targets, their sum, leaky ReLU, one score product per block,
-    masked softmax, weighting by a column of weights, and block sums."""
-    rows, c = s.shape
-    b = rows // n
-    src = np.ascontiguousarray(np.broadcast_to(s.reshape(b, 1, n, c), (b, n, n, c)).reshape(-1, c))
-    tgt = np.ascontiguousarray(np.broadcast_to(t.reshape(b, n, 1, c), (b, n, n, c)).reshape(-1, c))
-    pairs = src + tgt
+def _mask_edges(masks: np.ndarray, n: int) -> EdgeList:
+    """The edge list of stacked (n, n) masks: ``j -> i`` for every set ``[i, j]``."""
+    rows, cols = np.nonzero(masks)  # row-major: by destination, then source
+    return EdgeList(cols + rows // n * n, rows, masks.shape[0])
+
+
+def _reference_head(s, t, a, edges, slope, g):
+    """The elementary-op chain of an edge-list head, forward and backward for
+    the output adjoint ``g``, in plain numpy: gathered source and target rows,
+    their sum, leaky ReLU, one dot product per edge, a softmax per destination
+    segment, weighting by a column of weights, and segment sums."""
+    src, dst, starts = edges.src, destinations(edges), edges.starts
+    src_rows, tgt_rows = s[src], t[dst]
+    pairs = src_rows + tgt_rows
     lr = leaky_relu_values(pairs, slope)
-    scores = (lr.reshape(b, n * n, c) @ a).reshape(rows * n, 1)
-    alpha = masked_softmax(scores.reshape(rows, n), masks)
-    col = alpha.reshape(rows * n, 1)
-    out = (src * col).reshape(-1, n, c).sum(axis=1)
-    g_rows = np.repeat(g, n, axis=0)
-    g_src = g_rows * col
-    g_alpha = (g_rows * src).sum(axis=1, keepdims=True).reshape(rows, n)
-    dot = (g_alpha * alpha).sum(axis=-1, keepdims=True)
-    g_scores = (alpha * (g_alpha - dot)).reshape(rows * n, 1)
-    g_a = lr.T @ g_scores
-    g_pairs = (g_scores @ a.T) * ((pairs > 0.0) * (1.0 - slope) + slope)
-    g_t = g_pairs.reshape(b, n, n, c).sum(axis=2).reshape(rows, c)
-    g_s = (g_src + g_pairs).reshape(b, n, n, c).sum(axis=1).reshape(rows, c)
+    scores = np.einsum("kc,c->k", lr, a[:, 0])
+    peak = np.maximum.reduceat(scores, starts)
+    e = np.exp(scores - peak[dst])
+    alpha = e / np.add.reduceat(e, starts)[dst]
+    col = alpha[:, None]
+    out = np.add.reduceat(src_rows * col, starts, axis=0)
+    g_rows = g[dst]
+    g_alpha = np.einsum("kc,kc->k", g_rows, src_rows)
+    dot = np.add.reduceat(g_alpha * alpha, starts)
+    g_scores = alpha * (g_alpha - dot[dst])
+    g_a = lr.T @ g_scores[:, None]
+    g_pairs = g_scores[:, None] * a[:, 0] * ((pairs > 0.0) * (1.0 - slope) + slope)
+    g_t = np.add.reduceat(g_pairs, starts, axis=0)
+    g_src = g_pairs + g_rows * col
+    g_s = np.zeros_like(s)
+    order = np.argsort(src, kind="stable")
+    firsts = np.flatnonzero(np.diff(src[order], prepend=-1))
+    g_s[src[order][firsts]] = np.add.reduceat(g_src[order], firsts, axis=0)
     return out, alpha, g_s, g_t, g_a
 
 
@@ -104,50 +129,86 @@ class TestAttentionHead:
         s, t = rng.normal(size=(2, blocks * n, c))
         a = rng.normal(size=(c, 1))
         g = rng.normal(size=(blocks * n, c))
-        masks = _block_masks(rng, blocks, n)
+        edges = _mask_edges(_block_masks(rng, blocks, n), n)
         tape = Tape()
-        out, alpha = tape.attention_head(
-            tape.const(s), tape.const(t), tape.const(a), masks, 0.2, n
-        )
-        expected = _reference_head(s, t, a, masks, 0.2, n, g)
+        out, alpha = tape.attention_head(tape.const(s), tape.const(t), tape.const(a), edges, 0.2)
+        expected = _reference_head(s, t, a, edges, 0.2, g)
         assert np.array_equal(out.value, expected[0])
         assert np.array_equal(alpha, expected[1])
         for got, want in zip(out.backward_fn(g), expected[2:]):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("blocks, n, c", [(1, 1, 3), (3, 5, 4), (7, 9, 16)])
+    def test_matches_the_dense_head(self, blocks, n, c):
+        rng = np.random.default_rng(blocks * 100 + n)
+        s, t = rng.normal(size=(2, blocks * n, c))
+        a = rng.normal(size=(c, 1))
+        masks = _block_masks(rng, blocks, n)
+        tape = Tape()
+        out, alpha = tape.attention_head(
+            tape.const(s), tape.const(t), tape.const(a), _mask_edges(masks, n), 0.2
+        )
+        dense_alpha = np.zeros((blocks * n, n))
+        dense_alpha[masks] = alpha
+        for b in range(blocks):
+            part = slice(b * n, (b + 1) * n)
+            want_out, want_alpha = dense_head(s[part], t[part], a, masks[part], 0.2)
+            np.testing.assert_allclose(out.value[part], want_out, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(dense_alpha[part], want_alpha, rtol=1e-13, atol=1e-15)
+
     @pytest.mark.parametrize("blocks", [1, 7, 32])
     def test_blocks_match_their_own_run(self, blocks):
-        # A product over many rows may round a row differently than the same
-        # row's block alone; the head must not.
+        # A target's values must not depend on how many other subgraphs'
+        # edges share its list, in the full and in the centre-only form.
         rng = np.random.default_rng(blocks)
         n, c = 9, 16
         s, t = rng.normal(size=(2, blocks * n, c))
         a = rng.normal(size=(c, 1))
         masks = _block_masks(rng, blocks, n)
         tape = Tape()
-        out, alpha = tape.attention_head(
-            tape.const(s), tape.const(t), tape.const(a), masks, 0.2, n
-        )
+        edges = _mask_edges(masks, n)
+        dst = destinations(edges)
+        center = np.isin(dst, np.arange(0, blocks * n, n))
+        centers = EdgeList(edges.src[center], dst[center] // n, blocks * n)
+        out, alpha = tape.attention_head(tape.const(s), tape.const(t), tape.const(a), edges, 0.2)
+        out_c, _ = tape.attention_head(tape.const(s), tape.const(t[::n]), tape.const(a), centers, 0.2)
+        assert np.array_equal(out_c.value, out.value[::n])
         for b in range(blocks):
             part = slice(b * n, (b + 1) * n)
+            edges_b = _mask_edges(masks[part], n)
             out_b, alpha_b = tape.attention_head(
-                tape.const(s[part]), tape.const(t[part]), tape.const(a), masks[part], 0.2, n
+                tape.const(s[part]), tape.const(t[part]), tape.const(a), edges_b, 0.2
             )
             assert np.array_equal(out.value[part], out_b.value)
-            assert np.array_equal(alpha[part], alpha_b)
+            assert np.array_equal(alpha[np.isin(dst, np.arange(part.start, part.stop))], alpha_b)
 
     def test_shape_checks(self):
         tape = Tape()
         six = tape.const(np.ones((6, 3)))
         a = tape.const(np.ones((3, 1)))
-        masks = np.ones((6, 4), dtype=bool)
-        with pytest.raises(ShapeError, match="blocks"):
-            tape.attention_head(six, six, a, masks, 0.2, 4)
+        edges = EdgeList(np.arange(6), np.arange(6), 6)
+        with pytest.raises(ShapeError, match="6 sources and 6 targets"):
+            tape.attention_head(tape.const(np.ones((5, 3))), six, a, edges, 0.2)
         with pytest.raises(ShapeError, match="attention_head"):
-            tape.attention_head(six, tape.const(np.ones((6, 2))), a, masks, 0.2, 3)
+            tape.attention_head(six, tape.const(np.ones((6, 2))), a, edges, 0.2)
         with pytest.raises(ShapeError, match="attention_head"):
-            tape.attention_head(six, six, tape.const(np.ones((2, 1))), masks, 0.2, 3)
+            tape.attention_head(six, six, tape.const(np.ones((2, 1))), edges, 0.2)
+        with pytest.raises(ValueError, match="sorted and cover"):
+            EdgeList(np.array([0, 1]), np.array([1, 0]), 2)
+        with pytest.raises(ValueError, match="sorted and cover"):
+            EdgeList(np.array([0, 1]), np.array([0, 2]), 3)
+        with pytest.raises(ValueError, match="sources outside"):
+            EdgeList(np.array([0, 3]), np.array([0, 1]), 3)
 
+    def test_source_without_edges_gets_zero_adjoint(self):
+        # Vertex 2 is no edge's source: its rows of ``s`` get an adjoint of 0.
+        rng = np.random.default_rng(3)
+        s, t = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        edges = EdgeList(np.array([0, 1, 1]), np.array([0, 0, 1]), 3)
+        tape = Tape()
+        out, _ = tape.attention_head(tape.const(s), tape.const(t), tape.const(rng.normal(size=(4, 1))), edges, 0.2)
+        g_s = out.backward_fn(rng.normal(size=(2, 4)))[0]
+        assert g_s.shape == (3, 4) and not g_s[2].any() and g_s[:2].all()
 
 
 class TestBackward:
@@ -288,6 +349,7 @@ def _random_param(rng, shape):
 PRIMITIVE_CASES = [
     "matmul",
     "attention_head",
+    "attention_head_centers",
     "add",
     "add_broadcast",
     "sub",
@@ -323,8 +385,15 @@ def test_every_primitive_passes_grad_check(op, seed):
             # Sources, targets and scores all depend on the parameter.
             targets = tape.cmul(node, other)
             a = tape.matmul(tape.const(other.T), tape.matmul(node, tape.const(tall[:, :1])))
-            masks = np.array([[True, False], [True, True], [True, True], [True, True]])
-            out = tape.attention_head(node, targets, a, masks, 0.2, 2)[0]
+            edges = EdgeList(np.array([0, 0, 1, 2, 3, 2, 3]), np.array([0, 1, 1, 2, 2, 3, 3]), 4)
+            out = tape.attention_head(node, targets, a, edges, 0.2)[0]
+        elif op == "attention_head_centers":
+            # The centre-only form: targets are the centres 0 and 2 only, and
+            # vertex 1 is no edge's source.
+            targets = tape.gather(tape.cmul(node, other), np.array([0, 2]))
+            a = tape.matmul(tape.const(other.T), tape.matmul(node, tape.const(tall[:, :1])))
+            edges = EdgeList(np.array([0, 2, 3]), np.array([0, 1, 1]), 4)
+            out = tape.attention_head(node, targets, a, edges, 0.2)[0]
         elif op == "add":
             out = tape.add(node, tape.const(other))
         elif op == "add_broadcast":
@@ -348,7 +417,7 @@ def test_every_primitive_passes_grad_check(op, seed):
         elif op == "rownorm":
             out = tape.rownorm(node)
         elif op == "sum_blocks":
-            out = tape.sum_blocks(node, 2)
+            out = tape.sum_blocks(node, np.array([1, 3]))
         else:
             out = tape.gather(node, np.array([2, 0, 2, 3]))
         # fold to a scalar through a second differentiable stage
@@ -363,12 +432,12 @@ def test_rownorm_and_softmax_chain(seed):
     rng = np.random.default_rng(seed)
     p = Parameter("p", rng.normal(size=(3, 5)))
     a = rng.normal(size=(5, 1))
-    mask = np.ones((3, 3), dtype=bool)
+    edges = EdgeList(np.tile(np.arange(3), 3), np.repeat(np.arange(3), 3), 3)
 
     def f(tape: Tape):
         node = tape.param(p)
         # One block of three vertices: each row's softmax spans all three.
-        soft, _ = tape.attention_head(node, node, tape.const(a), mask, 0.2, 3)
+        soft, _ = tape.attention_head(node, node, tape.const(a), edges, 0.2)
         return tape.mean(tape.rownorm(soft))
 
     assert grad_check(f, [p]) < 1e-4

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from ranrec.anomaly import anomaly_score, fit_forest, store_matrix
-from ranrec.cli import STAGES, main
-from ranrec.graph import EDGE_KINDS, denormalize, feature_map, parse_cells_payload
+from ranrec.cli import STAGES, TRAIN_STAGES, main
+from ranrec.graph import EDGE_KINDS, denormalize, extend_network, feature_map, parse_cells_payload
 from ranrec.inference import (
     FOREST_COLUMNS,
     NETWORK_COLUMNS,
@@ -275,6 +275,66 @@ class TestPipeline:
         assert str(workspace / "net" / "network.json") in manifest["inputs"]
         assert str(workspace / "ckpt.json") in manifest["outputs"]
         assert manifest["wall_time_s"] >= 0.0
+        assert manifest["peak_rss_mb"] > 0.0
+
+    def test_train_manifest_stages_within_wall_time(self, workspace):
+        manifest = json.loads((workspace / "ckpt.json.manifest.json").read_text())
+        stages = manifest["stages"]
+        assert set(stages) == set(TRAIN_STAGES)
+        assert all(seconds >= 0.0 for seconds in stages.values()), stages
+        assert sum(stages.values()) <= manifest["wall_time_s"]
+
+
+def _isolated_cells(count: int) -> list[dict]:
+    """New LTE cells, each alone on its own new node: no cell has a neighbour."""
+    return [
+        {
+            "cell_id": f"ISO{i}",
+            "node_id": f"ISONODE{i}",
+            "technology": "LTE",
+            "predictors": {"lteBandwidthMhz": 10, "lteChannelNumber": 1500 + 7 * i, "lteAntennaAzimuth": 40 * i},
+        }
+        for i in range(count)
+    ]
+
+
+class TestIsolatedCells:
+    """A cell without neighbours is a one-vertex subgraph; a lone one must embed
+    with the same bits as one among many, or retrieval loses bit-exactness."""
+
+    def test_request_sources_equal_the_oracle(self, workspace, tmp_path):
+        request = tmp_path / "isolated.json"
+        request.write_text(json.dumps({"cells": _isolated_cells(3), "edges": []}))
+        out = tmp_path / "recs.json"
+        assert main(["recommend", str(workspace / "store.json"), str(request), "--out", str(out)]) == 0
+        bundle = load_store(workspace / "store.json")
+        cells, edges = parse_cells_payload(json.loads(request.read_text()))
+        augmented = extend_network(bundle.graph, cells, edges)
+        features = feature_map(augmented, bundle.stats)
+        sampler = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=bundle.checkpoint.seed)
+        rows = list(zip(bundle.store.ids, bundle.store.z))
+        for cell, rec in zip(cells, json.loads(out.read_text()), strict=True):
+            z = embed_new_cell(bundle.store, sample_subgraph(augmented, cell.cell_id, sampler, features))
+            ranked = sorted((float(np.linalg.norm(zr - z)), cid) for cid, zr in rows)
+            assert rec["sources"] == [{"cell_id": cid, "distance": d} for d, cid in ranked[:1]], cell.cell_id
+            rows.append((cell.cell_id, z))
+
+    def test_embedded_rows_equal_single_cell_embedding(self, workspace, tmp_path):
+        network = json.loads((workspace / "net" / "network.json").read_text())
+        isolated = _isolated_cells(5)
+        for cell in isolated:
+            cell["configs"] = {"lteHandoverMargin": 1.0, "ltePowerTarget": -90.0, "ltePreamblePower": -120.0}
+        network["cells"] = isolated[:2] + network["cells"] + isolated[2:]
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps(network))
+        store_path = tmp_path / "store.json"
+        assert main(["embed", str(path), str(workspace / "ckpt.json"), "--out", str(store_path)]) == 0
+        bundle = load_store(store_path)
+        features = feature_map(bundle.graph, bundle.stats)
+        cfg = SamplerConfig(fanout=bundle.checkpoint.fanout, seed=bundle.checkpoint.seed)
+        for record in bundle.store.records:
+            sub = sample_subgraph(bundle.graph, record.cell_id, cfg, features)
+            assert np.array_equal(record.z, embed_new_cell(bundle.store, sub)), record.cell_id
 
 
 class TestValidationErrors:

@@ -9,19 +9,22 @@ from ranrec.autodiff import Tape, grad_check, leaky_relu_values
 from ranrec.gnn import (
     ArchConfig,
     Checkpoint,
-    attention_matrices,
-    attention_scores,
     decode_group_on_tape,
     encode,
     encode_group_on_tape,
     init_decoder,
     init_encoder,
     schema_hash,
+    stack_subgraphs,
 )
 from ranrec.graph import NormalizationStats, SlotStats
 from ranrec.sampler import Subgraph
 
 from conftest import small_schema
+from dense_gat import attention_matrices, attention_scores, dense_encode, edge_attention_matrices
+
+# The dense oracle and the edge-list path give the same attention weights.
+BOTH = (attention_matrices, edge_attention_matrices)
 
 
 def make_subgraph(n_neighbors: int, in_dim: int = 5, seed: int = 0, edges=None) -> Subgraph:
@@ -73,11 +76,11 @@ class TestLayerForward:
     def test_single_vertex_attends_to_itself(self):
         stack = init_encoder(tiny_arch(), seed=2)
         sub = make_subgraph(0)
-        alphas = attention_matrices(stack, sub)
-        for layer_weights in alphas:
-            for alpha in layer_weights:
-                assert alpha.shape == (1, 1)
-                assert alpha[0, 0] == pytest.approx(1.0)
+        for matrices in BOTH:
+            for layer_weights in matrices(stack, sub):
+                for alpha in layer_weights:
+                    assert alpha.shape == (1, 1)
+                    assert alpha[0, 0] == pytest.approx(1.0)
         assert np.isfinite(encode(stack, sub)).all()
 
     def test_zero_attention_vector_gives_uniform_weights(self):
@@ -86,24 +89,33 @@ class TestLayerForward:
             for head in layer.heads:
                 head.a.value[:] = 0.0
         sub = make_subgraph(3)  # center + 3 neighbors, star edges
-        alphas = attention_matrices(stack, sub)
-        center_row = alphas[0][0][0]
-        assert np.allclose(center_row, 0.25)
+        for matrices in BOTH:
+            center_row = matrices(stack, sub)[0][0][0]
+            assert np.allclose(center_row, 0.25)
 
     def test_attention_rows_are_probability_vectors(self):
         stack = init_encoder(tiny_arch(), seed=4)
         sub = make_subgraph(4, edges=[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
-        for layer_weights in attention_matrices(stack, sub):
-            for alpha in layer_weights:
-                assert np.all(alpha >= 0.0)
-                assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+        for matrices in BOTH:
+            for layer_weights in matrices(stack, sub):
+                for alpha in layer_weights:
+                    assert np.all(alpha >= 0.0)
+                    assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
     def test_masked_pairs_get_zero_weight(self):
         stack = init_encoder(tiny_arch(), seed=5)
         sub = make_subgraph(3)  # star: neighbors are not adjacent to each other
-        alpha = attention_matrices(stack, sub)[0][0]
-        assert alpha[1, 2] == 0.0
-        assert alpha[2, 3] == 0.0
+        for matrices in BOTH:
+            alpha = matrices(stack, sub)[0][0]
+            assert alpha[1, 2] == 0.0
+            assert alpha[2, 3] == 0.0
+
+    def test_edge_weights_match_the_dense_oracle(self):
+        stack = init_encoder(tiny_arch(), seed=6)
+        sub = make_subgraph(4, edges=[(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
+        for dense, edge in zip(attention_matrices(stack, sub), edge_attention_matrices(stack, sub)):
+            for want, got in zip(dense, edge):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
 
 
 class TestEncodeDecode:
@@ -121,7 +133,7 @@ class TestEncodeDecode:
             edges=a.edges,
             features=a.features.copy(),
         )
-        assert np.allclose(encode(stack, a)[0], encode(stack, b)[0])
+        assert np.allclose(encode(stack, a), encode(stack, b))
 
     def test_neighbor_permutation_invariance(self):
         stack = init_encoder(tiny_arch(), seed=8)
@@ -139,9 +151,10 @@ class TestEncodeDecode:
             edges=permuted_edges,
             features=features[perm],
         )
-        out = encode(stack, sub)
-        out_permuted = encode(stack, permuted)
-        assert np.abs(out_permuted[0] - out[0]).max() <= 1e-12
+        out, out_permuted = (
+            encode_group_on_tape(Tape(), stack, stack_subgraphs([s])).value for s in (sub, permuted)
+        )
+        assert np.abs(encode(stack, permuted) - encode(stack, sub)).max() <= 1e-12
         for old, new in inv.items():
             assert np.abs(out_permuted[new] - out[old]).max() <= 1e-12
 
@@ -153,8 +166,9 @@ class TestEncodeDecode:
         enc = init_encoder(arch, seed=10)
         dec = init_decoder(arch, seed=10)
         sub = make_subgraph(2)
+        batch = stack_subgraphs([sub])
         tape = Tape()
-        x_hat = decode_group_on_tape(tape, dec, [sub], encode_group_on_tape(tape, enc, [sub]))
+        x_hat = decode_group_on_tape(tape, dec, batch, encode_group_on_tape(tape, enc, batch))
         assert x_hat.shape == sub.features.shape
 
     def test_decode_deterministic(self):
@@ -162,7 +176,8 @@ class TestEncodeDecode:
         dec = init_decoder(arch, seed=11)
         sub = make_subgraph(2)
         z = np.random.default_rng(1).normal(size=(3, arch.embedding_dim))
-        first, second = (decode_group_on_tape(t, dec, [sub], t.const(z)).value for t in (Tape(), Tape()))
+        batch = stack_subgraphs([sub])
+        first, second = (decode_group_on_tape(t, dec, batch, t.const(z)).value for t in (Tape(), Tape()))
         assert np.array_equal(first, second)
 
     def test_reconstruction_gradient(self):
@@ -170,30 +185,65 @@ class TestEncodeDecode:
         enc = init_encoder(arch, seed=12)
         dec = init_decoder(arch, seed=12)
         sub = make_subgraph(2, in_dim=3)
+        batch = stack_subgraphs([sub])
 
         def f(tape: Tape):
-            z = encode_group_on_tape(tape, enc, [sub])
-            x_hat = decode_group_on_tape(tape, dec, [sub], z)
+            z = encode_group_on_tape(tape, enc, batch)
+            x_hat = decode_group_on_tape(tape, dec, batch, z)
             diff = tape.sub(tape.const(sub.features), x_hat)
             return tape.mean(tape.rownorm(diff))
 
         assert grad_check(f, enc.parameters() + dec.parameters()) < 1e-4
 
     def test_tape_keeps_no_pair_rows(self):
-        # A head's (B*n*n, head_dim) pair rows are recomputed in the backward
+        # A head's (edges, head_dim) pair rows are recomputed in the backward
         # pass: neither a node's value nor its backward rule may hold them.
         arch = tiny_arch()
         stack = init_encoder(arch, seed=14)
-        blocks, n = 6, 9
-        tape = Tape()
-        encode_group_on_tape(tape, stack, [make_subgraph(n - 1, seed=i) for i in range(blocks)])
-        pair_rows = blocks * n * n
-        for node in tape.nodes:
-            assert node.value.shape[0] < pair_rows
-            held = [c.cell_contents for c in getattr(node.backward_fn, "__closure__", None) or ()]
-            for value in held:
-                if isinstance(value, np.ndarray):
-                    assert value.size < pair_rows * arch.head_dim
+        batch = stack_subgraphs([make_subgraph(8, seed=i) for i in range(6)])
+        pair_rows = batch.edges.src.shape[0]
+        for centers in (False, True):
+            tape = Tape()
+            encode_group_on_tape(tape, stack, batch, centers)
+            for node in tape.nodes:
+                assert node.value.shape[0] < pair_rows
+                held = [c.cell_contents for c in getattr(node.backward_fn, "__closure__", None) or ()]
+                for value in held:
+                    if isinstance(value, np.ndarray):
+                        assert value.size < pair_rows * arch.head_dim
+
+    def test_matches_the_dense_oracle(self):
+        stack = init_encoder(ArchConfig(in_dim=5), seed=15)
+        for seed in range(5):
+            sub = make_subgraph(8, seed=seed, edges=[(0, j) for j in range(1, 9)] + [(2, 3), (5, 8)])
+            full = encode_group_on_tape(Tape(), stack, stack_subgraphs([sub])).value
+            np.testing.assert_allclose(full, dense_encode(stack, sub), rtol=1e-13, atol=1e-15)
+
+    def test_outputs_bit_equal_across_paths(self):
+        # A centre's embedding is the same bits whether the last layer runs
+        # over every edge or over the edges into centres only, and whether
+        # its subgraph is encoded alone or with others of any sizes. The
+        # subgraphs include lone vertices and a centre without edges.
+        stack = init_encoder(ArchConfig(in_dim=5), seed=16)
+        subgraphs = [
+            make_subgraph(0, seed=1),
+            make_subgraph(8, seed=2, edges=[(0, j) for j in range(1, 9)] + [(1, 2)]),
+            make_subgraph(3, seed=3, edges=[(1, 2), (2, 3)]),  # the centre has no edges
+            make_subgraph(5, seed=4),
+            make_subgraph(0, seed=5),
+            make_subgraph(1, seed=6),
+        ]
+        alone = np.stack([encode(stack, sub) for sub in subgraphs])
+        batch = stack_subgraphs(subgraphs)
+        full = encode_group_on_tape(Tape(), stack, batch).value[batch.centers]
+        centers = encode_group_on_tape(Tape(), stack, batch, centers=True).value
+        assert np.array_equal(full, alone)
+        assert np.array_equal(centers, alone)
+        lone = [s for s in subgraphs if s.size == 1]
+        assert np.array_equal(
+            encode_group_on_tape(Tape(), stack, stack_subgraphs(lone), centers=True).value,
+            np.stack([encode(stack, s) for s in lone]),
+        )
 
     def test_wrong_feature_width_rejected(self):
         stack = init_encoder(tiny_arch(in_dim=4), seed=13)

@@ -353,7 +353,7 @@ class TestEmbedNewCell:
         from ranrec.gnn import encode
 
         for entry in dataset:
-            store.add(entry.subgraph.center, encode(encoder, entry.subgraph)[0], entry.target)
+            store.add(entry.subgraph.center, encode(encoder, entry.subgraph), entry.target)
         return graph, stats, store
 
     def test_same_subgraph_same_embedding(self):

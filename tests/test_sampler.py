@@ -13,10 +13,16 @@ from ranrec.sampler import (
     SamplerConfig,
     build_dataset,
     sample_subgraph,
-    split,
+    split_indices,
 )
 
 from conftest import lte_cell, nr_cell, small_schema, star_graph
+
+
+def split(dataset, test_fraction: float, seed: int):
+    """Disjoint, exhaustive train/test split of a dataset, deterministic per seed."""
+    train_idx, test_idx = split_indices(len(dataset), test_fraction, seed)
+    return [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]
 
 
 def _fitted(graph):

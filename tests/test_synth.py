@@ -12,10 +12,11 @@ from ranrec.synth import (
     _TECH_DESIGN,
     corrupt_configs,
     generate,
-    learnability_check,
     synthesize_expansion,
     synthesize_greenfield,
 )
+
+from conftest import learnability_check
 
 
 def small_spec(**overrides) -> SynthSpec:

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from ranrec import training
 from ranrec.autodiff import Tape, UndefinedCosineError, grad_check
-from ranrec.gnn import ArchConfig, decode_group_on_tape, encode, encode_group_on_tape, init_decoder, init_encoder
+from ranrec.gnn import (
+    ArchConfig,
+    decode_group_on_tape,
+    encode,
+    encode_group_on_tape,
+    init_decoder,
+    init_encoder,
+    stack_subgraphs,
+)
 from ranrec.graph import fit_normalization
 from ranrec.rng import substream
 from ranrec.sampler import SamplerConfig, build_dataset
@@ -44,6 +52,10 @@ def tiny_arch(in_dim: int) -> ArchConfig:
     return ArchConfig(
         in_dim=in_dim, embedding_dim=3, layers=2, heads=2, head_dim=3, ffn_hidden=4, hidden_dim=4
     )
+
+
+def batch_of(entries):
+    return stack_subgraphs([e.subgraph for e in entries])
 
 
 def quick_config(**overrides) -> TrainingConfig:
@@ -413,15 +425,15 @@ class TestEncodeCenters:
         entries = build_dataset(graph, stats, SamplerConfig(fanout=8, seed=0))
         assert len({e.subgraph.size for e in entries}) > 1
         encoder = init_encoder(ArchConfig(in_dim=graph.schema.predictor_dim), 11)
-        alone = np.stack([encode(encoder, e.subgraph)[0] for e in entries])
-        for budget in (1, 7 * 49 + 1, training.ENCODE_GROUP_PAIR_ROWS, 10**9):
-            monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", budget)
+        alone = np.stack([encode(encoder, e.subgraph) for e in entries])
+        for budget in (1, 7 * 19 + 1, training.ENCODE_GROUP_EDGES, 10**9):
+            monkeypatch.setattr(training, "ENCODE_GROUP_EDGES", budget)
             assert np.array_equal(encode_centers(encoder, entries), alone), budget
 
     def test_tape_form_matches_eager(self):
         data = small_dataset(degree=8, fanout=3)
         encoder = init_encoder(tiny_arch(data[0].subgraph.features.shape[1]), 2)
-        on_tape = encode_centers_on_tape(Tape(), encoder, data).value
+        on_tape = encode_centers_on_tape(Tape(), encoder, batch_of(data)).value
         assert np.array_equal(encode_centers(encoder, data), on_tape)
 
 
@@ -443,7 +455,7 @@ def single_tape_sgnn(encoder, entries, cfg, epoch):
     """The epoch's loss and gradient with every subgraph on one tape."""
     params = _zeroed(encoder.parameters())
     tape = Tape()
-    z = encode_centers_on_tape(tape, encoder, entries)
+    z = encode_centers_on_tape(tape, encoder, batch_of(entries))
     targets = np.stack([e.target for e in entries])
     rng = substream(cfg.seed, "pairs", epoch)
     loss = pair_loss_on_tape(tape, z, oracle_mine_informative_pairs(z.value, targets, cfg, rng), cfg)
@@ -454,14 +466,11 @@ def single_tape_sgnn(encoder, entries, cfg, epoch):
 def single_tape_gae(encoder, decoder, entries):
     params = _zeroed(encoder.parameters() + decoder.parameters())
     tape = Tape()
-    per_entry = []
-    for n, idxs in training._size_groups(entries):
-        subgraphs = [entries[i].subgraph for i in idxs]
-        x_hat = decode_group_on_tape(tape, decoder, subgraphs, encode_group_on_tape(tape, encoder, subgraphs))
-        features = tape.const(np.concatenate([s.features for s in subgraphs]))
-        row_errors = tape.rownorm(tape.sub(features, x_hat))
-        per_entry.append(tape.scale(tape.sum_blocks(row_errors, n), 1.0 / n))
-    loss = tape.mean(tape.concat(per_entry, axis=0))
+    batch = batch_of(entries)
+    x_hat = decode_group_on_tape(tape, decoder, batch, encode_group_on_tape(tape, encoder, batch))
+    row_errors = tape.rownorm(tape.sub(tape.const(batch.features), x_hat))
+    per_entry = tape.cmul(tape.sum_blocks(row_errors, batch.sizes), 1.0 / batch.sizes[:, None])
+    loss = tape.mean(per_entry)
     tape.backward(loss)
     return float(loss.value[0, 0]), [p.grad for p in params]
 
@@ -479,14 +488,14 @@ def assert_gradients_close(params, expected):
 class TestGroupwiseTraining:
     """Training adds its gradient up one encoding group at a time."""
 
-    GROUP = 4 * 81  # pair rows per group: 4 subgraphs of 9 vertices, so ~60 groups
+    GROUP = 4 * 30  # edge rows per group: about 4 subgraphs, so ~60 groups
 
     def test_sgnn_gradient_matches_single_tape(self, monkeypatch):
         entries, arch = _groupwise_dataset()
         encoder = init_encoder(arch, 4)
         cfg = TrainingConfig(seed=4)
         expected_loss, expected = single_tape_sgnn(encoder, entries, cfg, 0)
-        monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", self.GROUP)
+        monkeypatch.setattr(training, "ENCODE_GROUP_EDGES", self.GROUP)
         params = _zeroed(encoder.parameters())
         assert contrastive_step(encoder, entries, cfg, 0) == expected_loss
         assert_gradients_close(params, expected)
@@ -495,7 +504,7 @@ class TestGroupwiseTraining:
         entries, arch = _groupwise_dataset()
         encoder, decoder = init_encoder(arch, 4), init_decoder(arch, 4)
         expected_loss, expected = single_tape_gae(encoder, decoder, entries)
-        monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", self.GROUP)
+        monkeypatch.setattr(training, "ENCODE_GROUP_EDGES", self.GROUP)
         params = _zeroed(encoder.parameters() + decoder.parameters())
         assert reconstruction_step(encoder, decoder, entries) == expected_loss
         assert_gradients_close(params, expected)
@@ -503,7 +512,7 @@ class TestGroupwiseTraining:
     @pytest.mark.parametrize("model", ["sgnn", "gae"])
     def test_no_tape_node_holds_more_than_one_group(self, monkeypatch, model):
         entries, arch = _groupwise_dataset()
-        monkeypatch.setattr(training, "ENCODE_GROUP_PAIR_ROWS", self.GROUP)
+        monkeypatch.setattr(training, "ENCODE_GROUP_EDGES", self.GROUP)
         tapes = []
         init = Tape.__init__
 
@@ -520,10 +529,11 @@ class TestGroupwiseTraining:
             encoder, decoder, _ = train_gae(entries, arch, cfg)
             model_params = encoder.parameters() + decoder.parameters()
         model_ids = {id(p) for p in model_params}
-        sizes = {e.subgraph.size for e in entries}
-        group_rows = max(max(1, self.GROUP // (n * n)) * n for n in sizes)
+        # A vertex has at least its self loop, so a group has no more vertex
+        # rows than edge rows.
+        group_rows = max(self.GROUP, *(e.subgraph.size + 2 * len(e.subgraph.edges) for e in entries))
         model_tapes = [t for t in tapes if any(id(node.param) in model_ids for node in t.nodes)]
-        groups = len(list(training._encoding_groups(entries)))
+        groups = len(list(training._batches(entries)))
         # sgnn encodes each group twice per epoch: eagerly, then to backpropagate.
         assert len(model_tapes) == (2 if model == "sgnn" else 1) * cfg.epochs * groups
         for tape in model_tapes:
@@ -587,7 +597,7 @@ class TestTrainSgnn:
         pairs = [PairSample(0, 1, 0.6), PairSample(1, 2, -0.9)]
 
         def f(tape: Tape):
-            z = encode_centers_on_tape(tape, encoder, entries)
+            z = encode_centers_on_tape(tape, encoder, batch_of(entries))
             return pair_loss_on_tape(tape, z, pairs, cfg)
 
         assert grad_check(f, encoder.parameters()) < 1e-4
