@@ -82,13 +82,11 @@ class EdgeList:
             raise ValueError("edge destinations must be sorted and cover 0 .. targets-1")
         if src.min() < 0 or src.max() >= sources:
             raise ValueError(f"edge sources outside 0 .. {sources - 1}")
-        # 32-bit indices halve what a batch kept between passes holds.
-        index = np.int32 if src.size < 2**31 and sources < 2**31 else np.intp
-        first = np.flatnonzero(steps).astype(index)
-        self.src = src.astype(index)
+        first = np.flatnonzero(steps)
+        self.src = src.astype(np.intp, copy=False)
         self.sources = sources
         self.starts = first  # first edge of each destination
-        self.counts = np.diff(first, append=index(src.size))  # edges into each destination
+        self.counts = np.diff(first, append=src.size)  # edges into each destination
 
     @property
     def targets(self) -> int:
@@ -102,9 +100,9 @@ class EdgeList:
     def _source_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edge indices in source order, the first position of each source
         there, and the sources that have an edge, ascending."""
-        order = np.argsort(self.src, kind="stable").astype(self.src.dtype)
+        order = np.argsort(self.src, kind="stable")
         ordered = self.src[order]
-        firsts = np.flatnonzero(np.diff(ordered, prepend=-1)).astype(self.src.dtype)
+        firsts = np.flatnonzero(np.diff(ordered, prepend=-1))
         return order, firsts, ordered[firsts]
 
     def _source_sums(self, rows: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import math
 import resource
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -336,15 +336,19 @@ def encode_centers_on_tape(tape: Tape, encoder: GatStack, batch: SubgraphBatch) 
     return encode_group_on_tape(tape, encoder, batch, centers=True)
 
 
-def encode_centers(encoder: GatStack, entries: Sequence[DatasetEntry]) -> np.ndarray:
+def encode_centers(
+    encoder: GatStack,
+    entries: Sequence[DatasetEntry],
+    batches: Iterable[tuple[slice, SubgraphBatch]] | None = None,
+) -> np.ndarray:
     """Eager center embeddings for a dataset, one row per entry.
 
-    Each encoding group runs on a fresh tape. The forward pass is
-    batch-invariant, so every row equals ``encode`` of that entry's
-    subgraph alone.
+    Each encoding group runs on a fresh tape; ``batches`` are the entries'
+    groups when already built. The forward pass is batch-invariant, so
+    every row equals ``encode`` of that entry's subgraph alone.
     """
     out = np.empty((len(entries), encoder.out_dim))
-    for rows, batch in _batches(entries):
+    for rows, batch in _batches(entries) if batches is None else batches:
         out[rows] = encode_centers_on_tape(Tape(), encoder, batch).value
     return out
 
@@ -404,8 +408,7 @@ def contrastive_step(
     a fresh tape, which backpropagates that group's rows of ``dL/dz``.
     """
     batches = list(_batches(entries))  # built once for both passes
-    eager = [encode_centers_on_tape(Tape(), encoder, batch).value for _, batch in batches]
-    z = Parameter("z", np.concatenate(eager))
+    z = Parameter("z", encode_centers(encoder, entries, batches))
     targets = np.stack([e.target for e in entries])
     pairs = mine_informative_pairs(z.value, targets, cfg, substream(cfg.seed, "pairs", epoch))
     tape = Tape()

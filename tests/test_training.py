@@ -445,6 +445,21 @@ def _groupwise_dataset():
     return entries, ArchConfig(in_dim=graph.schema.predictor_dim)
 
 
+def greedy_group_vertices(entries, cap):
+    """Vertex rows of each group when consecutive entries are taken while
+    their edge rows (self loops and both directions of each edge) stay
+    within ``cap``, at least one entry per group."""
+    groups, edge_rows = [], cap
+    for e in entries:
+        size = e.subgraph.size + 2 * len(e.subgraph.edges)
+        if edge_rows + size > cap:
+            groups.append(0)
+            edge_rows = 0
+        groups[-1] += e.subgraph.size
+        edge_rows += size
+    return groups
+
+
 def _zeroed(params):
     for p in params:
         p.grad = np.zeros_like(p.value)
@@ -529,16 +544,12 @@ class TestGroupwiseTraining:
             encoder, decoder, _ = train_gae(entries, arch, cfg)
             model_params = encoder.parameters() + decoder.parameters()
         model_ids = {id(p) for p in model_params}
-        # A vertex has at least its self loop, so a group has no more vertex
-        # rows than edge rows.
-        group_rows = max(self.GROUP, *(e.subgraph.size + 2 * len(e.subgraph.edges) for e in entries))
+        groups = greedy_group_vertices(entries, self.GROUP)
         model_tapes = [t for t in tapes if any(id(node.param) in model_ids for node in t.nodes)]
-        groups = len(list(training._batches(entries)))
-        # sgnn encodes each group twice per epoch: eagerly, then to backpropagate.
-        assert len(model_tapes) == (2 if model == "sgnn" else 1) * cfg.epochs * groups
-        for tape in model_tapes:
-            rows = max(node.value.shape[0] for node in tape.nodes if node.param is None)
-            assert rows <= group_rows
+        # Each tape's largest node is its group's vertex rows. sgnn encodes
+        # each group twice per epoch: eagerly, then to backpropagate.
+        rows = [max(node.value.shape[0] for node in t.nodes if node.param is None) for t in model_tapes]
+        assert rows == (2 * groups if model == "sgnn" else groups) * cfg.epochs
         # The loss tape over all embeddings holds no model parameter.
         assert len(tapes) - len(model_tapes) == (2 if model == "sgnn" else 0)
 
