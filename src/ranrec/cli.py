@@ -19,6 +19,7 @@ import resource
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -128,6 +129,15 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
+@contextmanager
+def _naming(path: Path):
+    """Prefix a ``ValueError`` raised by the work inside with the input ``path`` it comes from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
+
+
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -165,7 +175,7 @@ def cmd_synth(args) -> int:
     truth_path = out_dir / "ground_truth.json"
     _atomic_write(network_path, _canonical_json(graph.to_json()))
     _atomic_write(truth_path, _canonical_json(truth.to_json()))
-    logger.info("generated %d cells over %d sites", len(graph.cells), spec.sites)
+    logger.info("generated %d cells over %d sites", len(graph.cell_ids), spec.sites)
     _write_manifest(
         "synth", spec.seed, inputs, [network_path, truth_path], spec.to_json(), started, network_path
     )
@@ -178,20 +188,21 @@ def cmd_train(args) -> int:
     network_path = _require_file(args.network, "network")
     config = _load_run_config(args)
     graph = load_network(network_path)
-    stats = fit_normalization(graph, graph.cell_ids)
-    lap = _lap(stages, "load", started)
-    sampler_cfg = config.sampler()
-    dataset = build_dataset(graph, stats, sampler_cfg)
-    lap = _lap(stages, "sample", lap)
-    provider = None
-    if config.resample_per_epoch:
-        provider = lambda epoch: build_dataset(graph, stats, sampler_cfg, epoch=epoch)  # noqa: E731
-    arch = config.arch(graph.schema.predictor_dim)
-    decoder = None
-    if args.model == "gae":
-        encoder, decoder, report = train_gae(dataset, arch, config.training, provider)
-    else:
-        encoder, report = train_sgnn(dataset, arch, config.training, provider)
+    with _naming(network_path):
+        stats = fit_normalization(graph, graph.cell_ids)
+        lap = _lap(stages, "load", started)
+        sampler_cfg = config.sampler()
+        dataset = build_dataset(graph, stats, sampler_cfg)
+        lap = _lap(stages, "sample", lap)
+        provider = None
+        if config.resample_per_epoch:
+            provider = lambda epoch: build_dataset(graph, stats, sampler_cfg, epoch=epoch)  # noqa: E731
+        arch = config.arch(graph.schema.predictor_dim)
+        decoder = None
+        if args.model == "gae":
+            encoder, decoder, report = train_gae(dataset, arch, config.training, provider)
+        else:
+            encoder, report = train_sgnn(dataset, arch, config.training, provider)
     lap = _lap(stages, "train", lap)
     checkpoint = Checkpoint(
         model=args.model,
@@ -338,7 +349,8 @@ def cmd_detect(args) -> int:
     # Configs join the embedding features: corrupted settings are invisible
     # in the embedding coordinates, which derive from predictors only.
     rows = store_matrix(bundle.store, include_configs=True)
-    forest = fit_forest(rows, seed=seed)
+    with _naming(store_path):
+        forest = fit_forest(rows, seed=seed)
     report = score_network(bundle.store, forest, args.threshold, include_configs=True)
     lap = _lap(stages, "forest", lap)
     payload = {
@@ -363,7 +375,8 @@ def cmd_evaluate(args) -> int:
     network_path = _require_file(args.network, "network")
     config = _load_run_config(args)
     graph = load_network(network_path)
-    result = compare_models(graph, config)
+    with _naming(network_path):
+        result = compare_models(graph, config)
     out = Path(args.out)
     lines = ["model,type,split,accuracy"]
     for model, label, split_name, value in result.accuracy_rows():
@@ -384,7 +397,8 @@ def cmd_project(args) -> int:
     started = time.perf_counter()
     store_path = _require_file(args.store, "store")
     bundle = _read_store(store_path)
-    projection = pca_project(bundle.store.z)
+    with _naming(store_path):
+        projection = pca_project(bundle.store.z)
     out = Path(args.out)
     _atomic_write(out, _projection_csv(bundle.store.ids, projection.points))
     _write_manifest("project", 0, [store_path], [out], {}, started, out)

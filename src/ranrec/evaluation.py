@@ -11,7 +11,7 @@ truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .autodiff import cosine
 from .config import RunConfig
 from .gnn import GatStack, init_encoder
 from .graph import (
-    AttributeSchema,
     NormalizationStats,
     RanGraph,
     denormalize,
@@ -233,8 +232,8 @@ class PreparedData:
 
 def prepare_data(graph: RanGraph, config: RunConfig) -> PreparedData:
     """Split cells, fit normalization on the training side only, sample subgraphs."""
-    train_idx, test_idx = split_indices(len(graph.cells), config.test_fraction, config.seed)
-    train_ids = [graph.cells[i].cell_id for i in train_idx]
+    train_idx, test_idx = split_indices(len(graph.cell_ids), config.test_fraction, config.seed)
+    train_ids = [graph.cell_ids[i] for i in train_idx]
     stats = fit_normalization(graph, train_ids)
     dataset = build_dataset(graph, stats, config.sampler())
     return PreparedData(
@@ -352,19 +351,6 @@ class DeploymentArtifacts:
         return cls(graph, truth, synth_spec, config, stats, encoder, store, dataset)
 
 
-def _normalized_clean_config(
-    schema: AttributeSchema,
-    stats: NormalizationStats,
-    technology: str,
-    clean_raw: dict,
-) -> np.ndarray:
-    out = np.zeros(schema.config_dim)
-    for i, (spec, slot) in enumerate(zip(schema.config_layout, stats.config)):
-        if spec.technology == technology:
-            out[i] = slot.normalize(float(clean_raw[spec.name]))
-    return out
-
-
 @dataclass
 class ScenarioReport:
     kind: str
@@ -402,16 +388,14 @@ def _recommend_for_new_cells(
         store.encoder, artifacts.graph, artifacts.stats, new_cells, new_edges, artifacts.config.sampler()
     )
     results = recommend_cells(store, new_cells, rows, scenario.mode, scenario.k, schema)
-    truth_vecs: list[np.ndarray] = []
+    # The generator's clean configs, normalized as feature_map normalizes any cell's.
+    clean = RanGraph(schema, [replace(c, raw_configs=new_truth[c.cell_id].clean_configs) for c in new_cells])
+    truth_vecs = feature_map(clean, artifacts.stats).y
     predicted: list[np.ndarray] = []
     ids: list[str] = []
     recommendations: list[dict] = []
     for cell, _, rec in results:
-        clean_vec = _normalized_clean_config(
-            schema, artifacts.stats, cell.technology, dict(new_truth[cell.cell_id].clean_configs)
-        )
         ids.append(cell.cell_id)
-        truth_vecs.append(clean_vec)
         predicted.append(rec.y_hat)
         recommendations.append(
             {

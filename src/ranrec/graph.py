@@ -2,11 +2,11 @@
 
 Cells are vertices of an undirected graph; edges join cells on the same
 radio node (``intra_node``, materialized automatically) or across nodes
-(``inter_node``, listed explicitly). Each cell carries a predictor vector
-``x`` and a configuration vector ``y``, laid out as the LTE attribute block
-followed by the NR block. Values are min-max normalized into [0, 1] from
-statistics fitted on training cells; slots of the other technology are 0.
-``feature_map`` stacks them into one matrix per role, one row per cell.
+(``inter_node``, listed explicitly). ``RanGraph`` holds one row per cell:
+raw predictor and configuration columns, laid out as the LTE attribute
+block followed by the NR block, plus an edge table. ``feature_map`` min-max
+normalizes them into [0, 1] from statistics fitted on training cells;
+slots of the other technology are 0.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import copy
 import dataclasses
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, TypeVar
@@ -163,12 +162,15 @@ class CellRecord:
 
 
 class RanGraph:
-    """Immutable undirected cell graph.
+    """Immutable undirected cell graph, held as columns.
 
-    Cells sharing a ``node_id`` are always pairwise connected with kind
-    ``intra_node`` (added automatically); ``inter_node`` edges come from the
-    input. Self loops are rejected. ``row_of`` maps each cell id to its
-    index in ``cells``.
+    Row ``i`` is the cell ``cell_ids[i]`` on node ``node_ids[i]``;
+    ``technology`` indexes ``TECHNOLOGIES``; ``predictor`` and ``config`` hold
+    raw values in layout order, 0 in other-technology slots and NaN in every
+    own slot of a cell without configs. Cells sharing a node are always
+    pairwise connected with kind ``intra_node`` (added automatically);
+    ``inter_node`` edges come from the input. Self loops are rejected.
+    ``row_of`` maps each cell id to its row.
     """
 
     def __init__(
@@ -178,31 +180,32 @@ class RanGraph:
         edges: Iterable[tuple[str, str, str]] = (),
     ) -> None:
         self.schema = schema
-        # Attribute names each (technology, role) must carry, worked out once.
-        self._expected = {
-            (tech, role): {e.name for e in schema.layout(role) if e.technology == tech}
-            for tech in TECHNOLOGIES
+        # Per role and technology code: each own attribute's slot, in layout order.
+        self._own = {
+            role: [{s.name: i for i, s in enumerate(schema.layout(role)) if s.technology == t} for t in TECHNOLOGIES]
             for role in ROLES
         }
-        self.cells: tuple[CellRecord, ...] = ()
+        self.cell_ids: tuple[str, ...] = ()
+        self.node_ids: tuple[str, ...] = ()
+        self.technology = _frozen(np.zeros(0, dtype=np.intp))
+        self.predictor = _frozen(np.zeros((0, schema.predictor_dim)))
+        self.config = _frozen(np.zeros((0, schema.config_dim)))
         self.row_of: dict[str, int] = {}
-        self._edge_kinds: dict[tuple[str, str], str] = {}  # (smaller id, larger id) -> kind
-        self._adjacency: dict[str, tuple[str, ...]] = {}  # cell id -> sorted neighbour ids
-        self._by_node: dict[str, tuple[str, ...]] = {}  # node id -> its cell ids, in cell order
+        self._edges = _frozen(np.zeros((0, 3), dtype=np.intp))  # canonical (row, row, kind)
+        self._adjacency: list[tuple[str, ...]] = []  # row -> id-sorted neighbour ids
         self._add(cells, edges)
 
     def _add(self, cells: Iterable[CellRecord], edges: Iterable[tuple[str, str, str]]) -> None:
         """Join cells, then edges, then the intra-node pairs the cells complete.
         Only these are validated, in the order a build from scratch checks them."""
         new = tuple(cells)
-        row_of = self.row_of
+        row_of = dict(self.row_of)
         for cell in new:
             if cell.cell_id in row_of:
                 raise NetworkFormatError(f"duplicate cell_id {cell.cell_id!r}")
-            _validate_attributes(cell, self._expected)
+            _validate_attributes(cell, self._own)
             row_of[cell.cell_id] = len(row_of)
-        self.cells += new
-        cells, kinds, linked = self.cells, self._edge_kinds, defaultdict(set)
+        listed = []
         for a, b, kind in edges:
             if a == b:
                 raise NetworkFormatError(f"self-loop edge on cell {a!r}")
@@ -211,75 +214,111 @@ class RanGraph:
             for cid in (a, b):
                 if cid not in row_of:
                     raise NetworkFormatError(f"edge references unknown cell {cid!r}")
-            # Intra-node completeness: same radio node implies a clique.
-            same_node = cells[row_of[a]].node_id == cells[row_of[b]].node_id
-            kinds[(a, b) if a < b else (b, a)] = "intra_node" if same_node else kind
-            linked[a].add(b)
-            linked[b].add(a)
-        for cell in new:
-            cid, members = cell.cell_id, self._by_node.get(cell.node_id, ())
-            for other in members:
-                pair = (cid, other) if cid < other else (other, cid)
-                if pair not in kinds:  # not listed as an edge
-                    kinds[pair] = "intra_node"
-                    linked[cid].add(other)
-                    linked[other].add(cid)
-            self._by_node[cell.node_id] = (*members, cid)
-            self._adjacency[cid] = ()
-        for cid, nbrs in linked.items():
-            self._adjacency[cid] = tuple(sorted(nbrs.union(self._adjacency[cid])))
-        self._edges: tuple[tuple[str, str, str], ...] | None = None
+            listed.append((row_of[a], row_of[b], EDGE_KINDS.index(kind)))
+        self.row_of = row_of
+        self.cell_ids += tuple(c.cell_id for c in new)
+        self.node_ids += tuple(c.node_id for c in new)
+        codes = np.array([TECHNOLOGIES.index(c.technology) for c in new], dtype=np.intp)
+        self.technology = _frozen(np.concatenate([self.technology, codes]))
+        for role in ROLES:
+            rows = np.zeros((len(new), getattr(self, role).shape[1]))
+            for code, own in enumerate(self._own[role]):
+                members = np.flatnonzero(codes == code)
+                raw = (new[i].raw_values(role) for i in members.tolist())
+                values = [[r[name] for name in own] if r else [math.nan] * len(own) for r in raw]
+                rows[np.ix_(members, list(own.values()))] = np.array(values).reshape(len(members), len(own))
+            setattr(self, role, _frozen(np.concatenate([getattr(self, role), rows])))
+        self._link(np.concatenate([self._edges, np.array(listed, dtype=np.intp).reshape(-1, 3)]), listed=True)
+
+    def _link(self, edges: np.ndarray, listed: bool) -> None:
+        """Keep ``edges``, ``(row, row, kind)`` triples, as one row per pair with
+        the smaller id first, sorted by id pair, and each cell's id-sorted
+        neighbour tuple.
+
+        ``listed`` edges (record input) drop their same-node pairs, keep the
+        last listing of a repeated pair and gain every same-node pair as
+        ``intra_node``. Column edges must already be so; the first that is not
+        is named.
+        """
+        ids, n = self.cell_ids, len(self.cell_ids)
+        # Each cell id's rank in sorted order: (smaller id, larger id) pairs and
+        # sorted neighbour lists then come from integer comparisons.
+        rank = np.empty(n, dtype=np.intp)
+        rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        codes: dict[str, int] = {}
+        node = np.array([codes.setdefault(x, len(codes)) for x in self.node_ids], dtype=np.intp)
+        clique = _clique_pairs(node)
+        if listed:
+            edges = np.concatenate([edges[node[edges[:, 0]] != node[edges[:, 1]]], clique])
+        a, b, kind = edges.T
+        lo, hi = np.where(rank[a] < rank[b], a, b), np.where(rank[a] < rank[b], b, a)
+        pair = rank[lo] * n + rank[hi]
+        if listed:  # np.unique sorts the pairs; on the reversed list it finds each one's last listing
+            order = len(pair) - 1 - np.unique(pair[::-1], return_index=True)[1]
+        else:
+            order = np.argsort(pair, kind="stable")
+            repeated = np.flatnonzero(np.diff(pair[order]) == 0)
+            if repeated.size:
+                i = int(order[repeated[0] + 1])
+                raise NetworkFormatError(f"edges: edge {i} repeats the pair {ids[lo[i]]!r}, {ids[hi[i]]!r}")
+            bad = np.flatnonzero((node[a] == node[b]) & (kind != EDGE_KINDS.index("intra_node")))
+            if bad.size:
+                raise NetworkFormatError(f"edges: edge {bad[0]} joins two cells of one node as inter_node")
+            y, x = rank[clique[:, 0]], rank[clique[:, 1]]
+            missing = np.flatnonzero(~np.isin(np.minimum(y, x) * n + np.maximum(y, x), pair))
+            if missing.size:
+                y, x = clique[missing[0], :2]
+                raise NetworkFormatError(
+                    f"edges: cells {ids[y]!r} and {ids[x]!r} share a node but no intra_node edge joins them"
+                )
+        self._edges = _frozen(np.stack([lo, hi, kind], axis=1)[order])
+        lo, hi = self._edges[:, 0], self._edges[:, 1]
+        source, target = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        neighbours = [ids[i] for i in target[np.lexsort((rank[target], source))].tolist()]
+        ends = np.cumsum(np.bincount(source, minlength=n)).tolist()
+        self._adjacency = [tuple(neighbours[i:j]) for i, j in zip([0, *ends], ends)]
 
     # -- queries ---------------------------------------------------------------
 
-    def cell(self, cell_id: str) -> CellRecord:
+    def _row(self, cell_id: str) -> int:
         try:
-            return self.cells[self.row_of[cell_id]]
+            return self.row_of[cell_id]
         except KeyError:
             raise KeyError(f"unknown cell id {cell_id!r}") from None
 
+    def cell(self, cell_id: str) -> CellRecord:
+        """The cell as a record, read from its row."""
+        row = self._row(cell_id)
+        code = int(self.technology[row])
+        raw = []
+        for role in ROLES:
+            values = getattr(self, role)[row].tolist()
+            own = {name: values[i] for name, i in self._own[role][code].items()}
+            raw.append({} if any(map(math.isnan, own.values())) else own)
+        return CellRecord(cell_id, self.node_ids[row], TECHNOLOGIES[code], *raw)
+
+    @property
+    def cells(self) -> tuple[CellRecord, ...]:
+        """Every cell as a record, in row order, built on each call."""
+        return tuple(map(self.cell, self.cell_ids))
+
     def neighbors(self, cell_id: str) -> tuple[str, ...]:
-        if cell_id not in self._adjacency:
-            raise KeyError(f"unknown cell id {cell_id!r}")
-        return self._adjacency[cell_id]
+        return self._adjacency[self._row(cell_id)]
 
     @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
-        if self._edges is None:
-            self._edges = tuple(sorted((a, b, k) for (a, b), k in self._edge_kinds.items()))
-        return self._edges
-
-    @property
-    def cell_ids(self) -> tuple[str, ...]:
-        return tuple(c.cell_id for c in self.cells)
+        """Every edge, intra-node pairs included, as sorted (id, id, kind) triples."""
+        a, b, kind = self._edges.T.tolist()
+        ids = self.cell_ids.__getitem__
+        return tuple(zip(map(ids, a), map(ids, b), map(EDGE_KINDS.__getitem__, kind)))
 
     def columns(self) -> dict[str, Any]:
-        """The network as columns, row ``i`` for ``cells[i]``.
-
-        ``cell_ids`` and ``node_ids`` are lists; ``technology`` indexes
-        ``TECHNOLOGIES``; ``predictor`` and ``config`` hold raw values in
-        layout order, 0 in other-technology slots and NaN in every own slot of
-        a cell without configs; ``edges`` lists every edge, intra-node pairs
-        included, as (row, row, index into ``EDGE_KINDS``) in ``edges`` order.
-        """
-        columns: dict[str, Any] = {
-            "cell_ids": [c.cell_id for c in self.cells],
-            "node_ids": [c.node_id for c in self.cells],
-            "technology": np.array([TECHNOLOGIES.index(c.technology) for c in self.cells], dtype=np.intp),
-        }
-        for role in ROLES:
-            layout = self.schema.layout(role)
-            columns[role] = np.array(
-                [
-                    [raw.get(s.name, math.nan) if s.technology == c.technology else 0.0 for s in layout]
-                    for c, raw in ((c, c.raw_values(role)) for c in self.cells)
-                ],
-                dtype=np.float64,
-            ).reshape(len(self.cells), len(layout))
-        row_of = self.row_of
-        columns["edges"] = np.array(
-            [(row_of[a], row_of[b], EDGE_KINDS.index(k)) for a, b, k in self.edges], dtype=np.intp
-        ).reshape(-1, 3)
+        """Writable copies of the columns, edges included as ``edges``: every
+        edge as (row, row, index into ``EDGE_KINDS``) in ``edges`` order."""
+        columns: dict[str, Any] = {"cell_ids": list(self.cell_ids), "node_ids": list(self.node_ids)}
+        for name in ("technology", *ROLES):
+            columns[name] = getattr(self, name).copy()
+        columns["edges"] = self._edges.copy()
         return columns
 
     @classmethod
@@ -310,9 +349,8 @@ class RanGraph:
         if bad.size:
             cid, code = cell_ids[bad[0]], technology[bad[0]]
             raise NetworkFormatError(f"technology: cell {cid!r}: unknown technology code {code}")
-        raw: dict[str, list[dict[str, float]]] = {}
         for role in ROLES:
-            layout, matrix = schema.layout(role), columns[role]
+            layout, matrix = schema.layout(role), np.array(columns[role], dtype=np.float64)
             slot_tech = np.array([TECHNOLOGIES.index(s.technology) for s in layout], dtype=np.intp)
             own = slot_tech == technology[:, None]
             # A cell awaiting a recommendation carries no configs: NaN in every own slot.
@@ -324,26 +362,10 @@ class RanGraph:
                 if own[row, col]:
                     raise NetworkFormatError(f"{where}: {role} {name!r} is {value}, not a finite number")
                 raise NetworkFormatError(f"{where}: unknown or wrong-technology {role} attributes [{name!r}]")
-            raw[role] = [{} for _ in range(n)]
-            for code, tech in enumerate(TECHNOLOGIES):
-                slots = np.flatnonzero(slot_tech == code)
-                members = np.flatnonzero((technology == code) & ~absent)
-                names = [layout[i].name for i in slots]
-                for row, values in zip(members.tolist(), matrix[np.ix_(members, slots)].tolist()):
-                    raw[role][row] = dict(zip(names, values))
-        technologies = [TECHNOLOGIES[code] for code in technology.tolist()]
-        fields = zip(cell_ids, node_ids, technologies, raw["predictor"], raw["config"])
-        graph.cells = tuple(CellRecord(*cell) for cell in fields)
-        by_node: dict[str, list[str]] = defaultdict(list)
-        for cid, node in zip(cell_ids, node_ids):
-            by_node[node].append(cid)
-        graph._by_node = {node: tuple(members) for node, members in by_node.items()}
-        graph._link(columns["edges"])
-        return graph
-
-    def _link(self, edges: np.ndarray) -> None:
-        """Fill the edge maps from ``(row, row, kind)`` triples; see ``from_columns``."""
-        cell_ids, n = list(self.row_of), len(self.row_of)
+            setattr(graph, role, _frozen(matrix))
+        graph.cell_ids, graph.node_ids = tuple(cell_ids), tuple(node_ids)
+        graph.technology = _frozen(np.array(technology, dtype=np.intp))
+        edges = columns["edges"]
         a, b, kind = edges.T
         for bad, what in (
             ((a < 0) | (a >= n) | (b < 0) | (b >= n), "references a row outside the cells"),
@@ -353,42 +375,8 @@ class RanGraph:
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise NetworkFormatError(f"edges: edge {i} {what}: {edges[i].tolist()}")
-        # Each cell id's rank in sorted order: (smaller id, larger id) pairs and
-        # sorted neighbour lists then come from integer comparisons.
-        rank = np.empty(n, dtype=np.intp)
-        rank[sorted(range(n), key=cell_ids.__getitem__)] = np.arange(n)
-        swap = rank[a] > rank[b]
-        lo, hi = np.where(swap, b, a), np.where(swap, a, b)
-        pair = lo * n + hi
-        order = np.argsort(pair, kind="stable")
-        repeated = np.flatnonzero(np.diff(pair[order]) == 0)
-        if repeated.size:
-            i = int(order[repeated[0] + 1])
-            ends = cell_ids[lo[i]], cell_ids[hi[i]]
-            raise NetworkFormatError(f"edges: edge {i} repeats the pair {ends[0]!r}, {ends[1]!r}")
-        codes: dict[str, int] = {}
-        node = np.array([codes.setdefault(c.node_id, len(codes)) for c in self.cells], dtype=np.intp)
-        same = node[a] == node[b]
-        bad = np.flatnonzero(same & (kind != EDGE_KINDS.index("intra_node")))
-        if bad.size:
-            raise NetworkFormatError(f"edges: edge {bad[0]} joins two cells of one node as inter_node")
-        sizes = np.bincount(node, minlength=len(codes))
-        if same.sum() < (sizes * (sizes - 1) // 2).sum():
-            linked = set(pair[same].tolist())
-            for members in self._by_node.values():
-                for i, x in enumerate(members):
-                    for y in members[:i]:
-                        ends = sorted((self.row_of[x], self.row_of[y]), key=rank.__getitem__)
-                        if ends[0] * n + ends[1] not in linked:
-                            raise NetworkFormatError(
-                                f"edges: cells {y!r} and {x!r} share a node but no intra_node edge joins them"
-                            )
-        ids = [cell_ids[i] for i in lo.tolist()], [cell_ids[i] for i in hi.tolist()]
-        self._edge_kinds = dict(zip(zip(*ids), (EDGE_KINDS[k] for k in kind.tolist())))
-        source, target = np.concatenate([a, b]), np.concatenate([b, a])
-        neighbours = [cell_ids[i] for i in target[np.lexsort((rank[target], source))].tolist()]
-        ends = np.cumsum(np.bincount(source, minlength=n)).tolist()
-        self._adjacency = {cid: tuple(neighbours[i:j]) for cid, i, j in zip(cell_ids, [0, *ends], ends)}
+        graph._link(edges, listed=False)
+        return graph
 
     def to_json(self) -> dict:
         return {
@@ -407,12 +395,29 @@ class RanGraph:
         }
 
 
-def _validate_attributes(cell: CellRecord, expected: Mapping[tuple[str, str], set[str]]) -> None:
-    predictors, configs = (expected[(cell.technology, role)] for role in ROLES)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _clique_pairs(node: np.ndarray) -> np.ndarray:
+    """Every pair of rows on one node as an intra-node edge (earlier row, later
+    row, 0): by node code, then by the later row, then by the earlier one."""
+    order = np.argsort(node, kind="stable")
+    sizes = np.bincount(node)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # where each row's node begins in ``order``
+    before = np.arange(len(order)) - start  # rows before it on its node
+    later = np.repeat(order, before)
+    offset = np.arange(before.sum()) - np.repeat(np.cumsum(before) - before, before)  # 0, 1, .. per row
+    earlier = order[np.repeat(start, before) + offset]
+    return np.stack([earlier, later, np.zeros_like(later)], axis=1)
+
+
+def _validate_attributes(cell: CellRecord, own: Mapping[str, list[dict[str, int]]]) -> None:
+    predictors, configs = (own[role][TECHNOLOGIES.index(cell.technology)].keys() for role in ROLES)
     if cell.raw_predictors.keys() == predictors and cell.raw_configs.keys() in (configs, set()):
         return  # the common case; the checks below name what is wrong
-    for role in ROLES:
-        names = expected[(cell.technology, role)]
+    for role, names in zip(ROLES, (predictors, configs)):
         got = set(cell.raw_values(role))
         if got - names:
             raise NetworkFormatError(
@@ -645,16 +650,18 @@ def fit_normalization(graph: RanGraph, train_ids: Iterable[str]) -> Normalizatio
     ids = list(train_ids)
     if not ids:
         raise ValueError("train_ids must be non-empty")
-    train_cells = [graph.cell(cid) for cid in ids]
+    rows = [graph._row(cid) for cid in ids]
+    bare = np.flatnonzero(np.isnan(graph.config[rows]).any(axis=1))
+    if bare.size:
+        raise ValueError(f"training cell {ids[bare[0]]!r} carries no configs")
+    codes = graph.technology[rows]
 
     def fit_role(role: str) -> tuple[SlotStats, ...]:
+        raw = getattr(graph, role)[rows]
         slots = []
-        for spec in graph.schema.layout(role):
-            values = [
-                cell.raw_values(role)[spec.name]
-                for cell in train_cells
-                if cell.technology == spec.technology
-            ]
+        for col, spec in enumerate(graph.schema.layout(role)):
+            # Python floats and min/max, so a tie of 0.0 and -0.0 keeps the first listed.
+            values = raw[codes == TECHNOLOGIES.index(spec.technology), col].tolist()
             if not values:
                 raise ValueError(
                     f"attribute {spec.name!r} ({spec.technology} {role}) was never "
@@ -670,7 +677,7 @@ def fit_normalization(graph: RanGraph, train_ids: Iterable[str]) -> Normalizatio
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Normalized predictor rows ``x`` (n, P) and config rows ``y`` (n, Q) in
-    [0, 1], row ``i`` for ``RanGraph.cells[i]``; both are read-only."""
+    [0, 1], row ``i`` for ``RanGraph.cell_ids[i]``; both are read-only."""
 
     x: np.ndarray
     y: np.ndarray
@@ -700,25 +707,16 @@ def denormalize(
 def feature_map(graph: RanGraph, stats: NormalizationStats) -> FeatureMatrix:
     """Vectorize every cell of the graph with the given statistics.
 
-    Each slot column is normalized in one ``SlotStats.normalize`` call over
-    the cells of its technology; other-technology slots and the configs of
-    cells that carry none stay 0.
+    Each slot column is normalized in one ``SlotStats.normalize`` call; its
+    other-technology rows and the rows of cells without configs are then 0.
     """
 
     def role_matrix(role: str) -> np.ndarray:
-        layout = graph.schema.layout(role)
-        out = np.zeros((len(graph.cells), len(layout)))
-        for tech in TECHNOLOGIES:
-            members = [
-                (row, cell.raw_values(role))
-                for row, cell in enumerate(graph.cells)
-                if cell.technology == tech and cell.raw_values(role)
-            ]
-            rows = [row for row, _ in members]
-            for col, (spec, slot) in enumerate(zip(layout, stats.slots(role))):
-                if spec.technology == tech and rows:
-                    values = np.array([raw[spec.name] for _, raw in members], dtype=np.float64)
-                    out[rows, col] = slot.normalize(values)
+        raw = getattr(graph, role)
+        out = np.zeros(raw.shape)
+        for col, (spec, slot) in enumerate(zip(graph.schema.layout(role), stats.slots(role))):
+            own = (graph.technology == TECHNOLOGIES.index(spec.technology)) & ~np.isnan(raw[:, col])
+            out[:, col] = np.where(own, slot.normalize(raw[:, col]), 0.0)
         out.flags.writeable = False
         return out
 
@@ -733,8 +731,6 @@ def extend_network(
     """A new graph with extra cells and edges; the original is untouched. It equals
     ``RanGraph`` over old and new together, errors included, but checks only what is new."""
     extended = copy.copy(graph)
-    for name in ("row_of", "_edge_kinds", "_adjacency", "_by_node"):
-        setattr(extended, name, dict(getattr(graph, name)))
     extended._add(new_cells, new_edges)
     return extended
 

@@ -100,19 +100,19 @@ def build_dataset(
     cfg: SamplerConfig,
     epoch: int | None = None,
 ) -> list[DatasetEntry]:
-    """One entry per cell, in graph cell order.
+    """One entry per cell, in graph row order.
 
     ``epoch`` perturbs the per-cell sampling substreams; it is only used when
     per-epoch resampling is enabled.
     """
     features = feature_map(graph, stats)
     entries = []
-    for cell, target in zip(graph.cells, features.y):
-        tokens: tuple[str | int, ...] = ("subgraph", cell.cell_id)
+    for cid, target in zip(graph.cell_ids, features.y):
+        tokens: tuple[str | int, ...] = ("subgraph", cid)
         if epoch is not None:
-            tokens = ("subgraph", cell.cell_id, "epoch", epoch)
+            tokens = ("subgraph", cid, "epoch", epoch)
         rng = substream(cfg.seed, *tokens)
-        sub = sample_subgraph(graph, cell.cell_id, cfg, features, rng=rng)
+        sub = sample_subgraph(graph, cid, cfg, features, rng=rng)
         entries.append(DatasetEntry(subgraph=sub, target=target))
     return entries
 

@@ -763,6 +763,76 @@ def test_graph_errors_name_the_file(workspace, tmp_path, capsys, case, route):
     assert not out.exists()
 
 
+def _small_network(workspace, case: str) -> dict:
+    """A network that parses but cannot be trained on: no NR cell, one LTE cell
+    under an LTE-only schema, or one cell of each technology."""
+    network = json.loads((workspace / "net" / "network.json").read_text())
+    lte, nr = (next(c for c in network["cells"] if c["technology"] == t) for t in ("LTE", "NR"))
+    if case == "no_nr":
+        network["cells"] = [c for c in network["cells"] if c["technology"] == "LTE"]
+        kept = {c["cell_id"] for c in network["cells"]}
+        network["edges"] = [e for e in network["edges"] if e[0] in kept and e[1] in kept]
+    elif case == "one_cell":
+        network["schema"] = [e for e in network["schema"] if e["technology"] == "LTE"]
+        network["cells"], network["edges"] = [lte], []
+    else:
+        network["cells"], network["edges"] = [lte, nr], []
+    return network
+
+
+UNTRAINABLE = {
+    ("train", "no_nr"): "attribute 'nrBandwidthMhz' (NR predictor) was never observed on a training cell",
+    ("train", "one_cell"): "training needs at least 2 dataset entries",
+    ("train", "two_technologies"): "pair mining needs at least 2 entries with nonzero targets",
+    ("evaluate", "no_nr"): "attribute 'nrBandwidthMhz' (NR predictor) was never observed on a training cell",
+    ("evaluate", "one_cell"): "cannot split fewer than 2 entries",
+    ("evaluate", "two_technologies"): "attribute 'nrBandwidthMhz' (NR predictor) was never observed on a training cell",
+}
+
+
+@pytest.mark.parametrize("route, case", sorted(UNTRAINABLE))
+def test_untrainable_network_names_the_file(workspace, tmp_path, capsys, route, case):
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(_small_network(workspace, case)))
+    out = tmp_path / "out.csv"
+    code = main([route, str(network), "--config", str(workspace / "train.cfg"), "--out", str(out)])
+    _assert_rejected(capsys, code, f"error: {network}: {UNTRAINABLE[route, case]}")
+    assert not out.exists()
+
+
+def test_training_cell_without_configs_names_the_file(workspace, tmp_path, capsys):
+    network = json.loads((workspace / "net" / "network.json").read_text())
+    network["cells"][3]["configs"] = {}
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(network))
+    cid = network["cells"][3]["cell_id"]
+    code = main(["train", str(path), "--config", str(workspace / "train.cfg"), "--out", str(tmp_path / "x.json")])
+    _assert_rejected(capsys, code, f"error: {path}: training cell {cid!r} carries no configs")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("project", "need at least 3 points of dimension >= 2, got (2, "),
+        ("detect", "all embeddings are identical"),
+    ],
+)
+def test_degenerate_store_names_the_file(workspace, tmp_path, capsys, command, message):
+    """Two identical cells on different nodes embed to identical rows of a two-record store."""
+    network = json.loads((workspace / "net" / "network.json").read_text())
+    twin = next(c for c in network["cells"] if c["technology"] == "LTE")
+    network["cells"] = [{**twin, "cell_id": f"T{i}", "node_id": f"TN{i}"} for i in range(2)]
+    network["edges"] = []
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(network))
+    store = tmp_path / "store.json"
+    assert main(["embed", str(path), str(workspace / "ckpt.json"), "--out", str(store)]) == 0
+    out = tmp_path / "out.json"
+    code = main([command, str(store), "--out", str(out)])
+    _assert_rejected(capsys, code, f"error: {store}: {message}")
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, workspace, tmp_path):
         inputs_before = {

@@ -84,6 +84,14 @@ class TestLoadNetwork:
         expected = {(min(a, b), max(a, b)) for i, a in enumerate(ids) for b in ids[i + 1 :]}
         assert {(a, b) for a, b, _ in graph.edges} == expected
 
+    def test_repeated_pair_takes_its_last_kind(self):
+        cells = [lte_cell("a"), lte_cell("b", node_id="n2")]
+        for kinds in (("intra_node", "inter_node"), ("inter_node", "intra_node")):
+            graph = RanGraph(small_schema(), cells, [("a", "b", kinds[0]), ("b", "a", kinds[1])])
+            assert graph.edges == (("a", "b", kinds[1]),)
+            old = RanGraph(small_schema(), cells, [("a", "b", kinds[0])])
+            assert extend_network(old, [], [("b", "a", kinds[1])]).edges == graph.edges
+
     def test_duplicate_cell_id(self):
         with pytest.raises(NetworkFormatError, match="duplicate cell_id"):
             RanGraph(schema=small_schema(), cells=[lte_cell("x"), lte_cell("x")])
@@ -449,11 +457,22 @@ class TestExtendNetwork:
 
 def _same_graph(built: RanGraph, expected: RanGraph) -> None:
     assert built.cells == expected.cells
-    assert built.row_of == expected.row_of
-    assert list(built._adjacency.items()) == list(expected._adjacency.items())
-    assert built._edge_kinds == expected._edge_kinds
-    assert list(built._by_node.items()) == list(expected._by_node.items())
+    assert list(built.row_of.items()) == list(expected.row_of.items())
+    assert [built.neighbors(cid) for cid in built.row_of] == [expected.neighbors(cid) for cid in expected.row_of]
     assert built.edges == expected.edges
+    got, want = built.columns(), expected.columns()
+    assert got.keys() == want.keys()
+    assert (got["cell_ids"], got["node_ids"]) == (want["cell_ids"], want["node_ids"])
+    for name in ("technology", "predictor", "config", "edges"):
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+
+
+def _fit(graph: RanGraph, ids):
+    try:
+        return fit_normalization(graph, ids)
+    except ValueError as exc:
+        return exc
 
 
 class TestColumns:
@@ -476,6 +495,26 @@ class TestColumns:
         grown, expected = (extend_network(g, cells + more, edges) for g in (built, parsed))
         _same_graph(grown, expected)
         _same_graph(RanGraph.from_columns(expected.schema, expected.columns()), expected)
+
+    @given(case=_extensions())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_graph_round_trips(self, case):
+        # The valid part of the draw: every new cell and edge the graph accepts, bare cells included.
+        old_cells, old_edges, new_cells, new_edges = case
+        graph = RanGraph(small_schema(), old_cells, old_edges)
+        for cells, edges in [([c], []) for c in new_cells] + [([], [e]) for e in new_edges]:
+            try:
+                graph = extend_network(graph, cells, edges)
+            except NetworkFormatError:
+                pass
+        built = RanGraph.from_columns(graph.schema, graph.columns())
+        _same_graph(built, graph)
+        configured = [c.cell_id for c in graph.cells if c.raw_configs]
+        stats = _fit(graph, configured)
+        assert repr(_fit(built, configured)) == repr(stats)  # repr tells -0.0 from 0.0
+        if not isinstance(stats, ValueError):
+            got, want = feature_map(built, stats), feature_map(graph, stats)
+            assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
 
     def test_cell_without_configs_round_trips(self, schema):
         bare = CellRecord("bare", "n1", "LTE", {"bw": 5.0, "chan": 7.0}, {})

@@ -464,7 +464,10 @@ class TestStoreBundle:
             assert np.array_equal(getattr(loaded.forest, name), getattr(bundle.forest, name), equal_nan=True)
         assert (loaded.forest.psi, loaded.forest.n, loaded.forest.seed, loaded.forest.dim) == (6, 6, 4, 3)
         assert loaded.graph.cells == bundle.graph.cells and loaded.graph.edges == bundle.graph.edges
-        assert loaded.graph._adjacency == bundle.graph._adjacency
+        assert loaded.graph.row_of == bundle.graph.row_of
+        assert [loaded.graph.neighbors(cid) for cid in loaded.graph.cell_ids] == [
+            bundle.graph.neighbors(cid) for cid in bundle.graph.cell_ids
+        ]
 
     def test_no_forest_round_trips_as_null(self):
         payload = self._bundle().to_json()
