@@ -1,45 +1,28 @@
-"""Model comparison, projection, and deployment-scenario harnesses.
+"""Model comparison, projection, and the accuracy and ROC-AUC metrics.
 
 Accuracy is the mean cosine similarity between true and recommended
 configuration vectors. Comparisons cover three models over the same
 network: the contrastive twin encoder, the auto-encoder baseline, and the
-untrained (freshly initialized) encoder. Scenario harnesses replay the
-three deployment situations - adding cells to existing nodes, standing up
-whole new nodes, and corrupting live cells - against generator ground
-truth.
+untrained (freshly initialized) encoder. ROC-AUC scores misconfiguration
+flags against generator ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .anomaly import fit_forest, score_network, store_matrix
 from .autodiff import cosine
 from .config import RunConfig
 from .gnn import GatStack, init_encoder
-from .graph import (
-    NormalizationStats,
-    RanGraph,
-    denormalize,
-    feature_map,
-    fit_normalization,
-)
-from .inference import EmbeddingStore, embed_entries, encode_new_cells, nearest, recommend_cells
+from .graph import NormalizationStats, RanGraph, fit_normalization
+from .inference import EmbeddingStore, embed_entries, nearest
 from .sampler import DatasetEntry, build_dataset, split_indices
-from .synth import (
-    GroundTruth,
-    SynthSpec,
-    corrupt_configs,
-    synthesize_expansion,
-    synthesize_greenfield,
-)
 from .training import TrainReport, encode_centers, train_gae, train_sgnn
 
 MODELS = ("untrained", "gae", "sgnn")
-SCENARIO_KINDS = ("expansion", "greenfield", "modification")
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +32,10 @@ SCENARIO_KINDS = ("expansion", "greenfield", "modification")
 @dataclass(frozen=True)
 class AccuracyReport:
     model: str
-    dataset: str  # "train" | "test" | scenario tag
+    dataset: str  # "train" | "test"
     accuracy: float
     per_cell: tuple[tuple[str, float], ...]
     excluded: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "accuracy": self.accuracy,
-            "per_cell": [[cid, value] for cid, value in self.per_cell],
-            "excluded": list(self.excluded),
-        }
 
 
 def accuracy(
@@ -299,165 +273,3 @@ def compare_models(graph: RanGraph, config: RunConfig) -> ComparisonResult:
         )
     return ComparisonResult(models=models)
 
-
-# ---------------------------------------------------------------------------
-# Deployment scenarios
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    kind: str
-    count: int = 10
-    corruption_magnitude: float = 5.0
-    mode: str = "closest"
-    k: int = 5
-    threshold: float = 0.6
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"kind must be one of {SCENARIO_KINDS}")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if self.kind == "modification" and self.corruption_magnitude <= 0.0:
-            raise ValueError("corruption magnitude must be positive")
-
-
-@dataclass
-class DeploymentArtifacts:
-    """A trained deployment over the full network: encoder plus full store."""
-
-    graph: RanGraph
-    truth: GroundTruth
-    synth_spec: SynthSpec
-    config: RunConfig
-    stats: NormalizationStats
-    encoder: GatStack
-    store: EmbeddingStore
-    dataset: list[DatasetEntry]
-
-    @classmethod
-    def build(
-        cls,
-        graph: RanGraph,
-        truth: GroundTruth,
-        synth_spec: SynthSpec,
-        config: RunConfig,
-    ) -> "DeploymentArtifacts":
-        stats = fit_normalization(graph, graph.cell_ids)
-        dataset = build_dataset(graph, stats, config.sampler())
-        encoder, _ = train_sgnn(dataset, config.arch(graph.schema.predictor_dim), config.training)
-        store = embed_entries(EmbeddingStore(encoder), dataset)
-        return cls(graph, truth, synth_spec, config, stats, encoder, store, dataset)
-
-
-@dataclass
-class ScenarioReport:
-    kind: str
-    accuracy: AccuracyReport | None = None
-    recommendations: list[dict] | None = None
-    auc: float | None = None
-    flagged: tuple[str, ...] = ()
-    corrupted: tuple[str, ...] = ()
-    corrections: list[dict] | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "accuracy": self.accuracy.to_json() if self.accuracy else None,
-            "recommendations": self.recommendations,
-            "auc": self.auc,
-            "flagged": list(self.flagged),
-            "corrupted": list(self.corrupted),
-            "corrections": self.corrections,
-        }
-
-
-def _recommend_for_new_cells(
-    artifacts: DeploymentArtifacts,
-    scenario: ScenarioSpec,
-    new_cells,
-    new_edges,
-    new_truth,
-) -> ScenarioReport:
-    schema = artifacts.graph.schema
-    # Grows a private copy: deployment artifacts stay frozen for reruns.
-    store = EmbeddingStore(artifacts.encoder)
-    store.extend(artifacts.store.ids, artifacts.store.z, artifacts.store.y)
-    rows = encode_new_cells(
-        store.encoder, artifacts.graph, artifacts.stats, new_cells, new_edges, artifacts.config.sampler()
-    )
-    results = recommend_cells(store, new_cells, rows, scenario.mode, scenario.k, schema)
-    # The generator's clean configs, normalized as feature_map normalizes any cell's.
-    clean = RanGraph(schema, [replace(c, raw_configs=new_truth[c.cell_id].clean_configs) for c in new_cells])
-    truth_vecs = feature_map(clean, artifacts.stats).y
-    predicted: list[np.ndarray] = []
-    ids: list[str] = []
-    recommendations: list[dict] = []
-    for cell, _, rec in results:
-        ids.append(cell.cell_id)
-        predicted.append(rec.y_hat)
-        recommendations.append(
-            {
-                "cell_id": cell.cell_id,
-                "mode": rec.mode,
-                "y_hat": denormalize(rec.y_hat, artifacts.stats, schema),
-                "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
-            }
-        )
-    report = ScenarioReport(kind=scenario.kind, recommendations=recommendations)
-    if ids:
-        report.accuracy = accuracy(truth_vecs, predicted, ids, model="sgnn", dataset=scenario.kind)
-    return report
-
-
-def _run_modification(artifacts: DeploymentArtifacts, scenario: ScenarioSpec) -> ScenarioReport:
-    corrupted_graph, corrupted_ids = corrupt_configs(
-        artifacts.graph,
-        artifacts.truth,
-        scenario.count,
-        scenario.corruption_magnitude,
-        scenario.seed,
-    )
-    # Predictors are untouched, so embeddings carry over; configs re-vectorize.
-    rows = [corrupted_graph.row_of[cid] for cid in artifacts.store.ids]
-    corrupted_y = feature_map(corrupted_graph, artifacts.stats).y[rows]
-    store = EmbeddingStore(artifacts.encoder)
-    store.extend(artifacts.store.ids, artifacts.store.z, corrupted_y)
-    report = ScenarioReport(kind=scenario.kind, corrupted=corrupted_ids)
-    if not corrupted_ids:
-        return report
-    forest = fit_forest(store_matrix(store, include_configs=True), seed=scenario.seed)
-    anomaly_report = score_network(store, forest, scenario.threshold, include_configs=True)
-    scores = dict(anomaly_report.cells)
-    labels = [cid in corrupted_ids for cid, _ in anomaly_report.cells]
-    report.auc = roc_auc(labels, [s for _, s in anomaly_report.cells])
-    report.flagged = tuple(anomaly_report.flagged)
-    corrections = []
-    for cid in anomaly_report.flagged:
-        source = nearest(store, store.record(cid).z, 1, exclude=cid)[0][0]
-        y_hat = store.record(source).y
-        corrections.append(
-            {
-                "cell_id": cid,
-                "score": scores[cid],
-                "proposed": denormalize(y_hat, artifacts.stats, artifacts.graph.schema),
-            }
-        )
-    report.corrections = corrections
-    return report
-
-
-def run_scenario(scenario: ScenarioSpec, artifacts: DeploymentArtifacts) -> ScenarioReport:
-    """Execute one deployment scenario against trained artifacts."""
-    if scenario.kind == "expansion":
-        new_cells, new_edges, new_truth = synthesize_expansion(
-            artifacts.graph, artifacts.truth, artifacts.synth_spec, scenario.count, scenario.seed
-        )
-        return _recommend_for_new_cells(artifacts, scenario, new_cells, new_edges, new_truth)
-    if scenario.kind == "greenfield":
-        new_cells, new_edges, new_truth = synthesize_greenfield(
-            artifacts.graph, artifacts.truth, artifacts.synth_spec, scenario.count, scenario.seed
-        )
-        return _recommend_for_new_cells(artifacts, scenario, new_cells, new_edges, new_truth)
-    return _run_modification(artifacts, scenario)

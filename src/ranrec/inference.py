@@ -354,7 +354,14 @@ class StoreBundle:
                     if value is None or value.shape != out.shape[1:] or not np.isfinite(value).all():
                         raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")
                     out[index] = value
-        bundle.store.extend([str(item["cell_id"]) for item in items], z, y)
+        ids = [item["cell_id"] for item in items]
+        if ids != list(graph.cell_ids):  # embed writes one record per network row, in row order
+            index = next((i for i, (a, b) in enumerate(zip(ids, graph.cell_ids)) if a != b), min(len(ids), n))
+            raise ValueError(
+                f"records[{index}]: record ids must be network.cell_ids in row order "
+                f"({len(ids)} records for {n} cells)"
+            )
+        bundle.store.extend(ids, z, y)
         if data["forest"] is not None:
             bundle.forest = _forest_from_json(data["forest"], len(bundle.store), bundle.store.embedding_dim)
         return bundle

@@ -322,7 +322,7 @@ def _inter_site_edges(
 
 
 # ---------------------------------------------------------------------------
-# Scenario synthesis: cells and sites joining an existing synthetic network
+# New-cell synthesis: cells and sites joining an existing synthetic network
 
 
 def synthesize_expansion(
@@ -384,20 +384,3 @@ def synthesize_greenfield(
                 edges.append((cell_id, f"S{s:03d}C{c}", "inter_node"))
     return new_cells, edges, new_truth
 
-
-def corrupt_configs(
-    graph: RanGraph, truth: GroundTruth, count: int, magnitude: float, seed: int
-) -> tuple[RanGraph, tuple[str, ...]]:
-    """Corrupt ``count`` previously-clean cells of an existing network."""
-    candidates = [cid for cid in graph.cell_ids if not truth.cells[cid].corrupted]
-    if count > len(candidates):
-        raise ValueError(f"cannot corrupt {count} of {len(candidates)} clean cells")
-    rng = substream(seed, "modify")
-    picks = sorted(candidates[i] for i in rng.choice(len(candidates), size=count, replace=False))
-    replacements = {
-        cid: _apply_corruption(graph.cell(cid), magnitude, substream(seed, "modify", cid))
-        for cid in picks
-    }
-    cells = [replacements.get(c.cell_id, c) for c in graph.cells]
-    new_graph = RanGraph(schema=graph.schema, cells=cells, edges=graph.edges)
-    return new_graph, tuple(picks)

@@ -6,6 +6,7 @@ import base64
 import json
 import os
 import stat
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,16 @@ import pytest
 
 from ranrec.anomaly import anomaly_score, fit_forest, store_matrix
 from ranrec.cli import STAGES, TRAIN_STAGES, main
-from ranrec.graph import EDGE_KINDS, denormalize, extend_network, feature_map, parse_cells_payload
+from ranrec.evaluation import accuracy
+from ranrec.graph import (
+    EDGE_KINDS,
+    RanGraph,
+    denormalize,
+    extend_network,
+    feature_map,
+    load_network,
+    parse_cells_payload,
+)
 from ranrec.inference import (
     FOREST_COLUMNS,
     NETWORK_COLUMNS,
@@ -23,6 +33,7 @@ from ranrec.inference import (
     recommend_cells,
 )
 from ranrec.sampler import SamplerConfig, sample_subgraph
+from ranrec.synth import GroundTruth, SynthSpec, synthesize_expansion, synthesize_greenfield
 
 SPEC = {
     "sites": 6,
@@ -337,6 +348,69 @@ class TestIsolatedCells:
             assert np.array_equal(record.z, embed_new_cell(bundle.store, sub)), record.cell_id
 
 
+def _request_payload(cells, edges) -> dict:
+    """A new-cells file for synthesized cells: their predictors, no configs."""
+    return {
+        "cells": [
+            {
+                "cell_id": c.cell_id,
+                "node_id": c.node_id,
+                "technology": c.technology,
+                "predictors": dict(c.raw_predictors),
+            }
+            for c in cells
+        ],
+        "edges": [list(e) for e in edges],
+    }
+
+
+def _config_rows(bundle, cells, configs) -> np.ndarray:
+    """Normalized config rows of ``cells`` holding ``configs[cell_id]``, as ``feature_map`` gives any cell's."""
+    graph = RanGraph(bundle.schema, [replace(c, raw_configs=configs[c.cell_id]) for c in cells])
+    return feature_map(graph, bundle.stats).y
+
+
+class TestSynthesizedRequests:
+    """Cells the generator adds to the workspace network, on its nodes
+    (expansion) or on new ones (greenfield), recommended for through the CLI."""
+
+    @pytest.mark.parametrize("kind, count", [("expansion", 6), ("greenfield", 2)])
+    def test_recommend_for_synthesized_cells(self, workspace, tmp_path, kind, count):
+        net = workspace / "net"
+        graph = load_network(net / "network.json")
+        truth = GroundTruth.from_json(json.loads((net / "ground_truth.json").read_text()))
+        synthesize = synthesize_expansion if kind == "expansion" else synthesize_greenfield
+        cells, edges, new_truth = synthesize(graph, truth, SynthSpec(**SPEC), count, 3)
+        if kind == "greenfield":
+            assert len(cells) == count * SPEC["cells_per_site"]
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps(_request_payload(cells, edges)))
+        store = workspace / "store.json"
+        before = store.read_bytes()
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["recommend", str(store), str(request), "--out", str(out)]) == 0
+        assert store.read_bytes() == before
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+        recs = json.loads(outs[0].read_text())
+        assert [r["cell_id"] for r in recs] == [c.cell_id for c in cells]
+        bundle = load_store(store)
+        layout = bundle.schema.config_layout
+        for rec in recs:
+            assert {f"{s.technology}.{s.name}" for s in layout} <= set(rec["y_hat"])
+            assert rec["sources"]
+        predicted = {
+            cell.cell_id: {
+                s.name: rec["y_hat"][f"{s.technology}.{s.name}"] for s in layout if s.technology == cell.technology
+            }
+            for cell, rec in zip(cells, recs)
+        }
+        clean = {cid: t.clean_configs for cid, t in new_truth.items()}
+        report = accuracy(_config_rows(bundle, cells, clean), _config_rows(bundle, cells, predicted))
+        assert 0.0 <= report.accuracy <= 1.0
+
+
 class TestValidationErrors:
     def test_missing_network(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])
@@ -402,6 +476,14 @@ class TestValidationErrors:
         code = main(["recommend", str(workspace / "store.json"), str(bad), "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert f"{bad}: expected a JSON object" in capsys.readouterr().err
+
+    def test_empty_request(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "new_cells.json"
+        empty.write_text(json.dumps({"cells": [], "edges": []}))
+        out = tmp_path / "recs.json"
+        code = main(["recommend", str(workspace / "store.json"), str(empty), "--out", str(out)])
+        _assert_rejected(capsys, code, f"{empty}: no cells to recommend for")
+        assert not out.exists()
 
 
 CHECKPOINT_CASES = ["arch_unknown_key", "arch_list", "param_not_object", "stats_slot_not_object", "fanout_zero"]
@@ -1017,6 +1099,26 @@ class TestStoreFormat:
         new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
         code = main([command, str(bad), *new_cells, "--out", str(out)])
         _assert_rejected(capsys, code, f"{bad}: invalid store: format", "re-run `ranrec embed`")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "detect", "project"])
+    @pytest.mark.parametrize("case", ["renamed", "dropped", "swapped"])
+    def test_records_must_follow_network_rows(self, workspace, tmp_path, capsys, command, case):
+        store = json.loads((workspace / "store.json").read_text())
+        records = store["records"]
+        if case == "renamed":
+            records[3]["cell_id"] = "GHOST"
+        elif case == "dropped":
+            del records[3]
+            store["forest"] = None  # else the forest's row count names the lost record first
+        else:
+            records[3], records[4] = records[4], records[3]
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "out.json"
+        new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
+        code = main([command, str(bad), *new_cells, "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: invalid store: records[3]")
         assert not out.exists()
 
     def test_stored_forest_equals_refit(self, workspace):

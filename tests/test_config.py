@@ -58,7 +58,7 @@ class TestParseConfigText:
 
     @pytest.mark.parametrize("key", ["mining_enabled", "forest_trees", "forest_subsample"])
     def test_removed_keys_rejected(self, key):
-        # hard_fraction = 0 turns mining off; scenario forests use the detect defaults.
+        # hard_fraction = 0 turns mining off; the forests of embed and detect use fixed defaults.
         with pytest.raises(ConfigError, match=rf"^run\.cfg:2: unknown key '{key}'$"):
             parse_config_text(f"seed = 1\n{key} = 1\n", source="run.cfg")
 

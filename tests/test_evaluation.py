@@ -1,4 +1,4 @@
-"""Accuracy metric, PCA projection, ROC-AUC, model comparison, scenarios."""
+"""Accuracy metric, PCA projection, ROC-AUC, model comparison."""
 
 from __future__ import annotations
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from ranrec.config import config_from_values
-from ranrec.evaluation import (
-    DeploymentArtifacts,
-    ScenarioSpec,
-    accuracy,
-    compare_models,
-    pca_project,
-    roc_auc,
-    run_scenario,
-)
+from ranrec.evaluation import accuracy, compare_models, pca_project, roc_auc
 from ranrec.synth import SynthSpec, generate
 
 
@@ -166,63 +158,3 @@ class TestCompareModels:
         untrained = result.by_model("untrained")
         assert 0.0 <= untrained.test.accuracy <= 1.0
 
-
-@pytest.fixture(scope="module")
-def artifacts():
-    spec, graph, truth = small_network(seed=7)
-    return DeploymentArtifacts.build(graph, truth, spec, quick_cfg())
-
-
-class TestScenarios:
-
-    def test_expansion_zero_cells(self, artifacts):
-        report = run_scenario(ScenarioSpec(kind="expansion", count=0, seed=1), artifacts)
-        assert report.accuracy is None
-        assert report.recommendations == []
-
-    def test_expansion_recommends_and_scores(self, artifacts):
-        report = run_scenario(ScenarioSpec(kind="expansion", count=6, seed=2), artifacts)
-        assert report.accuracy is not None
-        assert len(report.recommendations) == 6
-        assert 0.0 <= report.accuracy.accuracy <= 1.0
-        for rec in report.recommendations:
-            assert rec["sources"]
-            assert set(rec["y_hat"]) == {
-                f"{s.technology}.{s.name}" for s in artifacts.graph.schema.config_layout
-            }
-
-    def test_artifacts_stay_frozen(self, artifacts):
-        before = len(artifacts.store)
-        report = run_scenario(ScenarioSpec(kind="expansion", count=3, seed=9), artifacts)
-        assert len(artifacts.store) == before
-        again = run_scenario(ScenarioSpec(kind="expansion", count=3, seed=9), artifacts)
-        assert report.to_json() == again.to_json()
-
-    def test_greenfield(self, artifacts):
-        report = run_scenario(ScenarioSpec(kind="greenfield", count=2, seed=3), artifacts)
-        expected = 2 * artifacts.synth_spec.cells_per_site
-        assert len(report.recommendations) == expected
-        assert report.accuracy is not None
-
-    def test_modification_zero_corrupted(self, artifacts):
-        report = run_scenario(ScenarioSpec(kind="modification", count=0, seed=4), artifacts)
-        assert report.corrupted == ()
-        assert report.auc is None
-        assert report.flagged == ()
-
-    def test_modification_bookkeeping(self, artifacts):
-        scenario = ScenarioSpec(kind="modification", count=4, corruption_magnitude=5.0, seed=5)
-        report = run_scenario(scenario, artifacts)
-        assert len(report.corrupted) == 4
-        assert report.auc is not None
-        assert 0.0 <= report.auc <= 1.0
-        flagged_scores = {c["cell_id"] for c in report.corrections or []}
-        assert flagged_scores == set(report.flagged)
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            ScenarioSpec(kind="teardown")
-
-    def test_modification_needs_positive_magnitude(self):
-        with pytest.raises(ValueError, match="magnitude"):
-            ScenarioSpec(kind="modification", corruption_magnitude=0.0)

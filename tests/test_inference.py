@@ -9,7 +9,7 @@ import pytest
 
 from ranrec.anomaly import fit_forest
 from ranrec.gnn import ArchConfig, Checkpoint, init_encoder, schema_hash
-from ranrec.graph import fit_normalization
+from ranrec.graph import RanGraph, fit_normalization
 from ranrec.inference import (
     STORE_FORMAT,
     EmbeddingStore,
@@ -450,11 +450,16 @@ class TestStoreBundle:
             StoreBundle.from_json(payload)
 
     def test_zero_records_load_empty(self):
-        payload = self._bundle().to_json()
-        payload["records"] = []
-        loaded = StoreBundle.from_json(payload)
+        bundle = self._bundle()
+        empty = StoreBundle(graph=RanGraph(bundle.schema, []), checkpoint=bundle.checkpoint)
+        loaded = StoreBundle.from_json(empty.to_json())
         assert len(loaded.store) == 0
         assert loaded.store.z.shape == (0, 3) and loaded.store.y.shape == (0, 4)
+        # Zero records over a network of four cells disagree with it.
+        payload = bundle.to_json()
+        payload["records"] = []
+        with pytest.raises(ValueError, match=r"records\[0\]: record ids must be network.cell_ids"):
+            StoreBundle.from_json(payload)
 
     def test_forest_and_network_round_trip_through_json(self):
         bundle = self._bundle()

@@ -10,7 +10,6 @@ from ranrec.graph import feature_map, fit_normalization
 from ranrec.synth import (
     SynthSpec,
     _TECH_DESIGN,
-    corrupt_configs,
     generate,
     synthesize_expansion,
     synthesize_greenfield,
@@ -157,25 +156,6 @@ class TestScenarioSynthesis:
             assert cell.node_id not in existing_nodes
         for a, b, kind in edges:
             assert kind == "inter_node"
-
-    def test_corrupt_configs_returns_new_graph(self):
-        spec = small_spec(misconfig_rate=0.0)
-        graph, truth = generate(spec)
-        corrupted_graph, ids = corrupt_configs(graph, truth, 3, 5.0, seed=4)
-        assert len(ids) == 3
-        untouched = [c for c in graph.cells if c.cell_id in ids]
-        changed = [corrupted_graph.cell(cid) for cid in ids]
-        for before, after in zip(untouched, changed):
-            assert before.raw_configs != after.raw_configs
-        # original untouched
-        for cid in ids:
-            assert graph.cell(cid).raw_configs == dict(graph.cell(cid).raw_configs)
-
-    def test_corrupt_too_many(self):
-        spec = small_spec(misconfig_rate=0.0)
-        graph, truth = generate(spec)
-        with pytest.raises(ValueError, match="cannot corrupt"):
-            corrupt_configs(graph, truth, len(graph.cells) + 1, 5.0, seed=0)
 
 
 class TestNormalizedCorruptionVisibility:
