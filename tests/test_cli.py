@@ -6,7 +6,6 @@ import base64
 import json
 import os
 import stat
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +13,7 @@ import pytest
 
 from ranrec.anomaly import anomaly_score, fit_forest, store_matrix
 from ranrec.cli import STAGES, TRAIN_STAGES, main
-from ranrec.evaluation import accuracy
-from ranrec.graph import (
-    EDGE_KINDS,
-    RanGraph,
-    denormalize,
-    extend_network,
-    feature_map,
-    load_network,
-    parse_cells_payload,
-)
+from ranrec.graph import EDGE_KINDS, denormalize, extend_network, feature_map, parse_cells_payload
 from ranrec.inference import (
     FOREST_COLUMNS,
     NETWORK_COLUMNS,
@@ -33,7 +23,6 @@ from ranrec.inference import (
     recommend_cells,
 )
 from ranrec.sampler import SamplerConfig, sample_subgraph
-from ranrec.synth import GroundTruth, SynthSpec, synthesize_expansion, synthesize_greenfield
 
 SPEC = {
     "sites": 6,
@@ -346,69 +335,6 @@ class TestIsolatedCells:
         for record in bundle.store.records:
             sub = sample_subgraph(bundle.graph, record.cell_id, cfg, features)
             assert np.array_equal(record.z, embed_new_cell(bundle.store, sub)), record.cell_id
-
-
-def _request_payload(cells, edges) -> dict:
-    """A new-cells file for synthesized cells: their predictors, no configs."""
-    return {
-        "cells": [
-            {
-                "cell_id": c.cell_id,
-                "node_id": c.node_id,
-                "technology": c.technology,
-                "predictors": dict(c.raw_predictors),
-            }
-            for c in cells
-        ],
-        "edges": [list(e) for e in edges],
-    }
-
-
-def _config_rows(bundle, cells, configs) -> np.ndarray:
-    """Normalized config rows of ``cells`` holding ``configs[cell_id]``, as ``feature_map`` gives any cell's."""
-    graph = RanGraph(bundle.schema, [replace(c, raw_configs=configs[c.cell_id]) for c in cells])
-    return feature_map(graph, bundle.stats).y
-
-
-class TestSynthesizedRequests:
-    """Cells the generator adds to the workspace network, on its nodes
-    (expansion) or on new ones (greenfield), recommended for through the CLI."""
-
-    @pytest.mark.parametrize("kind, count", [("expansion", 6), ("greenfield", 2)])
-    def test_recommend_for_synthesized_cells(self, workspace, tmp_path, kind, count):
-        net = workspace / "net"
-        graph = load_network(net / "network.json")
-        truth = GroundTruth.from_json(json.loads((net / "ground_truth.json").read_text()))
-        synthesize = synthesize_expansion if kind == "expansion" else synthesize_greenfield
-        cells, edges, new_truth = synthesize(graph, truth, SynthSpec(**SPEC), count, 3)
-        if kind == "greenfield":
-            assert len(cells) == count * SPEC["cells_per_site"]
-        request = tmp_path / "request.json"
-        request.write_text(json.dumps(_request_payload(cells, edges)))
-        store = workspace / "store.json"
-        before = store.read_bytes()
-        outs = [tmp_path / "a.json", tmp_path / "b.json"]
-        for out in outs:
-            assert main(["recommend", str(store), str(request), "--out", str(out)]) == 0
-        assert store.read_bytes() == before
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-
-        recs = json.loads(outs[0].read_text())
-        assert [r["cell_id"] for r in recs] == [c.cell_id for c in cells]
-        bundle = load_store(store)
-        layout = bundle.schema.config_layout
-        for rec in recs:
-            assert {f"{s.technology}.{s.name}" for s in layout} <= set(rec["y_hat"])
-            assert rec["sources"]
-        predicted = {
-            cell.cell_id: {
-                s.name: rec["y_hat"][f"{s.technology}.{s.name}"] for s in layout if s.technology == cell.technology
-            }
-            for cell, rec in zip(cells, recs)
-        }
-        clean = {cid: t.clean_configs for cid, t in new_truth.items()}
-        report = accuracy(_config_rows(bundle, cells, clean), _config_rows(bundle, cells, predicted))
-        assert 0.0 <= report.accuracy <= 1.0
 
 
 class TestValidationErrors:

@@ -1,13 +1,19 @@
-"""Accuracy metric, PCA projection, ROC-AUC, model comparison."""
+"""Accuracy metric, PCA projection, ROC-AUC, model comparison, scenarios."""
 
 from __future__ import annotations
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ranrec.cli import main
 from ranrec.config import config_from_values
 from ranrec.evaluation import accuracy, compare_models, pca_project, roc_auc
-from ranrec.synth import SynthSpec, generate
+from ranrec.graph import RanGraph, feature_map, load_network
+from ranrec.inference import load_store
+from ranrec.synth import GroundTruth, SynthSpec, generate, synthesize_expansion, synthesize_greenfield
 
 
 def quick_cfg(**overrides):
@@ -158,3 +164,97 @@ class TestCompareModels:
         untrained = result.by_model("untrained")
         assert 0.0 <= untrained.test.accuracy <= 1.0
 
+
+@pytest.fixture(scope="module")
+def deployment(tmp_path_factory):
+    """A trained sgnn and its store, built by ``ranrec synth``, ``train`` and ``embed``."""
+    root = tmp_path_factory.mktemp("deployment")
+    spec, _, _ = small_network(seed=7)
+    (root / "spec.json").write_text(json.dumps(spec.to_json()))
+    (root / "train.cfg").write_text("epochs = 8\nseed = 1\n")
+    net = root / "net"
+    assert main(["synth", str(root / "spec.json"), "--out", str(net)]) == 0
+    ckpt = root / "ckpt.json"
+    train = ["train", str(net / "network.json"), "--config", str(root / "train.cfg"), "--out", str(ckpt)]
+    assert main(train) == 0
+    assert main(["embed", str(net / "network.json"), str(ckpt), "--out", str(root / "store.json")]) == 0
+    truth = GroundTruth.from_json(json.loads((net / "ground_truth.json").read_text()))
+    return root, spec, load_network(net / "network.json"), truth
+
+
+def _request(path, cells, edges):
+    """Write a new-cells file for synthesized cells: their predictors, no configs."""
+    payload = {
+        "cells": [
+            {
+                "cell_id": c.cell_id,
+                "node_id": c.node_id,
+                "technology": c.technology,
+                "predictors": dict(c.raw_predictors),
+            }
+            for c in cells
+        ],
+        "edges": [list(e) for e in edges],
+    }
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _config_rows(bundle, cells, configs) -> np.ndarray:
+    """Normalized config rows of ``cells`` holding ``configs[cell_id]``, as ``feature_map`` gives any cell's."""
+    graph = RanGraph(bundle.schema, [replace(c, raw_configs=configs[c.cell_id]) for c in cells])
+    return feature_map(graph, bundle.stats).y
+
+
+def _recommend_and_score(deployment, tmp_path, cells, edges, truth):
+    """Run ``ranrec recommend`` on synthesized cells; score it against their clean configs."""
+    root = deployment[0]
+    out = tmp_path / "recs.json"
+    request = _request(tmp_path / "request.json", cells, edges)
+    assert main(["recommend", str(root / "store.json"), str(request), "--out", str(out)]) == 0
+    recs = json.loads(out.read_text())
+    bundle = load_store(root / "store.json")
+    layout = bundle.schema.config_layout
+    predicted = {
+        cell.cell_id: {
+            s.name: rec["y_hat"][f"{s.technology}.{s.name}"] for s in layout if s.technology == cell.technology
+        }
+        for cell, rec in zip(cells, recs)
+    }
+    clean = {cid: t.clean_configs for cid, t in truth.items()}
+    return recs, accuracy(_config_rows(bundle, cells, clean), _config_rows(bundle, cells, predicted))
+
+
+class TestScenarios:
+    """Expansion and greenfield cells from the generator, recommended for
+    through the CLI against a frozen store and scored by ``accuracy``."""
+
+    def test_expansion_recommends_and_scores(self, deployment, tmp_path):
+        _, spec, graph, truth = deployment
+        cells, edges, new_truth = synthesize_expansion(graph, truth, spec, 6, 2)
+        recs, report = _recommend_and_score(deployment, tmp_path, cells, edges, new_truth)
+        assert [r["cell_id"] for r in recs] == [c.cell_id for c in cells]
+        assert 0.0 <= report.accuracy <= 1.0
+        for rec in recs:
+            assert rec["sources"]
+            assert set(rec["y_hat"]) == {f"{s.technology}.{s.name}" for s in graph.schema.config_layout}
+
+    def test_artifacts_stay_frozen(self, deployment, tmp_path):
+        root, spec, graph, truth = deployment
+        cells, edges, _ = synthesize_expansion(graph, truth, spec, 3, 9)
+        request = _request(tmp_path / "request.json", cells, edges)
+        store = root / "store.json"
+        before = store.read_bytes()
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["recommend", str(store), str(request), "--out", str(out)]) == 0
+        assert store.read_bytes() == before
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_greenfield(self, deployment, tmp_path):
+        _, spec, graph, truth = deployment
+        cells, edges, new_truth = synthesize_greenfield(graph, truth, spec, 2, 3)
+        assert len(cells) == 2 * spec.cells_per_site
+        recs, report = _recommend_and_score(deployment, tmp_path, cells, edges, new_truth)
+        assert [r["cell_id"] for r in recs] == [c.cell_id for c in cells]
+        assert 0.0 <= report.accuracy <= 1.0
