@@ -243,17 +243,9 @@ def _scores(forest: IsolationForest, rows: np.ndarray) -> list[float]:
     return [2.0 ** (-m / c) for m in _mean_path_lengths(forest, rows).tolist()]
 
 
-def _query_row(z: np.ndarray) -> np.ndarray:
-    return np.asarray(z, dtype=np.float64).reshape(1, -1)
-
-
-def expected_path_length(forest: IsolationForest, z: np.ndarray) -> float:
-    return float(_mean_path_lengths(forest, _query_row(z))[0])
-
-
 def anomaly_score(forest: IsolationForest, z: np.ndarray) -> float:
     """``2 ** (-E(h(z)) / c(psi))``, in (0, 1), decreasing in path length."""
-    return _scores(forest, _query_row(z))[0]
+    return _scores(forest, np.asarray(z, dtype=np.float64).reshape(1, -1))[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .anomaly import anomaly_score, fit_forest, score_network, store_matrix
+from .anomaly import _scores, fit_forest, score_network, store_matrix
 from .config import RunConfig, load_config
 from .evaluation import compare_models, pca_project
 from .gnn import Checkpoint, schema_hash
@@ -307,7 +307,7 @@ def cmd_recommend(args) -> int:
     recommended = recommend_cells(bundle.store, new_cells, rows, args.mode, args.k, bundle.schema)
     lap = _lap(stages, "retrieve", lap)
     forest = bundle.forest  # None: novelty scores unavailable, recommendations still valid
-    scores = [anomaly_score(forest, z) if forest is not None else None for _, z, _ in recommended]
+    scores = _scores(forest, rows) if forest is not None else [None] * len(recommended)
     lap = _lap(stages, "forest", lap)
     results = [
         {

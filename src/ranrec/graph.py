@@ -180,9 +180,9 @@ class RanGraph:
         edges: Iterable[tuple[str, str, str]] = (),
     ) -> None:
         self.schema = schema
-        # Per role and technology code: each own attribute's slot, in layout order.
+        # Per role and technology code: each own attribute's slot, by name.
         self._own = {
-            role: [{s.name: i for i, s in enumerate(schema.layout(role)) if s.technology == t} for t in TECHNOLOGIES]
+            role: [dict(sorted((s.name, i) for i, s in enumerate(schema.layout(role)) if s.technology == t)) for t in TECHNOLOGIES]
             for role in ROLES
         }
         self.cell_ids: tuple[str, ...] = ()
@@ -192,7 +192,9 @@ class RanGraph:
         self.config = _frozen(np.zeros((0, schema.config_dim)))
         self.row_of: dict[str, int] = {}
         self._edges = _frozen(np.zeros((0, 3), dtype=np.intp))  # canonical (row, row, kind)
-        self._adjacency: list[tuple[str, ...]] = []  # row -> id-sorted neighbour ids
+        # CSR adjacency: row i's neighbour rows, in cell-id order, are indices[indptr[i]:indptr[i + 1]].
+        self.indptr = _frozen(np.zeros(1, dtype=np.intp))
+        self.indices = _frozen(np.zeros(0, dtype=np.intp))
         self._add(cells, edges)
 
     def _add(self, cells: Iterable[CellRecord], edges: Iterable[tuple[str, str, str]]) -> None:
@@ -228,26 +230,29 @@ class RanGraph:
                 values = [[r[name] for name in own] if r else [math.nan] * len(own) for r in raw]
                 rows[np.ix_(members, list(own.values()))] = np.array(values).reshape(len(members), len(own))
             setattr(self, role, _frozen(np.concatenate([getattr(self, role), rows])))
-        self._link(np.concatenate([self._edges, np.array(listed, dtype=np.intp).reshape(-1, 3)]), listed=True)
+        self._link(len(self.cell_ids) - len(new), np.array(listed, dtype=np.intp).reshape(-1, 3), listed=True)
 
-    def _link(self, edges: np.ndarray, listed: bool) -> None:
-        """Keep ``edges``, ``(row, row, kind)`` triples, as one row per pair with
-        the smaller id first, sorted by id pair, and each cell's id-sorted
-        neighbour tuple.
+    def _link(self, start: int, edges: np.ndarray, listed: bool) -> None:
+        """Merge ``edges``, ``(row, row, kind)`` triples, and the intra-node pairs
+        rows ``start`` onwards complete into the edge table (one row per pair,
+        smaller id first, sorted by id pair) and the CSR arrays; only the rows
+        the new pairs touch gain entries.
 
-        ``listed`` edges (record input) drop their same-node pairs, keep the
-        last listing of a repeated pair and gain every same-node pair as
-        ``intra_node``. Column edges must already be so; the first that is not
-        is named.
+        ``listed`` edges (record input) drop their same-node pairs, and the
+        last listing of a pair sets its kind. Column edges, merged into an
+        empty graph, must already be one per pair with every same-node pair
+        ``intra_node``; the first that is not is named.
         """
         ids, n = self.cell_ids, len(self.cell_ids)
         # Each cell id's rank in sorted order: (smaller id, larger id) pairs and
-        # sorted neighbour lists then come from integer comparisons.
+        # id-ordered neighbour rows then come from integer comparisons.
+        by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
         rank = np.empty(n, dtype=np.intp)
-        rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-        codes: dict[str, int] = {}
-        node = np.array([codes.setdefault(x, len(codes)) for x in self.node_ids], dtype=np.intp)
+        rank[by_id] = np.arange(n)
+        codes = dict(zip(dict.fromkeys(self.node_ids), range(n)))  # in order of first appearance
+        node = np.fromiter(map(codes.__getitem__, self.node_ids), dtype=np.intp, count=n)
         clique = _clique_pairs(node)
+        clique = clique[clique[:, 1] >= start]
         if listed:
             edges = np.concatenate([edges[node[edges[:, 0]] != node[edges[:, 1]]], clique])
         a, b, kind = edges.T
@@ -257,7 +262,8 @@ class RanGraph:
             order = len(pair) - 1 - np.unique(pair[::-1], return_index=True)[1]
         else:
             order = np.argsort(pair, kind="stable")
-            repeated = np.flatnonzero(np.diff(pair[order]) == 0)
+            ordered = pair[order]
+            repeated = np.flatnonzero(np.diff(ordered) == 0)
             if repeated.size:
                 i = int(order[repeated[0] + 1])
                 raise NetworkFormatError(f"edges: edge {i} repeats the pair {ids[lo[i]]!r}, {ids[hi[i]]!r}")
@@ -265,18 +271,29 @@ class RanGraph:
             if bad.size:
                 raise NetworkFormatError(f"edges: edge {bad[0]} joins two cells of one node as inter_node")
             y, x = rank[clique[:, 0]], rank[clique[:, 1]]
-            missing = np.flatnonzero(~np.isin(np.minimum(y, x) * n + np.maximum(y, x), pair))
+            keys = np.minimum(y, x) * n + np.maximum(y, x)
+            missing = np.flatnonzero(np.append(ordered, -1)[np.searchsorted(ordered, keys)] != keys)
             if missing.size:
                 y, x = clique[missing[0], :2]
                 raise NetworkFormatError(
                     f"edges: cells {ids[y]!r} and {ids[x]!r} share a node but no intra_node edge joins them"
                 )
-        self._edges = _frozen(np.stack([lo, hi, kind], axis=1)[order])
-        lo, hi = self._edges[:, 0], self._edges[:, 1]
-        source, target = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        neighbours = [ids[i] for i in target[np.lexsort((rank[target], source))].tolist()]
-        ends = np.cumsum(np.bincount(source, minlength=n)).tolist()
-        self._adjacency = [tuple(neighbours[i:j]) for i, j in zip([0, *ends], ends)]
+        new, pair = np.stack([lo, hi, kind], axis=1)[order], pair[order]
+        # A pair already in the table takes the new listing's kind; the rest are inserted.
+        table, stored = self._edges.copy(), rank[self._edges[:, 0]] * n + rank[self._edges[:, 1]]
+        at = np.searchsorted(stored, pair)
+        known = np.append(stored, -1)[at] == pair
+        table[at[known], 2] = new[known, 2]
+        self._edges = _frozen(np.insert(table, at[~known], new[~known], axis=0))
+        # Both directions of each new pair, as (source row, neighbour id rank) keys.
+        lo, hi = new[~known, 0], new[~known, 1]
+        keys = np.sort(np.concatenate([lo * n + rank[hi], hi * n + rank[lo]]))
+        old = len(self.indptr) - 1
+        held = np.repeat(np.arange(old), np.diff(self.indptr)) * n + rank[self.indices]
+        self.indices = _frozen(np.insert(self.indices, np.searchsorted(held, keys), by_id[keys % n]))
+        indptr = np.concatenate([self.indptr, np.full(n - old, self.indptr[-1])])
+        indptr[1:] += np.cumsum(np.bincount(keys // n, minlength=n))
+        self.indptr = _frozen(indptr)
 
     # -- queries ---------------------------------------------------------------
 
@@ -286,15 +303,17 @@ class RanGraph:
         except KeyError:
             raise KeyError(f"unknown cell id {cell_id!r}") from None
 
+    def _raw(self, code: int, rows: Iterable[list[float]]) -> list[dict[str, float]]:
+        """Own attribute values by name per role, from a cell's predictor and
+        config rows; ``{}`` for configs that are NaN (none given)."""
+        raw = [{name: row[i] for name, i in own[code].items()} for own, row in zip(self._own.values(), rows)]
+        return [{} if any(map(math.isnan, r.values())) else r for r in raw]
+
     def cell(self, cell_id: str) -> CellRecord:
         """The cell as a record, read from its row."""
         row = self._row(cell_id)
         code = int(self.technology[row])
-        raw = []
-        for role in ROLES:
-            values = getattr(self, role)[row].tolist()
-            own = {name: values[i] for name, i in self._own[role][code].items()}
-            raw.append({} if any(map(math.isnan, own.values())) else own)
+        raw = self._raw(code, (self.predictor[row].tolist(), self.config[row].tolist()))
         return CellRecord(cell_id, self.node_ids[row], TECHNOLOGIES[code], *raw)
 
     @property
@@ -303,7 +322,8 @@ class RanGraph:
         return tuple(map(self.cell, self.cell_ids))
 
     def neighbors(self, cell_id: str) -> tuple[str, ...]:
-        return self._adjacency[self._row(cell_id)]
+        row = self._row(cell_id)
+        return tuple(map(self.cell_ids.__getitem__, self.indices[self.indptr[row] : self.indptr[row + 1]].tolist()))
 
     @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
@@ -339,12 +359,10 @@ class RanGraph:
             raise NetworkFormatError(f"node_ids: {len(node_ids)} entries for {n} cells")
         graph = cls(schema)
         graph.row_of = dict(zip(cell_ids, range(n)))
-        if len(graph.row_of) < n:
-            seen: set[str] = set()
-            for cid in cell_ids:
-                if cid in seen:
-                    raise NetworkFormatError(f"cell_ids: duplicate cell_id {cid!r}")
-                seen.add(cid)
+        if len(graph.row_of) < n:  # name the first id met a second time
+            first = dict(zip(reversed(cell_ids), range(n - 1, -1, -1)))
+            cid = next(cid for row, cid in enumerate(cell_ids) if first[cid] != row)
+            raise NetworkFormatError(f"cell_ids: duplicate cell_id {cid!r}")
         bad = np.flatnonzero((technology < 0) | (technology >= len(TECHNOLOGIES)))
         if bad.size:
             cid, code = cell_ids[bad[0]], technology[bad[0]]
@@ -375,24 +393,18 @@ class RanGraph:
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise NetworkFormatError(f"edges: edge {i} {what}: {edges[i].tolist()}")
-        graph._link(edges, listed=False)
+        graph._link(0, edges, listed=False)
         return graph
 
     def to_json(self) -> dict:
-        return {
-            "schema": self.schema.to_json(),
-            "cells": [
-                {
-                    "cell_id": c.cell_id,
-                    "node_id": c.node_id,
-                    "technology": c.technology,
-                    "predictors": dict(sorted(c.raw_predictors.items())),
-                    "configs": dict(sorted(c.raw_configs.items())),
-                }
-                for c in self.cells
-            ],
-            "edges": [list(e) for e in self.edges],
-        }
+        """The network file, written from the columns: each cell's own attributes
+        by name, configs ``{}`` for a cell without them, and ``edges``."""
+        keys = ("cell_id", "node_id", "technology", "predictors", "configs")
+        rows = zip(self.cell_ids, self.node_ids, self.technology.tolist(), self.predictor.tolist(), self.config.tolist())
+        cells = [
+            dict(zip(keys, (cid, node, TECHNOLOGIES[code], *self._raw(code, values)))) for cid, node, code, *values in rows
+        ]
+        return {"schema": self.schema.to_json(), "cells": cells, "edges": [list(e) for e in self.edges]}
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -235,7 +235,7 @@ def recommend_cells(
 # Store persistence (self-contained inference bundle)
 
 
-STORE_FORMAT = "ranrec-store/2"
+STORE_FORMAT = "ranrec-store/3"
 
 # Binary store columns: dtype of the little-endian array each one encodes.
 NETWORK_COLUMNS = {"technology": "u1", "predictor": "<f8", "config": "<f8", "edges": "<i4"}
@@ -267,7 +267,9 @@ class StoreBundle:
 
     ``forest`` is the novelty forest ``embed`` fits on the store's
     embeddings; it is None when no forest can be fit (fewer than 2 records,
-    or all identical).
+    or all identical). On disk each record is ``{cell_id, z}``, one per
+    network row in row order; its config vector is derived on load as the
+    row of ``feature_map(graph, checkpoint.stats).y``.
     """
 
     graph: RanGraph
@@ -302,10 +304,7 @@ class StoreBundle:
             "network": network,
             "checkpoint": self.checkpoint.to_json(),
             "forest": forest,
-            "records": [
-                {"cell_id": cid, "z": z, "y": y}
-                for cid, z, y in zip(self.store.ids, self.store.z.tolist(), self.store.y.tolist())
-            ],
+            "records": [{"cell_id": cid, "z": z} for cid, z in zip(self.store.ids, self.store.z.tolist())],
         }
 
     @classmethod
@@ -336,24 +335,22 @@ class StoreBundle:
             raise NetworkFormatError(f"network.{exc}") from None
         checkpoint = Checkpoint.from_json(data["checkpoint"], schema=graph.schema)
         bundle = cls(graph=graph, checkpoint=checkpoint)
-        items, widths = data["records"], (bundle.store.embedding_dim, graph.schema.config_dim)
+        items, width = data["records"], bundle.store.embedding_dim
         try:  # in bulk; when that fails, the loop below names the lowest bad record
-            z, y = (np.array([item[name] for item in items], dtype=np.float64) for name in ("z", "y"))
-            bulk = all(m.shape == (len(items), w) and np.isfinite(m).all() for m, w in zip((z, y), widths))
+            z = np.array([item["z"] for item in items], dtype=np.float64)
+            bulk = z.shape == (len(items), width) and np.isfinite(z).all()
         except (KeyError, TypeError, ValueError, OverflowError):
             bulk = False
         if not bulk:
-            z, y = (np.empty((len(items), w)) for w in widths)
+            z = np.empty((len(items), width))
             for index, item in enumerate(items):
-                for name, out in (("z", z), ("y", y)):
-                    raw = item[name]
-                    try:
-                        value = np.array(raw, dtype=np.float64)
-                    except (TypeError, ValueError, OverflowError):  # a string, a ragged list, 10**400
-                        value = None
-                    if value is None or value.shape != out.shape[1:] or not np.isfinite(value).all():
-                        raise ValueError(f"record {index}: {name} is not {out.shape[1]} finite numbers")
-                    out[index] = value
+                try:
+                    value = np.array(item["z"], dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):  # a string, a ragged list, 10**400
+                    value = None
+                if value is None or value.shape != (width,) or not np.isfinite(value).all():
+                    raise ValueError(f"record {index}: z is not {width} finite numbers")
+                z[index] = value
         ids = [item["cell_id"] for item in items]
         if ids != list(graph.cell_ids):  # embed writes one record per network row, in row order
             index = next((i for i, (a, b) in enumerate(zip(ids, graph.cell_ids)) if a != b), min(len(ids), n))
@@ -361,7 +358,7 @@ class StoreBundle:
                 f"records[{index}]: record ids must be network.cell_ids in row order "
                 f"({len(ids)} records for {n} cells)"
             )
-        bundle.store.extend(ids, z, y)
+        bundle.store.extend(ids, z, feature_map(graph, checkpoint.stats).y)
         if data["forest"] is not None:
             bundle.forest = _forest_from_json(data["forest"], len(bundle.store), bundle.store.embedding_dim)
         return bundle

@@ -67,28 +67,27 @@ def sample_subgraph(
     ``rng`` defaults to the substream derived from (cfg.seed, center), so
     repeated calls return the identical subgraph.
     """
-    adjacency = graph.neighbors(center)  # raises on unknown id
+    row = graph._row(center)  # raises on unknown id
+    indptr, indices = graph.indptr, graph.indices
+    adjacency = indices[indptr[row] : indptr[row + 1]]  # neighbour rows in id order
     if rng is None:
         rng = substream(cfg.seed, "subgraph", center)
     k = min(cfg.fanout, len(adjacency))
-    if k == len(adjacency):
-        sampled = list(adjacency)
-    else:
-        idx = rng.choice(len(adjacency), size=k, replace=False)
-        sampled = [adjacency[i] for i in idx]
-    vertices = [center, *sampled]
-    index = {cid: i for i, cid in enumerate(vertices)}
+    if k < len(adjacency):
+        adjacency = adjacency[rng.choice(len(adjacency), size=k, replace=False)]
+    vertices = [row, *adjacency.tolist()]
+    index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for i, a in enumerate(vertices):
-        for b in graph.neighbors(a):
+        for b in indices[indptr[a] : indptr[a + 1]].tolist():
             j = index.get(b)
             if j is not None and j > i:
                 edges.append((i, j))
-    rows = features.x[[graph.row_of[cid] for cid in vertices]]
+    rows = features.x[vertices]
     rows.flags.writeable = False
     return Subgraph(
         center=center,
-        neighbors=tuple(sampled),
+        neighbors=tuple(map(graph.cell_ids.__getitem__, vertices[1:])),
         edges=tuple(sorted(edges)),
         features=rows,
     )

@@ -15,10 +15,11 @@ import ranrec
 from ranrec.anomaly import (
     DegenerateEmbeddingsError,
     IsolationForest,
+    _mean_path_lengths,
+    _scores,
     _split_value,
     anomaly_score,
     average_path_length,
-    expected_path_length,
     fit_forest,
     score_network,
     store_matrix,
@@ -26,6 +27,11 @@ from ranrec.anomaly import (
 from ranrec.gnn import ArchConfig, init_encoder
 from ranrec.inference import EmbeddingStore
 from ranrec.rng import substream
+
+
+def expected_path_length(forest: IsolationForest, z: np.ndarray) -> float:
+    """E(h(z)): the mean path length of one query point over the trees."""
+    return float(_mean_path_lengths(forest, np.asarray(z, dtype=np.float64).reshape(1, -1))[0])
 
 
 def cluster_with_outlier(n=99, d=2, radius=1.0, factor=10.0, seed=0):
@@ -418,6 +424,13 @@ class TestScoreNetwork:
         forest = fit_forest(store_matrix(store), t=100, psi=128, seed=11)
         report = score_network(store, forest, threshold=0.6)
         assert [score for _, score in report.cells] == [anomaly_score(forest, p) for p in points]
+
+    @pytest.mark.parametrize("rows", [1, 6, 70])
+    def test_query_batch_scores_equal_single_row_scores(self, rows):
+        # recommend scores a request's new rows, which the forest never saw, in one pass.
+        forest = fit_forest(cluster_with_outlier(n=199, d=5, seed=12), t=100, psi=128, seed=12)
+        queries = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 5))
+        assert _scores(forest, queries) == [anomaly_score(forest, q) for q in queries]
 
     def test_store_matrix_joins_configs(self):
         points = np.random.default_rng(10).normal(size=(5, 3))

@@ -540,13 +540,13 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "name, value", [("z", float("inf")), ("y", float("nan")), ("y", None)]
+        "name, value", [("z", float("inf")), ("z", float("nan")), ("z", None)]
     )
     def test_detect_rejects_bad_store_record(self, workspace, tmp_path, capsys, name, value):
         store = json.loads((workspace / "store.json").read_text())
         row = store["records"][5]
         if value is None:
-            row[name] = row[name][:-1]  # one config slot short
+            row[name] = row[name][:-1]  # one embedding slot short
         else:
             row[name][0] = value
         bad = tmp_path / "store.json"
@@ -1026,6 +1026,56 @@ class TestStoreFormat:
         code = main([command, str(bad), *new_cells, "--out", str(out)])
         _assert_rejected(capsys, code, f"{bad}: invalid store: format", "re-run `ranrec embed`")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "detect", "project"])
+    def test_format_2_store_asks_for_embed(self, workspace, tmp_path, capsys, command):
+        # The previous format: records also carried their config vector ``y``.
+        store = json.loads((workspace / "store.json").read_text())
+        store["format"] = "ranrec-store/2"
+        for record, y in zip(store["records"], load_store(workspace / "store.json").store.y.tolist()):
+            record["y"] = y
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "out.json"
+        new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
+        code = main([command, str(bad), *new_cells, "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: invalid store: format: 'ranrec-store/2'", "re-run `ranrec embed`")
+        assert not out.exists()
+
+    def test_config_edit_moves_y_hat_and_detect(self, workspace, tmp_path):
+        """A record's config vector is its network row's: editing that row is
+        what recommend serves and what detect scores."""
+        cells = str(workspace / "new_cells.json")
+        before = tmp_path / "before.json"
+        assert main(["recommend", str(workspace / "store.json"), cells, "--out", str(before)]) == 0
+        source = json.loads(before.read_text())[0]["sources"][0]["cell_id"]
+        original = load_store(workspace / "store.json")
+        row, y = original.graph.row_of[source], original.store.y
+        technology = original.graph.technology
+        # The source takes the configs of another cell of its technology.
+        donor = next(r for r in range(len(y)) if technology[r] == technology[row] and (y[r] != y[row]).any())
+        store = json.loads((workspace / "store.json").read_text())
+        config = _column(store["network"], "config", "<f8").reshape(len(y), -1)
+        config[row] = config[donor]
+        _set_column(store["network"], "config", "<f8", config)
+        edited = tmp_path / "store.json"
+        edited.write_text(json.dumps(store))
+
+        after = tmp_path / "after.json"
+        assert main(["recommend", str(edited), cells, "--out", str(after)]) == 0
+        rec = json.loads(after.read_text())[0]
+        assert rec["sources"] == json.loads(before.read_text())[0]["sources"]
+        assert rec["y_hat"] == denormalize(y[donor], original.stats, original.schema)
+        assert rec["y_hat"] != json.loads(before.read_text())[0]["y_hat"]
+
+        flags = tmp_path / "flags.json"
+        assert main(["detect", str(edited), "--out", str(flags)]) == 0
+        joint = np.concatenate([original.store.z, y], axis=1)
+        joint[row, original.store.z.shape[1] :] = y[donor]
+        forest = fit_forest(joint, seed=original.checkpoint.seed)
+        scores = [anomaly_score(forest, point) for point in joint]
+        expected = sorted(zip(original.store.ids, scores), key=lambda e: (-e[1], e[0]))
+        assert [(c["cell_id"], c["score"]) for c in json.loads(flags.read_text())["cells"]] == expected
 
     @pytest.mark.parametrize("command", ["recommend", "detect", "project"])
     @pytest.mark.parametrize("case", ["renamed", "dropped", "swapped"])

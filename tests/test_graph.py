@@ -401,6 +401,8 @@ def _snapshot(graph: RanGraph) -> tuple:
         dict(graph.row_of),
         graph.edges,
         {cid: graph.neighbors(cid) for cid in graph.row_of},
+        graph.indptr.tolist(),
+        graph.indices.tolist(),
     )
 
 
@@ -460,6 +462,9 @@ def _same_graph(built: RanGraph, expected: RanGraph) -> None:
     assert list(built.row_of.items()) == list(expected.row_of.items())
     assert [built.neighbors(cid) for cid in built.row_of] == [expected.neighbors(cid) for cid in expected.row_of]
     assert built.edges == expected.edges
+    for name in ("indptr", "indices"):
+        assert getattr(built, name).dtype == getattr(expected, name).dtype == np.intp, name
+        assert np.array_equal(getattr(built, name), getattr(expected, name)), name
     got, want = built.columns(), expected.columns()
     assert got.keys() == want.keys()
     assert (got["cell_ids"], got["node_ids"]) == (want["cell_ids"], want["node_ids"])
@@ -495,6 +500,31 @@ class TestColumns:
         grown, expected = (extend_network(g, cells + more, edges) for g in (built, parsed))
         _same_graph(grown, expected)
         _same_graph(RanGraph.from_columns(expected.schema, expected.columns()), expected)
+        _same_graph(RanGraph(parsed.schema, parsed.cells + tuple(cells + more), parsed.edges + tuple(edges)), grown)
+
+    @pytest.mark.parametrize("sites", [1, 7, 60])
+    def test_network_json_equals_record_built(self, sites):
+        from ranrec.synth import SynthSpec, generate
+
+        graph, _ = generate(SynthSpec(sites=sites, seed=sites))
+        first = graph.cell(graph.cell_ids[0])
+        bare = CellRecord("zz-bare", first.node_id, first.technology, first.raw_predictors, {})
+        for g in (graph, extend_network(graph, [bare])):
+            record_built = {
+                "schema": g.schema.to_json(),
+                "cells": [
+                    {
+                        "cell_id": c.cell_id,
+                        "node_id": c.node_id,
+                        "technology": c.technology,
+                        "predictors": dict(sorted(c.raw_predictors.items())),
+                        "configs": dict(sorted(c.raw_configs.items())),
+                    }
+                    for c in g.cells
+                ],
+                "edges": [list(e) for e in g.edges],
+            }
+            assert json.dumps(g.to_json(), indent=1) == json.dumps(record_built, indent=1)
 
     @given(case=_extensions())
     @settings(max_examples=200, deadline=None)

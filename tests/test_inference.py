@@ -403,8 +403,7 @@ class TestStoreBundle:
         )
         bundle = StoreBundle(graph=graph, checkpoint=checkpoint)
         rng = np.random.default_rng(0)
-        for cid in graph.cell_ids:
-            bundle.store.add(cid, rng.normal(size=3), rng.random(4))
+        bundle.store.extend(graph.cell_ids, rng.normal(size=(len(graph.cell_ids), 3)), feature_map(graph, stats).y)
         return bundle
 
     def test_roundtrip(self):
@@ -419,14 +418,23 @@ class TestStoreBundle:
         ):
             assert np.array_equal(pa.value, pb.value)
 
+    def test_records_are_id_and_embedding(self):
+        bundle = self._bundle()
+        payload = bundle.to_json()
+        assert payload["format"] == "ranrec-store/3"
+        assert all(record.keys() == {"cell_id", "z"} for record in payload["records"])
+        # The config vectors come back from the network's config column.
+        loaded = StoreBundle.from_json(payload)
+        assert loaded.store.y.tobytes() == feature_map(bundle.graph, bundle.stats).y.tobytes()
+
     @pytest.mark.parametrize(
         "name, value",
         [
             ("z", [0.0, float("nan"), 0.0]),
             ("z", [0.0, 0.0]),
-            ("y", [0.5, float("inf"), 0.5, 0.5]),
-            ("y", [0.5, 0.5, 0.5]),
-            ("y", [[0.5, 0.5, 0.5, 0.5]]),
+            ("z", [0.0, float("inf"), 0.0]),
+            ("z", [0.0, 0.0, 0.0, 0.0]),
+            ("z", [[0.0, 0.0, 0.0]]),
         ],
     )
     def test_bad_record_rejected_by_index(self, name, value):
@@ -438,8 +446,22 @@ class TestStoreBundle:
     def test_lowest_of_two_bad_records_named(self):
         payload = self._bundle().to_json()
         payload["records"][3]["z"] = [0.0, 0.0]
-        payload["records"][1]["y"] = [0.5, float("nan"), 0.5, 0.5]
-        with pytest.raises(ValueError, match="record 1: y is not 4 finite numbers"):
+        payload["records"][1]["z"] = [0.0, float("nan"), 0.0]
+        with pytest.raises(ValueError, match="record 1: z is not 3 finite numbers"):
+            StoreBundle.from_json(payload)
+
+    def test_ragged_z_names_its_record(self):
+        payload = self._bundle().to_json()
+        payload["records"][3]["z"] = [[0.0, 0.0], [0.0]]
+        with pytest.raises(ValueError, match="record 3: z is not 3 finite numbers"):
+            StoreBundle.from_json(payload)
+
+    def test_older_format_asks_for_embed(self):
+        payload = self._bundle().to_json()
+        payload["format"] = "ranrec-store/2"
+        for record in payload["records"]:
+            record["y"] = [0.5] * 4
+        with pytest.raises(ValueError, match=r"'ranrec-store/2', expected 'ranrec-store/3'.*re-run `ranrec embed`"):
             StoreBundle.from_json(payload)
 
     def test_z_of_one_element_lists_rejected_by_index(self):

@@ -11,10 +11,12 @@ from ranrec.graph import RanGraph, fit_normalization, feature_map
 from ranrec.rng import substream
 from ranrec.sampler import (
     SamplerConfig,
+    Subgraph,
     build_dataset,
     sample_subgraph,
     split_indices,
 )
+from ranrec.synth import SynthSpec, generate
 
 from conftest import lte_cell, nr_cell, small_schema, star_graph
 
@@ -230,3 +232,56 @@ class TestInducedClosure:
             assert list(sub.edges) == expected
             for k, vertex in enumerate(vertices):
                 assert np.array_equal(sub.features[k], features.x[graph.row_of[vertex]])
+
+
+def _id_adjacency(graph) -> dict[str, tuple[str, ...]]:
+    """Each cell's id-sorted neighbour ids, from the edge table alone."""
+    adjacency: dict[str, list[str]] = {cid: [] for cid in graph.cell_ids}
+    for a, b, _ in graph.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return {cid: tuple(sorted(ids)) for cid, ids in adjacency.items()}
+
+
+def _oracle_subgraph(graph, adjacency, center, cfg, features, rng) -> Subgraph:
+    """The sampler over per-cell id tuples that CSR rows replaced, kept as the reference."""
+    neighbours = adjacency[center]
+    k = min(cfg.fanout, len(neighbours))
+    if k == len(neighbours):
+        sampled = list(neighbours)
+    else:
+        idx = rng.choice(len(neighbours), size=k, replace=False)
+        sampled = [neighbours[i] for i in idx]
+    vertices = [center, *sampled]
+    index = {cid: i for i, cid in enumerate(vertices)}
+    edges = []
+    for i, a in enumerate(vertices):
+        for b in adjacency[a]:
+            j = index.get(b)
+            if j is not None and j > i:
+                edges.append((i, j))
+    rows = features.x[[graph.row_of[cid] for cid in vertices]]
+    return Subgraph(center=center, neighbors=tuple(sampled), edges=tuple(sorted(edges)), features=rows)
+
+
+class TestCsrSamplerOracle:
+    """Sampling on CSR rows draws and induces exactly what the id-tuple sampler did."""
+
+    @pytest.mark.parametrize("epoch", [None, 3])
+    @pytest.mark.parametrize("sites", [50, 200])  # 300 and 1,200 cells
+    def test_dataset_equals_oracle(self, sites, epoch):
+        graph, _ = generate(SynthSpec(sites=sites, seed=sites))
+        assert len(graph.cell_ids) == 6 * sites
+        stats = _fitted(graph)
+        features = feature_map(graph, stats)
+        adjacency = _id_adjacency(graph)
+        cfg = SamplerConfig(fanout=4, seed=11)
+        entries = build_dataset(graph, stats, cfg, epoch=epoch)
+        assert [e.subgraph.center for e in entries] == list(graph.cell_ids)
+        for entry, cid in zip(entries, graph.cell_ids):
+            tokens = ("subgraph", cid) if epoch is None else ("subgraph", cid, "epoch", epoch)
+            want = _oracle_subgraph(graph, adjacency, cid, cfg, features, substream(cfg.seed, *tokens))
+            got = entry.subgraph
+            assert (got.neighbors, got.edges) == (want.neighbors, want.edges), cid
+            assert got.features.tobytes() == want.features.tobytes(), cid
+            assert entry.target.tobytes() == features.y[graph.row_of[cid]].tobytes(), cid
