@@ -250,10 +250,8 @@ def cmd_embed(args) -> int:
     seed = args.seed if args.seed is not None else checkpoint.seed
     bundle = StoreBundle(graph=graph, checkpoint=checkpoint)
     lap = _lap(stages, "load", started)
-    dataset = build_dataset(
-        graph, checkpoint.stats, SamplerConfig(fanout=checkpoint.fanout, seed=seed)
-    )
-    embed_entries(bundle.store, dataset)
+    # No name keeps the dataset: it is freed before the forest and the store's JSON are built.
+    embed_entries(bundle.store, build_dataset(graph, checkpoint.stats, SamplerConfig(checkpoint.fanout, seed)))
     lap = _lap(stages, "sample_encode", lap)
     # The novelty forest recommend scores against; it takes this seed.
     try:

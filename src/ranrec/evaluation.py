@@ -219,20 +219,6 @@ def prepare_data(graph: RanGraph, config: RunConfig) -> PreparedData:
     )
 
 
-def _train_provider(graph: RanGraph, config: RunConfig, data: PreparedData):
-    """Per-epoch resampled train entries, when the config asks for them."""
-    if not config.resample_per_epoch:
-        return None
-    sampler_cfg = config.sampler()
-    train_set = set(data.train_ids)
-
-    def provider(epoch: int):
-        resampled = build_dataset(graph, data.stats, sampler_cfg, epoch=epoch)
-        return [e for e in resampled if e.subgraph.center in train_set]
-
-    return provider
-
-
 def compare_models(graph: RanGraph, config: RunConfig) -> ComparisonResult:
     """Train the baseline trio and report train/test retrieval accuracy.
 
@@ -241,7 +227,10 @@ def compare_models(graph: RanGraph, config: RunConfig) -> ComparisonResult:
     """
     data = prepare_data(graph, config)
     arch = config.arch(graph.schema.predictor_dim)
-    provider = _train_provider(graph, config, data)
+    provider = None
+    if config.resample_per_epoch:  # per-epoch resampled train entries
+        sampling = config.sampler()
+        provider = lambda epoch: build_dataset(graph, data.stats, sampling, epoch=epoch, cells=data.train_ids)  # noqa: E731
 
     encoders: dict[str, GatStack] = {"untrained": init_encoder(arch, config.seed)}
     reports: dict[str, TrainReport | None] = {"untrained": None}

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -167,12 +166,9 @@ class SubgraphBatch:
     """
 
     subgraphs: tuple[Subgraph, ...]
+    sizes: np.ndarray
     edges: EdgeList
     center_edges: EdgeList
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.array([s.size for s in self.subgraphs], dtype=np.intp)
 
     @property
     def centers(self) -> np.ndarray:
@@ -189,9 +185,8 @@ def stack_subgraphs(subgraphs: Sequence[Subgraph]) -> SubgraphBatch:
     sizes = np.array([s.size for s in subgraphs], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
     v = int(sizes.sum())
-    counts = [len(s.edges) for s in subgraphs]
-    flat = chain.from_iterable(chain.from_iterable(s.edges for s in subgraphs))
-    pairs = np.fromiter(flat, dtype=np.intp, count=2 * sum(counts)).reshape(-1, 2)
+    counts = [s.edges.shape[0] for s in subgraphs]
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.intp), *(s.edges for s in subgraphs)])
     i, j = (pairs + np.repeat(offsets, counts)[:, None]).T
     # Edge j -> i has key i * v + j: sorted keys order by destination, then source.
     keys = np.sort(np.concatenate([i * v + j, j * v + i, np.arange(v) * (v + 1)]))
@@ -199,7 +194,7 @@ def stack_subgraphs(subgraphs: Sequence[Subgraph]) -> SubgraphBatch:
     owner = np.repeat(np.arange(sizes.shape[0]), sizes)  # subgraph of each row
     into_center = dst == offsets[owner[dst]]
     center_edges = EdgeList(src[into_center], owner[dst[into_center]], v)
-    return SubgraphBatch(tuple(subgraphs), EdgeList(src, dst, v), center_edges)
+    return SubgraphBatch(tuple(subgraphs), sizes, EdgeList(src, dst, v), center_edges)
 
 
 def layer_forward(

@@ -29,7 +29,7 @@ from .graph import (
     extend_network,
     feature_map,
 )
-from .sampler import DatasetEntry, SamplerConfig, Subgraph, sample_subgraph
+from .sampler import DatasetEntry, SamplerConfig, Subgraph, build_dataset
 from .training import encode_centers
 
 
@@ -202,9 +202,7 @@ def encode_new_cells(
     cell's subgraph of the extended network is sampled and all are encoded
     in one batch."""
     augmented = extend_network(graph, new_cells, new_edges)
-    features = feature_map(augmented, stats)
-    subgraphs = (sample_subgraph(augmented, cell.cell_id, sampler_cfg, features) for cell in new_cells)
-    entries = [DatasetEntry(sub, features.y[augmented.row_of[sub.center]]) for sub in subgraphs]
+    entries = build_dataset(augmented, stats, sampler_cfg, cells=[cell.cell_id for cell in new_cells])
     return encode_centers(encoder, entries)
 
 

@@ -18,7 +18,6 @@ memory is bounded by one group's tape, not by the training set.
 from __future__ import annotations
 
 import logging
-import math
 import resource
 import time
 from dataclasses import asdict, dataclass, field
@@ -26,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import Node, Parameter, Tape, cosine
+from .autodiff import Node, Parameter, Tape
 from .gnn import (
     ArchConfig,
     GatStack,
@@ -39,7 +38,7 @@ from .gnn import (
 )
 from .graph import require
 from .rng import substream
-from .sampler import DatasetEntry
+from .sampler import DatasetEntry, _runs
 
 logger = logging.getLogger(__name__)
 
@@ -95,43 +94,6 @@ class TrainReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-# ---------------------------------------------------------------------------
-# Losses
-
-
-def config_similarity(y_a: np.ndarray, y_b: np.ndarray) -> float:
-    """Similarity label ``2 cos(y_a, y_b) - 1``; undefined for zero vectors."""
-    return 2.0 * cosine(y_a, y_b) - 1.0
-
-
-def contrastive_loss(
-    c: float, z_a: np.ndarray, z_b: np.ndarray, margin: float, form: str = "standard"
-) -> float:
-    """Per-pair loss value for a similarity label and two embeddings.
-
-    ``form="printed"`` selects the unbalanced variant
-    ``(1 + c) D + (1 - c) max(0, M) - D`` kept for comparison runs.
-    """
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
-    diff = np.asarray(z_a, dtype=np.float64) - np.asarray(z_b, dtype=np.float64)
-    # math.hypot rescales before squaring, so a tiny nonzero distance does not
-    # underflow to 0 the way sqrt(sum(diff**2)) in np.linalg.norm does.
-    d = math.hypot(*diff.ravel())
-    if form == "printed":
-        return (1.0 + c) * d + (1.0 - c) * max(0.0, margin) - d
-    return 0.5 * (1.0 + c) * d + 0.5 * (1.0 - c) * max(0.0, margin - d)
-
-
-def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean over vertices of the row-wise Euclidean reconstruction error."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return float(np.linalg.norm(x - x_hat, axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +282,9 @@ ENCODE_GROUP_EDGES = 1024
 def _batches(entries: Sequence[DatasetEntry]) -> Iterator[tuple[slice, SubgraphBatch]]:
     """Consecutive runs of entries of at most ``ENCODE_GROUP_EDGES`` edge rows
     (at least one entry each), stacked as they are reached."""
-    start, rows = 0, 0
-    for i, entry in enumerate(entries):
-        size = entry.subgraph.size + 2 * len(entry.subgraph.edges)
-        if i > start and rows + size > ENCODE_GROUP_EDGES:
-            yield slice(start, i), stack_subgraphs([e.subgraph for e in entries[start:i]])
-            start, rows = i, 0
-        rows += size
-    if entries:
-        yield slice(start, len(entries)), stack_subgraphs([e.subgraph for e in entries[start:]])
+    rows = np.cumsum([0] + [e.subgraph.size + 2 * e.subgraph.edges.shape[0] for e in entries])
+    for a, b in _runs(rows, ENCODE_GROUP_EDGES):
+        yield slice(a, b), stack_subgraphs([e.subgraph for e in entries[a:b]])
 
 
 def encode_centers_on_tape(tape: Tape, encoder: GatStack, batch: SubgraphBatch) -> Node:

@@ -9,6 +9,7 @@ import pytest
 
 from ranrec.autodiff import cosine
 from ranrec.graph import AttributeSchema, AttributeSpec, CellRecord, RanGraph
+from ranrec.sampler import Subgraph
 from ranrec.synth import _TECH_DESIGN, GroundTruth
 
 
@@ -58,6 +59,17 @@ def nr_cell(
         technology="NR",
         raw_predictors={"bw": bw, "chan": chan},
         raw_configs={"power": power, "preamble": preamble},
+    )
+
+
+def hand_subgraph(ids, edges, features) -> Subgraph:
+    """A subgraph built by hand: vertices named ``ids`` (centre first), local
+    edge pairs ``(i, j)`` with ``i < j`` and one feature row per vertex."""
+    return Subgraph(
+        rows=np.arange(len(ids)),
+        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
+        features=np.asarray(features, dtype=np.float64),
+        cell_ids=tuple(ids),
     )
 
 

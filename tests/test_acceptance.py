@@ -37,14 +37,14 @@ from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
     PairSample,
     TrainingConfig,
-    config_similarity,
-    contrastive_loss,
     encode_centers_on_tape,
+    mine_informative_pairs,
     pair_loss_on_tape,
 )
 
-from conftest import learnability_check, small_schema, star_graph
+from conftest import hand_subgraph, learnability_check, small_schema, star_graph
 from dense_gat import edge_attention_matrices
+from losses import config_similarity, contrastive_loss
 
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -79,12 +79,7 @@ def _random_subgraph(rng: np.random.Generator, in_dim: int) -> Subgraph:
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 edges.add((i, j))
-    return Subgraph(
-        center="c0",
-        neighbors=tuple(f"n{j}" for j in range(1, n)),
-        edges=tuple(sorted(edges)),
-        features=features,
-    )
+    return hand_subgraph(["c0", *(f"n{j}" for j in range(1, n))], sorted(edges), features)
 
 
 def _grad_arch(in_dim: int) -> ArchConfig:
@@ -294,20 +289,48 @@ def test_criterion_5_misconfiguration_detection(tmp_path):
 # 6. Loss-form unit values
 
 
+def _tape_pair_loss(c: float, z_a: np.ndarray, z_b: np.ndarray, margin: float) -> float:
+    """Training's loss on a one-pair batch."""
+    tape = Tape()
+    z = tape.const(np.stack([z_a, z_b]))
+    return float(pair_loss_on_tape(tape, z, [PairSample(0, 1, c)], TrainingConfig(margin=margin)).value[0, 0])
+
+
+def _mined_label(y_a: np.ndarray, y_b: np.ndarray) -> float:
+    """Mining's label of the one pair of a two-row set."""
+    cfg = TrainingConfig(pairs_per_epoch=1)
+    (pair,) = mine_informative_pairs(np.eye(2), np.stack([y_a, y_b]), cfg, np.random.default_rng(0))
+    return pair.c
+
+
 def test_criterion_6_loss_forms():
-    checks = [
-        abs(contrastive_loss(1.0, np.zeros(2), np.array([0.5, 0.0]), 1.0) - 0.5) < 1e-9,
-        abs(contrastive_loss(-1.0, np.zeros(2), np.array([0.2, 0.0]), 1.0) - 0.8) < 1e-9,
-        contrastive_loss(-1.0, np.zeros(2), np.array([2.0, 0.0]), 1.0) == 0.0,
-        abs(config_similarity(np.array([0.3, 0.4]), np.array([0.3, 0.4])) - 1.0) < 1e-9,
-        abs(config_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) + 1.0) < 1e-9,
-        abs(
-            config_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-            - (math.sqrt(2.0) - 1.0)
-        )
-        < 1e-9,
+    losses = [
+        ((1.0, np.zeros(2), np.array([0.5, 0.0]), 1.0), 0.5),
+        ((-1.0, np.zeros(2), np.array([0.2, 0.0]), 1.0), 0.8),
+        ((-1.0, np.zeros(2), np.array([2.0, 0.0]), 1.0), 0.0),
     ]
-    _report(6, "loss-form unit suite", all(checks), f"{sum(checks)}/6 values exact")
+    labels = [
+        ((np.array([0.3, 0.4]), np.array([0.3, 0.4])), 1.0),
+        ((np.array([1.0, 0.0]), np.array([0.0, 1.0])), -1.0),
+        ((np.array([1.0, 0.0]), np.array([1.0, 1.0])), math.sqrt(2.0) - 1.0),
+    ]
+    checks = [
+        abs(contrastive_loss(*losses[0][0]) - 0.5) < 1e-9,
+        abs(contrastive_loss(*losses[1][0]) - 0.8) < 1e-9,
+        contrastive_loss(*losses[2][0]) == 0.0,
+        abs(config_similarity(*labels[0][0]) - 1.0) < 1e-9,
+        abs(config_similarity(*labels[1][0]) + 1.0) < 1e-9,
+        abs(config_similarity(*labels[2][0]) - (math.sqrt(2.0) - 1.0)) < 1e-9,
+    ]
+    # The same six values from what training runs: the tape loss and mining's labels.
+    trained = [abs(_tape_pair_loss(*args) - value) < 1e-9 for args, value in losses]
+    trained += [abs(_mined_label(*args) - value) < 1e-9 for args, value in labels]
+    _report(
+        6,
+        "loss-form unit suite",
+        all(checks) and all(trained),
+        f"{sum(checks)}/6 values exact, {sum(trained)}/6 from training's tape loss and mined labels",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +348,13 @@ def test_criterion_7_structural_invariants():
     rng = np.random.default_rng(5)
     features = rng.random((5, 4))
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3)]
-    sub = Subgraph(center="c", neighbors=("a", "b", "d", "e"), edges=tuple(edges), features=features)
+    sub = hand_subgraph(["c", "a", "b", "d", "e"], edges, features)
     perm = [0, 4, 2, 1, 3]
     inv = {old: new for new, old in enumerate(perm)}
-    permuted = Subgraph(
-        center="c",
-        neighbors=tuple(f"p{i}" for i in range(4)),
-        edges=tuple(tuple(sorted((inv[i], inv[j]))) for i, j in edges),
-        features=features[perm],
+    permuted = hand_subgraph(
+        ["c", *(f"p{i}" for i in range(4))],
+        [tuple(sorted((inv[i], inv[j]))) for i, j in edges],
+        features[perm],
     )
     drift = np.abs(encode(encoder, permuted) - encode(encoder, sub)).max()
     perm_ok = drift <= 1e-12

@@ -20,7 +20,7 @@ from ranrec.gnn import (
 from ranrec.graph import NormalizationStats, SlotStats
 from ranrec.sampler import Subgraph
 
-from conftest import small_schema
+from conftest import hand_subgraph, small_schema
 from dense_gat import attention_matrices, attention_scores, dense_encode, edge_attention_matrices
 
 # The dense oracle and the edge-list path give the same attention weights.
@@ -32,12 +32,7 @@ def make_subgraph(n_neighbors: int, in_dim: int = 5, seed: int = 0, edges=None) 
     features = rng.random(size=(1 + n_neighbors, in_dim))
     if edges is None:
         edges = tuple((0, j) for j in range(1, 1 + n_neighbors))
-    return Subgraph(
-        center="center",
-        neighbors=tuple(f"nb{j}" for j in range(n_neighbors)),
-        edges=tuple(edges),
-        features=features,
-    )
+    return hand_subgraph(["center", *(f"nb{j}" for j in range(n_neighbors))], edges, features)
 
 
 def tiny_arch(in_dim: int = 5) -> ArchConfig:
@@ -127,12 +122,7 @@ class TestEncodeDecode:
     def test_identical_subgraphs_identical_centers(self):
         stack = init_encoder(tiny_arch(), seed=7)
         a = make_subgraph(3, seed=11)
-        b = Subgraph(
-            center="other",
-            neighbors=("x", "y", "z"),
-            edges=a.edges,
-            features=a.features.copy(),
-        )
+        b = hand_subgraph(["other", "x", "y", "z"], a.edges, a.features.copy())
         assert np.allclose(encode(stack, a), encode(stack, b))
 
     def test_neighbor_permutation_invariance(self):
@@ -140,16 +130,15 @@ class TestEncodeDecode:
         rng = np.random.default_rng(9)
         features = rng.random(size=(5, 5))
         edges = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)]
-        sub = Subgraph(center="c", neighbors=("a", "b", "d", "e"), edges=tuple(edges), features=features)
+        sub = hand_subgraph(["c", "a", "b", "d", "e"], edges, features)
         # permute neighbor order (vertex 0 stays center)
         perm = [0, 3, 1, 4, 2]
         inv = {old: new for new, old in enumerate(perm)}
         permuted_edges = tuple(tuple(sorted((inv[i], inv[j]))) for i, j in edges)
-        permuted = Subgraph(
-            center="c",
-            neighbors=tuple(np.array(["a", "b", "d", "e"])[np.array(perm[1:]) - 1]),
-            edges=permuted_edges,
-            features=features[perm],
+        permuted = hand_subgraph(
+            ["c", *np.array(["a", "b", "d", "e"])[np.array(perm[1:]) - 1]],
+            permuted_edges,
+            features[perm],
         )
         out, out_permuted = (
             encode_group_on_tape(Tape(), stack, stack_subgraphs([s])).value for s in (sub, permuted)

@@ -2,21 +2,23 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranrec.graph import RanGraph, fit_normalization, feature_map
+from ranrec import sampler
+from ranrec.cli import main
+from ranrec.config import config_from_values
+from ranrec.gnn import ArchConfig, Checkpoint, init_encoder, schema_hash
+from ranrec.graph import RanGraph, extend_network, fit_normalization, feature_map
 from ranrec.rng import substream
-from ranrec.sampler import (
-    SamplerConfig,
-    Subgraph,
-    build_dataset,
-    sample_subgraph,
-    split_indices,
-)
-from ranrec.synth import SynthSpec, generate
+from ranrec.sampler import SamplerConfig, build_dataset, sample_subgraph, split_indices
+from ranrec.synth import SynthSpec, generate, synthesize_expansion, synthesize_greenfield
 
 from conftest import lte_cell, nr_cell, small_schema, star_graph
 
@@ -25,6 +27,10 @@ def split(dataset, test_fraction: float, seed: int):
     """Disjoint, exhaustive train/test split of a dataset, deterministic per seed."""
     train_idx, test_idx = split_indices(len(dataset), test_fraction, seed)
     return [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]
+
+
+def edge_pairs(sub) -> tuple[tuple[int, int], ...]:
+    return tuple(map(tuple, sub.edges.tolist()))
 
 
 def _fitted(graph):
@@ -69,7 +75,7 @@ class TestSampleSubgraph:
         sub = sample_subgraph(graph, "a", SamplerConfig(fanout=4, seed=0), _features(graph))
         assert sub.center == "a"
         assert sub.neighbors == ()
-        assert sub.edges == ()
+        assert sub.edges.shape == (0, 2)
         assert sub.features.shape[0] == 1
 
     def test_fanout_capped_by_degree(self):
@@ -85,7 +91,7 @@ class TestSampleSubgraph:
         for _ in range(3):
             again = sample_subgraph(graph, "hub", cfg, features)
             assert again.neighbors == first.neighbors
-            assert again.edges == first.edges
+            assert np.array_equal(again.edges, first.edges)
             assert np.array_equal(again.features, first.features)
 
     def test_sample_size(self):
@@ -229,7 +235,7 @@ class TestInducedClosure:
                 for j in range(i + 1, sub.size)
                 if frozenset((vertices[i], vertices[j])) in adjacent
             ]
-            assert list(sub.edges) == expected
+            assert edge_pairs(sub) == tuple(expected)
             for k, vertex in enumerate(vertices):
                 assert np.array_equal(sub.features[k], features.x[graph.row_of[vertex]])
 
@@ -243,8 +249,9 @@ def _id_adjacency(graph) -> dict[str, tuple[str, ...]]:
     return {cid: tuple(sorted(ids)) for cid, ids in adjacency.items()}
 
 
-def _oracle_subgraph(graph, adjacency, center, cfg, features, rng) -> Subgraph:
-    """The sampler over per-cell id tuples that CSR rows replaced, kept as the reference."""
+def _oracle_subgraph(graph, adjacency, center, cfg, features, rng):
+    """The sampler over per-cell id tuples that CSR rows replaced, kept as the
+    reference: the sampled neighbour ids, the sorted edge pairs, the feature rows."""
     neighbours = adjacency[center]
     k = min(cfg.fanout, len(neighbours))
     if k == len(neighbours):
@@ -261,27 +268,151 @@ def _oracle_subgraph(graph, adjacency, center, cfg, features, rng) -> Subgraph:
             if j is not None and j > i:
                 edges.append((i, j))
     rows = features.x[[graph.row_of[cid] for cid in vertices]]
-    return Subgraph(center=center, neighbors=tuple(sampled), edges=tuple(sorted(edges)), features=rows)
+    return tuple(sampled), tuple(sorted(edges)), rows
+
+
+def _assert_entries_equal_oracle(graph, stats, cfg, epoch, entries):
+    features = feature_map(graph, stats)
+    adjacency = _id_adjacency(graph)
+    assert [e.subgraph.center for e in entries] == list(graph.cell_ids)
+    for entry, cid in zip(entries, graph.cell_ids):
+        tokens = ("subgraph", cid) if epoch is None else ("subgraph", cid, "epoch", epoch)
+        neighbours, edges, rows = _oracle_subgraph(
+            graph, adjacency, cid, cfg, features, substream(cfg.seed, *tokens)
+        )
+        got = entry.subgraph
+        assert (got.neighbors, edge_pairs(got)) == (neighbours, edges), cid
+        assert got.features.tobytes() == rows.tobytes(), cid
+        assert entry.target.tobytes() == features.y[graph.row_of[cid]].tobytes(), cid
+
+
+def _with_isolated_cell(graph):
+    """The graph plus one cell on a node of its own and with no edges."""
+    lone = replace(graph.cell(graph.cell_ids[0]), cell_id="zz-lone", node_id="zz-lone-node")
+    return extend_network(graph, [lone], [])
 
 
 class TestCsrSamplerOracle:
     """Sampling on CSR rows draws and induces exactly what the id-tuple sampler did."""
 
     @pytest.mark.parametrize("epoch", [None, 3])
-    @pytest.mark.parametrize("sites", [50, 200])  # 300 and 1,200 cells
+    @pytest.mark.parametrize("sites", [50, 200, 800])  # 300, 1,200 and 4,800 cells
     def test_dataset_equals_oracle(self, sites, epoch):
         graph, _ = generate(SynthSpec(sites=sites, seed=sites))
         assert len(graph.cell_ids) == 6 * sites
         stats = _fitted(graph)
-        features = feature_map(graph, stats)
-        adjacency = _id_adjacency(graph)
         cfg = SamplerConfig(fanout=4, seed=11)
         entries = build_dataset(graph, stats, cfg, epoch=epoch)
-        assert [e.subgraph.center for e in entries] == list(graph.cell_ids)
-        for entry, cid in zip(entries, graph.cell_ids):
-            tokens = ("subgraph", cid) if epoch is None else ("subgraph", cid, "epoch", epoch)
-            want = _oracle_subgraph(graph, adjacency, cid, cfg, features, substream(cfg.seed, *tokens))
-            got = entry.subgraph
-            assert (got.neighbors, got.edges) == (want.neighbors, want.edges), cid
-            assert got.features.tobytes() == want.features.tobytes(), cid
-            assert entry.target.tobytes() == features.y[graph.row_of[cid]].tobytes(), cid
+        _assert_entries_equal_oracle(graph, stats, cfg, epoch, entries)
+
+    @pytest.mark.parametrize("epoch", [None, 3])
+    @pytest.mark.parametrize("fanout", [1, 10**12])  # one draw each; above every degree, no draw
+    def test_fanout_extremes_equal_oracle(self, fanout, epoch):
+        graph = _with_isolated_cell(generate(SynthSpec(sites=50, seed=5))[0])
+        stats = _fitted(graph)
+        assert graph.neighbors("zz-lone") == ()
+        cfg = SamplerConfig(fanout=fanout, seed=7)
+        entries = build_dataset(graph, stats, cfg, epoch=epoch)
+        _assert_entries_equal_oracle(graph, stats, cfg, epoch, entries)
+        assert entries[-1].subgraph.size == 1
+
+
+def _assert_same_subgraph(got, want):
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.edges, want.edges)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.edges.dtype == want.edges.dtype == np.intp
+
+
+class TestOneSampler:
+    """``sample_subgraph`` is the one-centre case of ``build_dataset``'s pass."""
+
+    def test_sample_subgraph_equals_dataset_entry(self):
+        graph, _ = generate(SynthSpec(sites=50, seed=3))
+        stats = _fitted(graph)
+        features = feature_map(graph, stats)
+        cfg = SamplerConfig(fanout=4, seed=2)
+        for entry, cid in zip(build_dataset(graph, stats, cfg), graph.cell_ids, strict=True):
+            _assert_same_subgraph(sample_subgraph(graph, cid, cfg, features), entry.subgraph)
+
+    @pytest.mark.parametrize("kind", ["expansion", "greenfield"])
+    def test_new_cells_equal_dataset_entries(self, kind):
+        spec = SynthSpec(sites=50, seed=4)
+        graph, truth = generate(spec)
+        if kind == "expansion":
+            cells, edges, _ = synthesize_expansion(graph, truth, spec, 6, seed=9)
+        else:
+            cells, edges, _ = synthesize_greenfield(graph, truth, spec, 2, seed=9)
+        augmented = extend_network(graph, cells, edges)
+        stats = _fitted(graph)
+        features = feature_map(augmented, stats)
+        cfg = SamplerConfig(fanout=3, seed=1)
+        ids = [cell.cell_id for cell in cells]
+        entries = build_dataset(augmented, stats, cfg, cells=ids)
+        assert [e.subgraph.center for e in entries] == ids
+        everything = build_dataset(augmented, stats, cfg)
+        for entry, cid in zip(entries, ids):
+            _assert_same_subgraph(sample_subgraph(augmented, cid, cfg, features), entry.subgraph)
+            _assert_same_subgraph(everything[augmented.row_of[cid]].subgraph, entry.subgraph)
+            assert entry.target.tobytes() == features.y[augmented.row_of[cid]].tobytes()
+
+    def test_substream_only_for_cells_that_draw(self, monkeypatch):
+        graph, _ = generate(SynthSpec(sites=50, seed=6))
+        stats = _fitted(graph)
+        cfg = SamplerConfig(fanout=8, seed=3)
+        for epoch in (None, 3):
+            expected = build_dataset(graph, stats, cfg, epoch=epoch)
+            calls = []
+
+            def counting(seed, *tokens):
+                calls.append((seed, *tokens))
+                return substream(seed, *tokens)
+
+            monkeypatch.setattr(sampler, "substream", counting)
+            entries = build_dataset(graph, stats, cfg, epoch=epoch)
+            monkeypatch.undo()
+            drawing = [cid for cid in graph.cell_ids if len(graph.neighbors(cid)) > cfg.fanout]
+            assert 0 < len(drawing) < len(graph.cell_ids)
+            tail = () if epoch is None else ("epoch", epoch)
+            assert calls == [(cfg.seed, "subgraph", cid, *tail) for cid in drawing]
+            for got, want in zip(entries, expected, strict=True):
+                _assert_same_subgraph(got.subgraph, want.subgraph)
+
+    def test_huge_fanout_allocates_nothing_in_proportion(self):
+        graph = _with_isolated_cell(generate(SynthSpec(sites=50, seed=5))[0])
+        stats = _fitted(graph)
+        features = feature_map(graph, stats)
+        widest = max(len(graph.neighbors(cid)) for cid in graph.cell_ids)
+        reference = build_dataset(graph, stats, SamplerConfig(fanout=widest, seed=1))
+        huge = SamplerConfig(fanout=10**12, seed=1)
+        tracemalloc.start()
+        try:
+            entries = build_dataset(graph, stats, huge)
+            single = sample_subgraph(graph, "zz-lone", huge, features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        for got, want in zip(entries, reference, strict=True):
+            _assert_same_subgraph(got.subgraph, want.subgraph)
+        assert single.size == 1
+
+    def test_huge_fanout_accepted_by_config_checkpoint_and_embed(self, tmp_path):
+        # In process: the CLI's embed samples with the checkpoint's fanout.
+        graph = generate(SynthSpec(sites=20, seed=5))[0]
+        stats = _fitted(graph)
+        assert config_from_values({"fanout": 10**12}).sampler().fanout == 10**12
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(graph.to_json()))
+        widest = max(len(graph.neighbors(cid)) for cid in graph.cell_ids)
+        stores = []
+        for fanout in (widest, 10**12):
+            arch = ArchConfig(in_dim=graph.schema.predictor_dim)
+            encoder = init_encoder(arch, 3)
+            checkpoint = Checkpoint("untrained", arch, 3, schema_hash(graph.schema), stats, encoder, fanout=fanout)
+            assert Checkpoint.from_json(json.loads(json.dumps(checkpoint.to_json())), graph.schema).fanout == fanout
+            path = tmp_path / f"ckpt-{fanout}.json"
+            path.write_text(json.dumps(checkpoint.to_json()))
+            assert main(["embed", str(network), str(path), "--out", str(tmp_path / f"store-{fanout}.json")]) == 0
+            stores.append(json.loads((tmp_path / f"store-{fanout}.json").read_text())["records"])
+        assert stores[0] == stores[1]

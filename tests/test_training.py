@@ -26,20 +26,18 @@ from ranrec.training import (
     MiningConfig,
     PairSample,
     TrainingConfig,
-    config_similarity,
-    contrastive_loss,
     encode_centers,
     contrastive_step,
     encode_centers_on_tape,
     mine_informative_pairs,
     pair_loss_on_tape,
-    reconstruction_loss,
     reconstruction_step,
     train_gae,
     train_sgnn,
 )
 
 from conftest import star_graph
+from losses import config_similarity, contrastive_loss, reconstruction_loss
 
 
 def small_dataset(degree=6, fanout=3, seed=0):
