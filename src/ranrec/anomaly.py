@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -127,18 +127,21 @@ def _split_value(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 
 def fit_forest(
-    embeddings: Sequence[np.ndarray] | np.ndarray,
+    embeddings: np.ndarray,
     t: int = 100,
     psi: int | None = None,
     seed: int = 0,
 ) -> IsolationForest:
-    """Fit ``t`` trees, each on an independent uniform subsample of size psi.
+    """Fit ``t`` trees on the rows of an ``(n, d)`` matrix, each on an
+    independent uniform subsample of size psi.
 
     psi defaults to min(256, n). Depth is capped at ceil(log2(psi)). Raises
     ``DegenerateEmbeddingsError`` when every point is identical; report raw
     path lengths without a threshold in that case.
     """
-    matrix = np.asarray(np.stack([np.asarray(e, dtype=np.float64).ravel() for e in embeddings]))
+    matrix = np.asarray(embeddings, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"embeddings must be an (n, d) matrix, got shape {matrix.shape}")
     n = matrix.shape[0]
     if n < 2:
         raise ValueError("need at least 2 embeddings to fit a forest")

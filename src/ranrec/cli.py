@@ -310,7 +310,7 @@ def cmd_recommend(args) -> int:
     results = [
         {
             "cell_id": cell.cell_id,
-            "mode": rec.mode,
+            "mode": args.mode,
             "y_hat": denormalize(rec.y_hat, bundle.stats, bundle.schema),
             "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
             "anomaly_score": score,

@@ -17,9 +17,9 @@ import numpy as np
 from .autodiff import cosine
 from .config import RunConfig
 from .gnn import GatStack, init_encoder
-from .graph import NormalizationStats, RanGraph, fit_normalization
-from .inference import EmbeddingStore, embed_entries, nearest
-from .sampler import DatasetEntry, build_dataset, split_indices
+from .graph import RanGraph, fit_normalization
+from .inference import EmbeddingStore, recommend_majority
+from .sampler import build_dataset, split_indices
 from .training import TrainReport, encode_centers, train_gae, train_sgnn
 
 MODELS = ("untrained", "gae", "sgnn")
@@ -136,36 +136,7 @@ def roc_auc(labels: Sequence[bool], scores: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Retrieval evaluation and model comparison
-
-
-def retrieval_reports(
-    encoder: GatStack,
-    model: str,
-    train_entries: Sequence[DatasetEntry],
-    test_entries: Sequence[DatasetEntry],
-) -> tuple[AccuracyReport, AccuracyReport]:
-    """Train (leave-one-out) and test accuracy of nearest-record retrieval."""
-    store = embed_entries(EmbeddingStore(encoder), train_entries)
-    train_y = [
-        store.record(nearest(store, z, 1, exclude=cid)[0][0]).y
-        for cid, z in zip(store.ids, store.z)
-    ]
-    test_y = [
-        store.record(nearest(store, z, 1)[0][0]).y
-        for z in encode_centers(encoder, test_entries)
-    ]
-    return (
-        _entry_accuracy(train_entries, train_y, model, "train"),
-        _entry_accuracy(test_entries, test_y, model, "test"),
-    )
-
-
-def _entry_accuracy(
-    entries: Sequence[DatasetEntry], predicted: list[np.ndarray], model: str, dataset: str
-) -> AccuracyReport:
-    ids = [e.subgraph.center for e in entries]
-    return accuracy([e.target for e in entries], predicted, ids, model=model, dataset=dataset)
+# Model comparison
 
 
 @dataclass
@@ -175,90 +146,71 @@ class ModelEvaluation:
     test: AccuracyReport
     projection: Projection2D
     projection_ids: tuple[str, ...]
-    encoder: GatStack
     train_report: TrainReport | None = None
 
 
 @dataclass
 class ComparisonResult:
     models: list[ModelEvaluation]
-    network_label: str = "synthetic"
 
     def accuracy_rows(self) -> list[tuple[str, str, str, float]]:
+        """(model, network type, split, accuracy) rows; compared networks are synthetic."""
         out = []
         for ev in self.models:
-            out.append((ev.model, self.network_label, "train", ev.train.accuracy))
-            out.append((ev.model, self.network_label, "test", ev.test.accuracy))
+            out.append((ev.model, "synthetic", "train", ev.train.accuracy))
+            out.append((ev.model, "synthetic", "test", ev.test.accuracy))
         return out
 
     def by_model(self, model: str) -> ModelEvaluation:
         return next(ev for ev in self.models if ev.model == model)
 
 
-@dataclass
-class PreparedData:
-    stats: NormalizationStats
-    dataset: list[DatasetEntry]
-    train_entries: list[DatasetEntry]
-    test_entries: list[DatasetEntry]
-    train_ids: list[str]
+def compare_models(graph: RanGraph, config: RunConfig) -> ComparisonResult:
+    """Train the baseline trio and report train/test retrieval accuracy.
 
-
-def prepare_data(graph: RanGraph, config: RunConfig) -> PreparedData:
-    """Split cells, fit normalization on the training side only, sample subgraphs."""
+    Each model encodes the whole dataset once. Its training rows form the
+    store; training cells score leave-one-out and test cells plainly, both
+    through the one-vote ``recommend_majority``. The projection reads the
+    same rows. The untrained row is the contrastive architecture at
+    initialization with zero optimization steps.
+    """
     train_idx, test_idx = split_indices(len(graph.cell_ids), config.test_fraction, config.seed)
     train_ids = [graph.cell_ids[i] for i in train_idx]
     stats = fit_normalization(graph, train_ids)
     dataset = build_dataset(graph, stats, config.sampler())
-    return PreparedData(
-        stats=stats,
-        dataset=dataset,
-        train_entries=[dataset[i] for i in train_idx],
-        test_entries=[dataset[i] for i in test_idx],
-        train_ids=train_ids,
-    )
-
-
-def compare_models(graph: RanGraph, config: RunConfig) -> ComparisonResult:
-    """Train the baseline trio and report train/test retrieval accuracy.
-
-    The untrained row is the contrastive architecture at initialization with
-    zero optimization steps.
-    """
-    data = prepare_data(graph, config)
+    train_entries = [dataset[i] for i in train_idx]
     arch = config.arch(graph.schema.predictor_dim)
     provider = None
     if config.resample_per_epoch:  # per-epoch resampled train entries
         sampling = config.sampler()
-        provider = lambda epoch: build_dataset(graph, data.stats, sampling, epoch=epoch, cells=data.train_ids)  # noqa: E731
+        provider = lambda epoch: build_dataset(graph, stats, sampling, epoch=epoch, cells=train_ids)  # noqa: E731
 
     encoders: dict[str, GatStack] = {"untrained": init_encoder(arch, config.seed)}
     reports: dict[str, TrainReport | None] = {"untrained": None}
     encoders["sgnn"], reports["sgnn"] = train_sgnn(
-        data.train_entries, arch, config.training, provider
+        train_entries, arch, config.training, provider
     )
     encoders["gae"], _, reports["gae"] = train_gae(
-        data.train_entries, arch, config.training, provider
+        train_entries, arch, config.training, provider
     )
 
+    ids = tuple(e.subgraph.center for e in dataset)
+    targets = np.stack([e.target for e in dataset])
     models = []
-    all_ids = tuple(e.subgraph.center for e in data.dataset)
     for model in MODELS:
-        encoder = encoders[model]
-        train_report, test_report = retrieval_reports(
-            encoder, model, data.train_entries, data.test_entries
-        )
-        all_embeddings = encode_centers(encoder, data.dataset)
+        rows = encode_centers(encoders[model], dataset)
+        store = EmbeddingStore(encoders[model])
+        store.extend(train_ids, rows[train_idx], targets[train_idx])
+        train_y = [recommend_majority(store, rows[i], 1, graph.schema, ids[i]).y_hat for i in train_idx]
+        test_y = [recommend_majority(store, rows[i], 1, graph.schema).y_hat for i in test_idx]
         models.append(
             ModelEvaluation(
                 model=model,
-                train=train_report,
-                test=test_report,
-                projection=pca_project(all_embeddings),
-                projection_ids=all_ids,
-                encoder=encoder,
+                train=accuracy(targets[train_idx], train_y, train_ids, model, "train"),
+                test=accuracy(targets[test_idx], test_y, [ids[i] for i in test_idx], model, "test"),
+                projection=pca_project(rows),
+                projection_ids=ids,
                 train_report=reports[model],
             )
         )
     return ComparisonResult(models=models)
-

@@ -2,9 +2,11 @@
 
 The store holds one (cell id, embedding, config vector) record per known
 cell plus a frozen encoder. A new cell is embedded from its sampled
-subgraph; its configuration comes either from the single nearest stored
-record or from a per-attribute vote over the K nearest. New cells can be
-appended, so later queries may retrieve cells recommended earlier.
+subgraph; its configuration comes from one per-attribute vote over the K
+nearest stored records. Adopting the closest record's configuration is the
+K = 1 vote, and a vote can leave one cell out, which is how evaluation
+scores the training cells. New cells can be appended, so later queries may
+retrieve cells recommended earlier.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ class EmbeddingStore:
     def records(self) -> list[StoreRecord]:
         """Row views in insertion order."""
         return [StoreRecord(cid, z, y) for cid, z, y in zip(self.ids, self.z, self.y)]
-
-    def record(self, cell_id: str) -> StoreRecord:
-        row = self._rows[cell_id]
-        return StoreRecord(cell_id, self.z[row], self.y[row])
 
     def extend(self, ids: Sequence[str], z: np.ndarray, y: np.ndarray) -> None:
         """Append one row per id; a rejected batch leaves the store unchanged."""
@@ -147,15 +145,7 @@ def nearest(
 @dataclass(frozen=True)
 class Recommendation:
     y_hat: np.ndarray
-    mode: str  # "closest" | "majority"
     sources: tuple[tuple[str, float], ...]
-
-
-def recommend_closest(store: EmbeddingStore, z: np.ndarray) -> Recommendation:
-    """Adopt the configuration of the nearest record (ties: smaller cell id)."""
-    sources = nearest(store, z, 1)
-    y_hat = store.record(sources[0][0]).y.copy()
-    return Recommendation(y_hat=y_hat, mode="closest", sources=sources)
 
 
 def _aggregate_mode(values: np.ndarray) -> float:
@@ -168,15 +158,17 @@ def _aggregate_mode(values: np.ndarray) -> float:
 
 
 def recommend_majority(
-    store: EmbeddingStore, z: np.ndarray, k: int, schema: AttributeSchema
+    store: EmbeddingStore, z: np.ndarray, k: int, schema: AttributeSchema, exclude: str | None = None
 ) -> Recommendation:
     """Aggregate the K nearest configurations attribute by attribute.
 
     Each config attribute uses its schema-declared policy: ``mode`` (ties go
-    to the nearer neighbor), ``median``, or ``mean``.
+    to the nearer neighbor), ``median``, or ``mean``. With ``k = 1`` every
+    policy returns the nearest record's configuration unchanged. ``exclude``
+    leaves one cell id out of the vote, as ``nearest`` does.
     """
-    sources = nearest(store, z, k)
-    votes = np.stack([store.record(cid).y for cid, _ in sources])  # nearest-first rows
+    sources = nearest(store, z, k, exclude)
+    votes = store.y[[store._rows[cid] for cid, _ in sources]]  # nearest-first rows
     layout = schema.config_layout
     y_hat = np.empty(len(layout))
     for slot, spec in enumerate(layout):
@@ -187,7 +179,7 @@ def recommend_majority(
             y_hat[slot] = float(column.mean())
         else:
             y_hat[slot] = float(np.median(column))
-    return Recommendation(y_hat=y_hat, mode="majority", sources=sources)
+    return Recommendation(y_hat=y_hat, sources=sources)
 
 
 def encode_new_cells(
@@ -216,14 +208,11 @@ def recommend_cells(
 ) -> list[tuple[CellRecord, np.ndarray, Recommendation]]:
     """Recommend a configuration for each new cell from its embedding row, in
     order; each cell then joins the store with its recommendation, so later
-    cells may retrieve earlier ones. ``mode`` is "closest" or "majority"
-    (over ``k``)."""
+    cells may retrieve earlier ones. ``mode`` is "majority" (a vote over
+    ``k``) or "closest" (a vote of one)."""
     results = []
     for cell, z in zip(new_cells, rows):
-        if mode == "majority":
-            rec = recommend_majority(store, z, k, schema)
-        else:
-            rec = recommend_closest(store, z)
+        rec = recommend_majority(store, z, k if mode == "majority" else 1, schema)
         store.add(cell.cell_id, z, rec.y_hat)
         results.append((cell, z, rec))
     return results

@@ -46,13 +46,6 @@ LOSS_FORMS = ("standard", "printed")
 
 
 @dataclass(frozen=True)
-class PairSample:
-    a: int
-    b: int
-    c: float  # similarity label in [-1, 1]
-
-
-@dataclass(frozen=True)
 class MiningConfig:
     hard_fraction: float = 0.5  # 0 turns mining off: every pair is uniform
     sim_high: float = 0.5
@@ -135,13 +128,15 @@ def mine_informative_pairs(
     targets: np.ndarray,
     cfg: TrainingConfig,
     rng: np.random.Generator,
-) -> list[PairSample]:
+) -> np.recarray:
     """Select ``pairs_per_epoch`` index pairs, a ``hard_fraction`` of them ambiguous.
 
     Ambiguous pairs sit below the median embedding distance with a label
     under ``sim_low`` (hard negatives) or above the median with a label over
     ``sim_high`` (hard positives). The remainder is uniform over the unpicked
-    valid pairs. Output is in canonical (a, b) order.
+    valid pairs. Output is one record per pair in canonical (a, b) order:
+    row indices ``a < b`` (intp) and the similarity label ``c`` in [-1, 1]
+    (float64).
 
     Pairs are numbered in row-major upper-triangle order over the valid rows.
     Distances and labels are computed one row block at a time; only the
@@ -206,7 +201,7 @@ def mine_informative_pairs(
     for r0, r1, lo, hi in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:]):
         if hi > lo:
             c[lo:hi] = _block_labels(unit, r0, r1)[a[lo:hi] - r0, b[lo:hi]]
-    return [PairSample(int(i), int(j), float(x)) for i, j, x in zip(a, b, c)]
+    return np.rec.fromarrays([a, b, c], names="a,b,c")
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +246,12 @@ class Adam:
 
 
 def pair_loss_on_tape(
-    tape: Tape, z_all: Node, pairs: Sequence[PairSample], cfg: TrainingConfig
+    tape: Tape, z_all: Node, pairs: np.recarray, cfg: TrainingConfig
 ) -> Node:
-    """Mean contrastive loss over the pair batch, built on the tape."""
+    """Mean contrastive loss over the pair records (fields ``a``, ``b``, ``c``), built on the tape."""
     k = len(pairs)
-    a = np.array([pair.a for pair in pairs], dtype=np.intp)
-    b = np.array([pair.b for pair in pairs], dtype=np.intp)
-    c = np.array([pair.c for pair in pairs]).reshape(k, 1)
-    diff = tape.sub(tape.gather(z_all, a), tape.gather(z_all, b))
+    c = pairs.c.reshape(k, 1)
+    diff = tape.sub(tape.gather(z_all, pairs.a), tape.gather(z_all, pairs.b))
     d = tape.rownorm(diff)
     if cfg.loss_form == "printed":
         # (1 + c) D + (1 - c) max(0, M) - D  ==  c D + (1 - c) M for M > 0

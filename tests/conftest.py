@@ -73,6 +73,20 @@ def hand_subgraph(ids, edges, features) -> Subgraph:
     )
 
 
+def pair_records(triples) -> np.recarray:
+    """Pair records ``(a, b, c)`` as ``training.mine_informative_pairs`` returns them."""
+    triples = list(triples)
+    a = np.array([t[0] for t in triples], dtype=np.intp)
+    b = np.array([t[1] for t in triples], dtype=np.intp)
+    c = np.array([t[2] for t in triples], dtype=np.float64)
+    return np.rec.fromarrays([a, b, c], names="a,b,c")
+
+
+def same_pairs(new: np.recarray, old: np.recarray) -> bool:
+    """Whether two pair record arrays hold equal pairs, field by field and in order."""
+    return new.dtype == old.dtype and all(np.array_equal(new[name], old[name]) for name in "abc")
+
+
 def star_graph(degree: int) -> RanGraph:
     """An LTE hub with ``degree`` spokes on distinct nodes, plus one isolated
     NR cell so every schema attribute is observed. Total degree + 2 cells."""

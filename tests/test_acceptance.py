@@ -30,19 +30,18 @@ from ranrec.gnn import (
     stack_subgraphs,
 )
 from ranrec.graph import fit_normalization, feature_map
-from ranrec.inference import EmbeddingStore, recommend_closest, recommend_majority
+from ranrec.inference import EmbeddingStore, recommend_majority
 from ranrec.rng import substream
 from ranrec.sampler import DatasetEntry, SamplerConfig, Subgraph, sample_subgraph
 from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
-    PairSample,
     TrainingConfig,
     encode_centers_on_tape,
     mine_informative_pairs,
     pair_loss_on_tape,
 )
 
-from conftest import hand_subgraph, learnability_check, small_schema, star_graph
+from conftest import hand_subgraph, learnability_check, pair_records, small_schema, star_graph
 from dense_gat import edge_attention_matrices
 from losses import config_similarity, contrastive_loss
 
@@ -105,11 +104,13 @@ def test_criterion_2_gradient_correctness():
             for _ in range(3)
         ]
         batch = stack_subgraphs([e.subgraph for e in entries])
-        pairs = [
-            PairSample(0, 1, float(rng.uniform(-1, 1))),
-            PairSample(1, 2, float(rng.uniform(-1, 1))),
-            PairSample(0, 2, float(rng.uniform(-1, 1))),
-        ]
+        pairs = pair_records(
+            [
+                (0, 1, float(rng.uniform(-1, 1))),
+                (1, 2, float(rng.uniform(-1, 1))),
+                (0, 2, float(rng.uniform(-1, 1))),
+            ]
+        )
         cfg = TrainingConfig(seed=case)
 
         def f(tape: Tape):
@@ -192,7 +193,7 @@ def test_criterion_3_knn_oracle_equivalence():
     mismatches = 0
     for q in range(1000):
         z = shared if q % 50 == 0 else rng.normal(size=6)
-        closest = recommend_closest(store, z)
+        closest = recommend_majority(store, z, 1, schema)
         expected = _oracle_closest(store.records, z)
         if closest.sources[0][0] != expected.cell_id or not np.array_equal(
             closest.y_hat, expected.y
@@ -293,7 +294,7 @@ def _tape_pair_loss(c: float, z_a: np.ndarray, z_b: np.ndarray, margin: float) -
     """Training's loss on a one-pair batch."""
     tape = Tape()
     z = tape.const(np.stack([z_a, z_b]))
-    return float(pair_loss_on_tape(tape, z, [PairSample(0, 1, c)], TrainingConfig(margin=margin)).value[0, 0])
+    return float(pair_loss_on_tape(tape, z, pair_records([(0, 1, c)]), TrainingConfig(margin=margin)).value[0, 0])
 
 
 def _mined_label(y_a: np.ndarray, y_b: np.ndarray) -> float:

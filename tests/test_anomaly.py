@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +229,12 @@ class TestFit:
     def test_identical_points_rejected(self):
         with pytest.raises(DegenerateEmbeddingsError, match="threshold-free"):
             fit_forest(np.ones((10, 3)), t=5, psi=4, seed=0)
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 2, 3)])
+    def test_input_must_be_a_matrix(self, shape):
+        points = np.random.default_rng(1).normal(size=shape)
+        with pytest.raises(ValueError, match=rf"\(n, d\) matrix, got shape {re.escape(str(shape))}"):
+            fit_forest(points, t=1, psi=2, seed=0)
 
     def test_psi_bounds(self):
         points = np.random.default_rng(0).normal(size=(5, 2))

@@ -1133,7 +1133,7 @@ class TestStoreFormat:
         return [
             {
                 "cell_id": cell.cell_id,
-                "mode": rec.mode,
+                "mode": mode,
                 "y_hat": denormalize(rec.y_hat, bundle.stats, bundle.schema),
                 "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
                 "anomaly_score": anomaly_score(forest, z),

@@ -10,10 +10,13 @@ import pytest
 
 from ranrec.cli import main
 from ranrec.config import config_from_values
-from ranrec.evaluation import accuracy, compare_models, pca_project, roc_auc
-from ranrec.graph import RanGraph, feature_map, load_network
-from ranrec.inference import load_store
+from ranrec.evaluation import MODELS, accuracy, compare_models, pca_project, roc_auc
+from ranrec.gnn import init_encoder
+from ranrec.graph import RanGraph, feature_map, fit_normalization, load_network
+from ranrec.inference import EmbeddingStore, embed_entries, load_store, nearest
+from ranrec.sampler import build_dataset, split_indices
 from ranrec.synth import GroundTruth, SynthSpec, generate, synthesize_expansion, synthesize_greenfield
+from ranrec.training import encode_centers, train_gae, train_sgnn
 
 
 def quick_cfg(**overrides):
@@ -144,7 +147,60 @@ class TestRocAuc:
             roc_auc([True, True], [0.1, 0.2])
 
 
+def oracle_retrieval_reports(encoder, model, train_entries, test_entries):
+    """Train (leave-one-out) and test accuracy of nearest-record retrieval,
+    from separate train and test encodes and an id lookup of each neighbour."""
+    store = embed_entries(EmbeddingStore(encoder), train_entries)
+    row = {cid: i for i, cid in enumerate(store.ids)}
+    train_y = [store.y[row[nearest(store, z, 1, exclude=cid)[0][0]]] for cid, z in zip(store.ids, store.z)]
+    test_y = [store.y[row[nearest(store, z, 1)[0][0]]] for z in encode_centers(encoder, test_entries)]
+
+    def report(entries, predicted, dataset):
+        ids = [e.subgraph.center for e in entries]
+        return accuracy([e.target for e in entries], predicted, ids, model=model, dataset=dataset)
+
+    return report(train_entries, train_y, "train"), report(test_entries, test_y, "test")
+
+
+def oracle_comparison(graph, config):
+    """Per model: the oracle's (train, test) reports and the projection of a
+    whole-dataset encode, with each model trained as ``compare_models`` trains it."""
+    train_idx, test_idx = split_indices(len(graph.cell_ids), config.test_fraction, config.seed)
+    train_ids = [graph.cell_ids[i] for i in train_idx]
+    stats = fit_normalization(graph, train_ids)
+    dataset = build_dataset(graph, stats, config.sampler())
+    train_entries, test_entries = [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]
+    provider = None
+    if config.resample_per_epoch:
+        provider = lambda epoch: build_dataset(graph, stats, config.sampler(), epoch=epoch, cells=train_ids)  # noqa: E731
+    arch = config.arch(graph.schema.predictor_dim)
+    encoders = {
+        "untrained": init_encoder(arch, config.seed),
+        "sgnn": train_sgnn(train_entries, arch, config.training, provider)[0],
+        "gae": train_gae(train_entries, arch, config.training, provider)[0],
+    }
+    return {
+        model: (
+            oracle_retrieval_reports(encoders[model], model, train_entries, test_entries),
+            pca_project(encode_centers(encoders[model], dataset)),
+        )
+        for model in MODELS
+    }
+
+
 class TestCompareModels:
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_accuracies_equal_separate_encode_oracle(self, epochs):
+        # One encode per model gives each cell the rows that separate train
+        # and test encodes give it: the forward pass is batch-invariant.
+        _, graph, _ = small_network(seed=3)
+        cfg = quick_cfg(epochs=epochs, resample_per_epoch=True)
+        result = compare_models(graph, cfg)
+        for model, ((train, test), projection) in oracle_comparison(graph, cfg).items():
+            ev = result.by_model(model)
+            assert ev.train == train and ev.test == test, model
+            assert np.array_equal(ev.projection.points, projection.points), model
+
     def test_structure_and_determinism(self):
         _, graph, _ = small_network()
         cfg = quick_cfg()

@@ -17,7 +17,6 @@ from ranrec.inference import (
     distance_set,
     embed_new_cell,
     nearest,
-    recommend_closest,
     recommend_majority,
 )
 from ranrec.sampler import SamplerConfig, build_dataset, sample_subgraph
@@ -72,7 +71,7 @@ class TestStore:
             store.extend(["a", "b"], np.zeros((3, 4)), np.zeros((2, 4)))
         assert store.ids == ["cell0000", "cell0001"] and store.z.shape == (2, 4)
         store.add("a", np.ones(4), np.ones(4))
-        assert store.record("a").z.tolist() == [1.0] * 4
+        assert store.ids[-1] == "a" and store.z[-1].tolist() == [1.0] * 4
 
     def test_records_are_rows(self):
         store = make_store(3)
@@ -172,28 +171,40 @@ class TestNearest:
 
 
 class TestRecommendClosest:
-    def test_singleton_store(self):
+    """Closest-record recommendation: the vote of one."""
+
+    def test_singleton_store(self, schema):
         store = make_store(1)
-        rec = recommend_closest(store, np.zeros(4))
+        rec = recommend_majority(store, np.zeros(4), 1, schema)
         assert np.array_equal(rec.y_hat, store.records[0].y)
-        assert rec.mode == "closest"
         assert len(rec.sources) == 1
 
-    def test_query_at_stored_embedding(self):
+    def test_query_at_stored_embedding(self, schema):
         store = make_store(10)
-        rec = recommend_closest(store, store.records[4].z)
+        rec = recommend_majority(store, store.records[4].z, 1, schema)
         assert rec.sources[0][0] == "cell0004"
         assert np.array_equal(rec.y_hat, store.records[4].y)
 
-    def test_tie_breaks_to_smaller_id(self):
+    def test_tie_breaks_to_smaller_id(self, schema):
         arch = ArchConfig(
             in_dim=3, embedding_dim=2, layers=1, heads=1, head_dim=2, ffn_hidden=2, hidden_dim=2
         )
         store = EmbeddingStore(init_encoder(arch, 0))
-        store.add("zeta", np.array([1.0, 0.0]), np.array([1.0]))
-        store.add("alpha", np.array([-1.0, 0.0]), np.array([2.0]))
-        rec = recommend_closest(store, np.zeros(2))  # both at distance 1
+        store.add("zeta", np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+        store.add("alpha", np.array([-1.0, 0.0]), np.array([2.0, 0.0, 0.0, 0.0]))
+        rec = recommend_majority(store, np.zeros(2), 1, schema)  # both at distance 1
         assert rec.sources[0][0] == "alpha"
+        assert rec.y_hat.tolist() == [2.0, 0.0, 0.0, 0.0]
+
+    def test_exclude_leaves_one_out(self, schema):
+        store = make_store(30, seed=8)
+        for record in store.records:
+            rec = recommend_majority(store, record.z, 1, schema, exclude=record.cell_id)
+            expected = TestBruteForceOracle.oracle_closest(
+                [r for r in store.records if r.cell_id != record.cell_id], record.z
+            )
+            assert rec.sources[0][0] == expected.cell_id
+            assert np.array_equal(rec.y_hat, expected.y)
 
 
 class TestRecommendMajority:
@@ -211,9 +222,9 @@ class TestRecommendMajority:
         store = make_store(8, seed=2)
         z = np.random.default_rng(0).normal(size=4)
         majority = recommend_majority(store, z, 1, small_schema())
-        closest = recommend_closest(store, z)
-        assert np.array_equal(majority.y_hat, closest.y_hat)
-        assert majority.sources[0] == closest.sources[0]
+        closest = TestBruteForceOracle.oracle_closest(store.records, z)
+        assert np.array_equal(majority.y_hat, closest.y)
+        assert majority.sources == ((closest.cell_id, float(np.linalg.norm(closest.z - z))),)
 
     def test_discrete_mode_majority(self, schema):
         # schema config layout: LTE power (median), LTE preamble (mode), NR...
@@ -297,7 +308,7 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(12)
         for _ in range(1000):
             z = rng.normal(size=4)
-            rec = recommend_closest(store, z)
+            rec = recommend_majority(store, z, 1, schema)
             expected = self.oracle_closest(store.records, z)
             assert rec.sources[0][0] == expected.cell_id
             assert np.array_equal(rec.y_hat, expected.y)
@@ -326,11 +337,11 @@ class TestAddToStore:
         with pytest.raises(ValueError):
             store.add("cell0001", np.zeros(4), np.zeros(4))
 
-    def test_later_cells_can_cite_earlier_additions(self):
+    def test_later_cells_can_cite_earlier_additions(self, schema):
         store = make_store(3, seed=21)
         far = np.full(4, 50.0)
         store.add("first_new", far, np.full(4, 0.5))
-        rec = recommend_closest(store, far + 0.01)
+        rec = recommend_majority(store, far + 0.01, 1, schema)
         assert rec.sources[0][0] == "first_new"
 
 
@@ -367,7 +378,7 @@ class TestEmbedNewCell:
         features = feature_map(graph, stats)
         sub = sample_subgraph(graph, "spoke00", SamplerConfig(fanout=3, seed=0), features)
         z = embed_new_cell(store, sub)
-        assert np.allclose(z, store.record("spoke00").z)
+        assert np.allclose(z, store.z[store.ids.index("spoke00")])
 
     def test_isolated_cell_embeds_finite(self):
         graph, stats, store = self._bundle()

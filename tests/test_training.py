@@ -24,7 +24,6 @@ from ranrec.sampler import SamplerConfig, build_dataset
 from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
     MiningConfig,
-    PairSample,
     TrainingConfig,
     encode_centers,
     contrastive_step,
@@ -36,7 +35,7 @@ from ranrec.training import (
     train_sgnn,
 )
 
-from conftest import star_graph
+from conftest import pair_records, same_pairs, star_graph
 from losses import config_similarity, contrastive_loss, reconstruction_loss
 
 
@@ -109,9 +108,7 @@ def oracle_mine_informative_pairs(embeddings, targets, cfg, rng):
     rand_pick = rest[rng.choice(rest.shape[0], size=n_rand, replace=False)] if n_rand else np.empty(0, dtype=np.intp)
 
     chosen = np.sort(np.concatenate([hard_pick, rand_pick]))
-    return [
-        PairSample(int(ii[k]), int(jj[k]), float(pair_labels[k])) for k in chosen
-    ]
+    return pair_records((ii[k], jj[k], pair_labels[k]) for k in chosen)
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +200,8 @@ class TestContrastiveLoss:
     def test_tape_form_matches_eager(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(4, 3))
-        disjoint = [PairSample(0, 1, 0.3), PairSample(2, 3, -0.7)]
-        shared = [PairSample(0, 1, 0.3), PairSample(0, 2, -0.2), PairSample(1, 2, 0.9)]
+        disjoint = pair_records([(0, 1, 0.3), (2, 3, -0.7)])
+        shared = pair_records([(0, 1, 0.3), (0, 2, -0.2), (1, 2, 0.9)])
         for pairs in (disjoint, shared):
             for form in ("standard", "printed"):
                 cfg = TrainingConfig(loss_form=form)
@@ -218,7 +215,7 @@ class TestContrastiveLoss:
     def test_tape_holds_no_pair_by_cell_matrix(self):
         n, k = 9, 5
         z = np.random.default_rng(3).normal(size=(n, 4))
-        pairs = [PairSample(a, b, 0.1) for a, b in [(0, 1), (0, 2), (1, 2), (3, 8), (5, 7)]]
+        pairs = pair_records((a, b, 0.1) for a, b in [(0, 1), (0, 2), (1, 2), (3, 8), (5, 7)])
         tape = Tape()
         pair_loss_on_tape(tape, tape.const(z), pairs, TrainingConfig())
         assert all(node.value.shape != (k, n) for node in tape.nodes)
@@ -294,9 +291,9 @@ class TestMining:
             pairs_per_epoch=2, mining=MiningConfig(hard_fraction=1.0)
         )
         pairs = mine_informative_pairs(embeddings, targets, cfg, np.random.default_rng(0))
-        assert PairSample(0, 2, pytest.approx(1.0)) in [
-            PairSample(p.a, p.b, pytest.approx(p.c)) for p in pairs
-        ] or any(p.a == 0 and p.b == 2 for p in pairs)
+        assert any(p.a == 0 and p.b == 2 and p.c == pytest.approx(1.0) for p in pairs) or any(
+            p.a == 0 and p.b == 2 for p in pairs
+        )
 
     def test_zero_config_vectors_excluded(self):
         embeddings = np.random.default_rng(0).random((4, 2))
@@ -304,6 +301,17 @@ class TestMining:
         cfg = TrainingConfig(pairs_per_epoch=10)
         pairs = mine_informative_pairs(embeddings, targets, cfg, np.random.default_rng(0))
         assert all(1 not in (p.a, p.b) for p in pairs)
+
+    def test_records_count_pairs_and_equal_oracle(self):
+        rng = np.random.default_rng(4)
+        embeddings, targets = rng.normal(size=(30, 3)), rng.random((30, 4))
+        for budget in (1, 57, None):
+            cfg = TrainingConfig(pairs_per_epoch=budget)
+            pairs = mine_informative_pairs(embeddings, targets, cfg, np.random.default_rng(0))
+            assert len(pairs) == pairs.a.shape[0] == (300 if budget is None else budget)
+            assert pairs.a.dtype == pairs.b.dtype == np.intp and pairs.c.dtype == np.float64
+            oracle = oracle_mine_informative_pairs(embeddings, targets, cfg, np.random.default_rng(0))
+            assert same_pairs(pairs, oracle)
 
     def test_too_few_valid_entries(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -362,7 +370,7 @@ class TestBlockwiseMiningOracle:
             targets = np.stack([e.target for e in entries])
             new, old, same_state = _mine_both(z, targets, cfg, epoch)
             assert len(new) == cfg.pairs_per_epoch or len(new) == 10 * len(entries)
-            assert new == old, epoch
+            assert same_pairs(new, old), epoch
             assert same_state
 
     @given(mining_cases())
@@ -380,7 +388,7 @@ class TestBlockwiseMiningOracle:
             new, old, same_state = _mine_both(embeddings, targets, cfg, seed)
         finally:
             training.MINING_BLOCK_ENTRIES = original
-        assert new == old
+        assert same_pairs(new, old)
         assert same_state
 
     def test_row_blocks_equal_full_computation(self, network_1200):
@@ -603,7 +611,7 @@ class TestTrainSgnn:
         cfg = quick_config()
         encoder = init_encoder(arch, 5)
         entries = data[:3]
-        pairs = [PairSample(0, 1, 0.6), PairSample(1, 2, -0.9)]
+        pairs = pair_records([(0, 1, 0.6), (1, 2, -0.9)])
 
         def f(tape: Tape):
             z = encode_centers_on_tape(tape, encoder, batch_of(entries))
