@@ -302,7 +302,8 @@ def cmd_recommend(args) -> int:
     except NetworkFormatError as exc:  # a new cell breaks a graph invariant
         raise NetworkFormatError(f"{cells_path}: {exc}") from None
     lap = _lap(stages, "sample_encode", lap)
-    recommended = recommend_cells(bundle.store, new_cells, rows, args.mode, args.k, bundle.schema)
+    k = args.k if args.mode == "majority" else 1  # closest is the vote of one
+    recommended = recommend_cells(bundle.store, new_cells, rows, k, bundle.schema)
     lap = _lap(stages, "retrieve", lap)
     forest = bundle.forest  # None: novelty scores unavailable, recommendations still valid
     scores = _scores(forest, rows) if forest is not None else [None] * len(recommended)

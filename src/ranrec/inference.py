@@ -182,6 +182,11 @@ def recommend_majority(
     return Recommendation(y_hat=y_hat, sources=sources)
 
 
+def recommend_closest(store: EmbeddingStore, z: np.ndarray, schema: AttributeSchema) -> Recommendation:
+    """Adopt the nearest record's configuration (ties: smaller cell id): the vote of one."""
+    return recommend_majority(store, z, 1, schema)
+
+
 def encode_new_cells(
     encoder: GatStack,
     graph: RanGraph,
@@ -202,17 +207,14 @@ def recommend_cells(
     store: EmbeddingStore,
     new_cells: Sequence[CellRecord],
     rows: np.ndarray,
-    mode: str,
     k: int,
     schema: AttributeSchema,
 ) -> list[tuple[CellRecord, np.ndarray, Recommendation]]:
-    """Recommend a configuration for each new cell from its embedding row, in
-    order; each cell then joins the store with its recommendation, so later
-    cells may retrieve earlier ones. ``mode`` is "majority" (a vote over
-    ``k``) or "closest" (a vote of one)."""
+    """Recommend each new cell's configuration by a vote over its ``k`` nearest,
+    in order; each then joins the store with it, so later cells may retrieve earlier ones."""
     results = []
     for cell, z in zip(new_cells, rows):
-        rec = recommend_majority(store, z, k if mode == "majority" else 1, schema)
+        rec = recommend_closest(store, z, schema) if k == 1 else recommend_majority(store, z, k, schema)
         store.add(cell.cell_id, z, rec.y_hat)
         results.append((cell, z, rec))
     return results

@@ -1138,7 +1138,7 @@ class TestStoreFormat:
                 "sources": [{"cell_id": cid, "distance": d} for cid, d in rec.sources],
                 "anomaly_score": anomaly_score(forest, z),
             }
-            for cell, z, rec in recommend_cells(bundle.store, new_cells, rows, mode, k, bundle.schema)
+            for cell, z, rec in recommend_cells(bundle.store, new_cells, rows, k if mode == "majority" else 1, bundle.schema)
         ]
 
     @pytest.mark.parametrize("mode, seed", [("closest", None), ("majority", None), ("closest", 9)])

@@ -17,6 +17,7 @@ from ranrec.inference import (
     distance_set,
     embed_new_cell,
     nearest,
+    recommend_closest,
     recommend_majority,
 )
 from ranrec.sampler import SamplerConfig, build_dataset, sample_subgraph
@@ -225,6 +226,8 @@ class TestRecommendMajority:
         closest = TestBruteForceOracle.oracle_closest(store.records, z)
         assert np.array_equal(majority.y_hat, closest.y)
         assert majority.sources == ((closest.cell_id, float(np.linalg.norm(closest.z - z))),)
+        named = recommend_closest(store, z, small_schema())
+        assert np.array_equal(named.y_hat, majority.y_hat) and named.sources == majority.sources
 
     def test_discrete_mode_majority(self, schema):
         # schema config layout: LTE power (median), LTE preamble (mode), NR...
