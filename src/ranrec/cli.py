@@ -29,6 +29,7 @@ from .evaluation import compare_models, pca_project
 from .gnn import Checkpoint, schema_hash
 from .graph import (
     NetworkFormatError,
+    _read_json,
     denormalize,
     fit_normalization,
     load_network,
@@ -138,13 +139,6 @@ def _naming(path: Path):
         raise NetworkFormatError(f"{path}: {exc}") from None
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-
-
 def _float_repr(x: float) -> str:
     return repr(float(x))
 
@@ -227,17 +221,11 @@ def cmd_train(args) -> int:
 
 
 def _read_checkpoint(path: Path, schema) -> Checkpoint:
+    data = _read_json(path)
     try:
-        return Checkpoint.from_json(_read_json(path), schema=schema)
+        return Checkpoint.from_json(data, schema=schema)
     except (KeyError, ValueError) as exc:
         raise NetworkFormatError(f"{path}: invalid checkpoint: {exc}") from exc
-
-
-def _read_store(path: Path) -> StoreBundle:
-    try:
-        return load_store(path)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise NetworkFormatError(f"{path}: invalid store: {exc}") from exc
 
 
 def cmd_embed(args) -> int:
@@ -282,7 +270,7 @@ def cmd_recommend(args) -> int:
     stages = dict.fromkeys(STAGES, 0.0)
     store_path = _require_file(args.store, "store")
     cells_path = _require_file(args.new_cells, "new-cells")
-    bundle = _read_store(store_path)
+    bundle = load_store(store_path)
     new_cells, new_edges = parse_cells_payload(_read_json(cells_path), source=str(cells_path))
     if not new_cells:
         raise NetworkFormatError(f"{cells_path}: no cells to recommend for")
@@ -340,7 +328,7 @@ def cmd_detect(args) -> int:
     if not math.isfinite(args.threshold):
         raise NetworkFormatError(f"--threshold must be a finite number, got {args.threshold}")
     store_path = _require_file(args.store, "store")
-    bundle = _read_store(store_path)
+    bundle = load_store(store_path)
     if len(bundle.store) < 2:
         raise NetworkFormatError(f"{store_path}: need at least 2 records to fit a forest")
     seed = args.seed if args.seed is not None else bundle.checkpoint.seed
@@ -395,7 +383,7 @@ def cmd_evaluate(args) -> int:
 def cmd_project(args) -> int:
     started = time.perf_counter()
     store_path = _require_file(args.store, "store")
-    bundle = _read_store(store_path)
+    bundle = load_store(store_path)
     with _naming(store_path):
         projection = pca_project(bundle.store.z)
     out = Path(args.out)

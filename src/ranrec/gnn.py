@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,35 +106,41 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
 
-def _init_layer(rng: np.random.Generator, prefix: str, in_dim: int, arch: ArchConfig, out_dim: int) -> LayerParams:
-    heads = []
-    for h in range(arch.heads):
-        heads.append(
-            HeadParams(
-                W_src=Parameter(f"{prefix}.head{h}.W_src", _glorot(rng, in_dim, arch.head_dim)),
-                W_dst=Parameter(f"{prefix}.head{h}.W_dst", _glorot(rng, in_dim, arch.head_dim)),
-                a=Parameter(f"{prefix}.head{h}.a", _glorot(rng, arch.head_dim, 1)),
-            )
-        )
-    concat_dim = arch.heads * arch.head_dim
-    return LayerParams(
-        heads=tuple(heads),
-        W1=Parameter(f"{prefix}.ffn.W1", _glorot(rng, concat_dim, arch.ffn_hidden)),
-        b1=Parameter(f"{prefix}.ffn.b1", np.zeros((1, arch.ffn_hidden))),
-        W2=Parameter(f"{prefix}.ffn.W2", _glorot(rng, arch.ffn_hidden, out_dim)),
-        b2=Parameter(f"{prefix}.ffn.b2", np.zeros((1, out_dim))),
-    )
+def _stack_shapes(arch: ArchConfig, kind: str, in_dim: int, out_dim: int) -> Iterator[tuple[str, tuple[int, int]]]:
+    """Name and shape of each tensor of a stack, in ``GatStack.parameters`` order."""
+    dims = [in_dim] + [arch.hidden_dim] * (arch.layers - 1) + [out_dim]
+    for i in range(arch.layers):
+        prefix = f"{kind}.layer{i}"
+        for h in range(arch.heads):
+            yield f"{prefix}.head{h}.W_src", (dims[i], arch.head_dim)
+            yield f"{prefix}.head{h}.W_dst", (dims[i], arch.head_dim)
+            yield f"{prefix}.head{h}.a", (arch.head_dim, 1)
+        yield f"{prefix}.ffn.W1", (arch.heads * arch.head_dim, arch.ffn_hidden)
+        yield f"{prefix}.ffn.b1", (1, arch.ffn_hidden)
+        yield f"{prefix}.ffn.W2", (arch.ffn_hidden, dims[i + 1])
+        yield f"{prefix}.ffn.b2", (1, dims[i + 1])
+
+
+def _build_stack(
+    arch: ArchConfig, shapes: Iterable[tuple[str, tuple[int, int]]], value: Callable[[str, tuple[int, int]], np.ndarray]
+) -> GatStack:
+    """The stack of the tensors ``value(name, shape)`` gives, called in ``shapes`` order."""
+    params = [Parameter(name, value(name, shape)) for name, shape in shapes]
+    size = 3 * arch.heads + 4  # tensors per layer
+    layers = []
+    for p in (params[at : at + size] for at in range(0, len(params), size)):
+        heads = tuple(HeadParams(*p[h : h + 3]) for h in range(0, size - 4, 3))
+        layers.append(LayerParams(heads, *p[-4:]))
+    return GatStack(layers=tuple(layers), slope=arch.slope)
 
 
 def _init_stack(arch: ArchConfig, seed: int, kind: str, in_dim: int, out_dim: int) -> GatStack:
     rng = substream(seed, kind)
-    dims_in = [in_dim] + [arch.hidden_dim] * (arch.layers - 1)
-    dims_out = [arch.hidden_dim] * (arch.layers - 1) + [out_dim]
-    layers = tuple(
-        _init_layer(rng, f"{kind}.layer{i}", dims_in[i], arch, dims_out[i])
-        for i in range(arch.layers)
-    )
-    return GatStack(layers=layers, slope=arch.slope)
+
+    def draw(name: str, shape: tuple[int, int]) -> np.ndarray:
+        return np.zeros(shape) if name.endswith((".b1", ".b2")) else _glorot(rng, *shape)
+
+    return _build_stack(arch, _stack_shapes(arch, kind, in_dim, out_dim), draw)
 
 
 def init_encoder(arch: ArchConfig, seed: int) -> GatStack:
@@ -282,20 +288,28 @@ def _dump_params(stack: GatStack) -> list[dict]:
     ]
 
 
-def _load_params(stack: GatStack, items: list[dict]) -> None:
-    params = stack.parameters()
-    if len(items) != len(params):
-        raise ValueError(f"checkpoint has {len(items)} tensors, expected {len(params)}")
-    for p, item in zip(params, items):
-        if item["name"] != p.name or tuple(item["shape"]) != p.shape:
+def _load_stack(arch: ArchConfig, kind: str, in_dim: int, out_dim: int, items: list[dict]) -> GatStack:
+    """The stack ``items`` hold. Their count, and each tensor's name and shape,
+    are checked against what ``arch`` implies before its array is built; no
+    weight is drawn."""
+    count = arch.layers * (3 * arch.heads + 4)
+    if len(items) != count:
+        raise ValueError(f"checkpoint has {len(items)} tensors, expected {count}")
+    tensors = iter(items)
+
+    def read(name: str, shape: tuple[int, int]) -> np.ndarray:
+        item = next(tensors)
+        if item["name"] != name or tuple(item["shape"]) != shape:
             raise ValueError(f"checkpoint tensor mismatch at {item['name']!r}")
         try:
-            p.value = np.array(item["data"], dtype=np.float64).reshape(p.shape)
+            value = np.array(item["data"], dtype=np.float64).reshape(shape)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"checkpoint tensor {p.name!r}: {exc}") from exc
-        if not np.isfinite(p.value).all():
-            raise ValueError(f"checkpoint tensor {p.name!r} has non-finite values")
-        p.grad = np.zeros_like(p.value)
+            raise ValueError(f"checkpoint tensor {name!r}: {exc}") from exc
+        if not np.isfinite(value).all():
+            raise ValueError(f"checkpoint tensor {name!r} has non-finite values")
+        return value
+
+    return _build_stack(arch, _stack_shapes(arch, kind, in_dim, out_dim), read)
 
 
 @dataclass
@@ -335,12 +349,10 @@ class Checkpoint:
                 raise ValueError("checkpoint schema hash does not match the network schema")
             arch = ArchConfig.from_json(data["arch"])
             seed = _checkpoint_int(data, "seed")
-            encoder = init_encoder(arch, seed)
-            _load_params(encoder, data["params"])
+            encoder = _load_stack(arch, "encoder", arch.in_dim, arch.embedding_dim, data["params"])
             decoder = None
             if "decoder" in data:
-                decoder = init_decoder(arch, seed)
-                _load_params(decoder, data["decoder"]["params"])
+                decoder = _load_stack(arch, "decoder", arch.embedding_dim, arch.in_dim, data["decoder"]["params"])
             stats = NormalizationStats.from_json(data["stats"])
             fanout = _checkpoint_int(data, "sampler_fanout", 8)
         except (AttributeError, TypeError) as exc:  # a field of the wrong JSON type

@@ -2,9 +2,10 @@
 
 Cells are vertices of an undirected graph; edges join cells on the same
 radio node (``intra_node``, materialized automatically) or across nodes
-(``inter_node``, listed explicitly). ``RanGraph`` holds one row per cell:
-raw predictor and configuration columns, laid out as the LTE attribute
-block followed by the NR block, plus an edge table. ``feature_map`` min-max
+(``inter_node``, listed explicitly): an edge's kind follows from its cells'
+nodes. ``RanGraph`` holds one row per cell: raw predictor and configuration
+columns, laid out as the LTE attribute block followed by the NR block, plus
+a CSR adjacency. ``feature_map`` min-max
 normalizes them into [0, 1] from statistics fitted on training cells;
 slots of the other technology are 0.
 """
@@ -168,8 +169,9 @@ class RanGraph:
     ``technology`` indexes ``TECHNOLOGIES``; ``predictor`` and ``config`` hold
     raw values in layout order, 0 in other-technology slots and NaN in every
     own slot of a cell without configs. Cells sharing a node are always
-    pairwise connected with kind ``intra_node`` (added automatically);
-    ``inter_node`` edges come from the input. Self loops are rejected.
+    pairwise connected (``intra_node``, added automatically); the listed
+    edges join cells of different nodes (``inter_node``), and a listed kind
+    is checked, not kept. Self loops are rejected.
     ``row_of`` maps each cell id to its row.
     """
 
@@ -191,7 +193,6 @@ class RanGraph:
         self.predictor = _frozen(np.zeros((0, schema.predictor_dim)))
         self.config = _frozen(np.zeros((0, schema.config_dim)))
         self.row_of: dict[str, int] = {}
-        self._edges = _frozen(np.zeros((0, 3), dtype=np.intp))  # canonical (row, row, kind)
         # CSR adjacency: row i's neighbour rows, in cell-id order, are indices[indptr[i]:indptr[i + 1]].
         self.indptr = _frozen(np.zeros(1, dtype=np.intp))
         self.indices = _frozen(np.zeros(0, dtype=np.intp))
@@ -216,7 +217,7 @@ class RanGraph:
             for cid in (a, b):
                 if cid not in row_of:
                     raise NetworkFormatError(f"edge references unknown cell {cid!r}")
-            listed.append((row_of[a], row_of[b], EDGE_KINDS.index(kind)))
+            listed.append((row_of[a], row_of[b]))
         self.row_of = row_of
         self.cell_ids += tuple(c.cell_id for c in new)
         self.node_ids += tuple(c.node_id for c in new)
@@ -230,70 +231,41 @@ class RanGraph:
                 values = [[r[name] for name in own] if r else [math.nan] * len(own) for r in raw]
                 rows[np.ix_(members, list(own.values()))] = np.array(values).reshape(len(members), len(own))
             setattr(self, role, _frozen(np.concatenate([getattr(self, role), rows])))
-        self._link(len(self.cell_ids) - len(new), np.array(listed, dtype=np.intp).reshape(-1, 3), listed=True)
+        self._link(len(self.cell_ids) - len(new), np.array(listed, dtype=np.intp).reshape(-1, 2))
 
-    def _link(self, start: int, edges: np.ndarray, listed: bool) -> None:
-        """Merge ``edges``, ``(row, row, kind)`` triples, and the intra-node pairs
-        rows ``start`` onwards complete into the edge table (one row per pair,
-        smaller id first, sorted by id pair) and the CSR arrays; only the rows
-        the new pairs touch gain entries.
+    def _link(self, start: int, pairs: np.ndarray) -> None:
+        """Merge the listed ``(row, row)`` pairs between cells of different
+        nodes, and the intra-node pairs rows ``start`` onwards complete, into
+        the CSR arrays: each direction of a pair not yet held is inserted
+        once, so only the rows the new pairs join gain entries."""
+        n = len(self.cell_ids)
+        by_id, rank = self._id_order()
+        node = self._node_codes()
+        clique = _clique_pairs(node)
+        a, b = np.concatenate([pairs[node[pairs[:, 0]] != node[pairs[:, 1]]], clique[clique[:, 1] >= start]]).T
+        # Entries as sorted (source row, neighbour id rank) keys: the new ones, and those held.
+        keys = np.sort(np.concatenate([a * n + rank[b], b * n + rank[a]]))
+        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        held = rows * n + rank[self.indices]
+        at = np.searchsorted(held, keys)
+        new = (np.diff(keys, prepend=-1) != 0) & (np.append(held, -1)[at] != keys)
+        self.indices = _frozen(np.insert(self.indices, at[new], by_id[keys[new] % n]))
+        self.indptr = _frozen(np.append(0, np.cumsum(np.bincount(np.append(rows, keys[new] // n), minlength=n))))
 
-        ``listed`` edges (record input) drop their same-node pairs, and the
-        last listing of a pair sets its kind. Column edges, merged into an
-        empty graph, must already be one per pair with every same-node pair
-        ``intra_node``; the first that is not is named.
-        """
+    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in cell-id order, and each row's rank in it: (smaller id,
+        larger id) pairs and id-ordered neighbour rows come from integer comparisons."""
         ids, n = self.cell_ids, len(self.cell_ids)
-        # Each cell id's rank in sorted order: (smaller id, larger id) pairs and
-        # id-ordered neighbour rows then come from integer comparisons.
         by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
         rank = np.empty(n, dtype=np.intp)
         rank[by_id] = np.arange(n)
-        codes = dict(zip(dict.fromkeys(self.node_ids), range(n)))  # in order of first appearance
-        node = np.fromiter(map(codes.__getitem__, self.node_ids), dtype=np.intp, count=n)
-        clique = _clique_pairs(node)
-        clique = clique[clique[:, 1] >= start]
-        if listed:
-            edges = np.concatenate([edges[node[edges[:, 0]] != node[edges[:, 1]]], clique])
-        a, b, kind = edges.T
-        lo, hi = np.where(rank[a] < rank[b], a, b), np.where(rank[a] < rank[b], b, a)
-        pair = rank[lo] * n + rank[hi]
-        if listed:  # np.unique sorts the pairs; on the reversed list it finds each one's last listing
-            order = len(pair) - 1 - np.unique(pair[::-1], return_index=True)[1]
-        else:
-            order = np.argsort(pair, kind="stable")
-            ordered = pair[order]
-            repeated = np.flatnonzero(np.diff(ordered) == 0)
-            if repeated.size:
-                i = int(order[repeated[0] + 1])
-                raise NetworkFormatError(f"edges: edge {i} repeats the pair {ids[lo[i]]!r}, {ids[hi[i]]!r}")
-            bad = np.flatnonzero((node[a] == node[b]) & (kind != EDGE_KINDS.index("intra_node")))
-            if bad.size:
-                raise NetworkFormatError(f"edges: edge {bad[0]} joins two cells of one node as inter_node")
-            y, x = rank[clique[:, 0]], rank[clique[:, 1]]
-            keys = np.minimum(y, x) * n + np.maximum(y, x)
-            missing = np.flatnonzero(np.append(ordered, -1)[np.searchsorted(ordered, keys)] != keys)
-            if missing.size:
-                y, x = clique[missing[0], :2]
-                raise NetworkFormatError(
-                    f"edges: cells {ids[y]!r} and {ids[x]!r} share a node but no intra_node edge joins them"
-                )
-        new, pair = np.stack([lo, hi, kind], axis=1)[order], pair[order]
-        # A pair already in the table takes the new listing's kind; the rest are inserted.
-        table, stored = self._edges.copy(), rank[self._edges[:, 0]] * n + rank[self._edges[:, 1]]
-        at = np.searchsorted(stored, pair)
-        known = np.append(stored, -1)[at] == pair
-        table[at[known], 2] = new[known, 2]
-        self._edges = _frozen(np.insert(table, at[~known], new[~known], axis=0))
-        # Both directions of each new pair, as (source row, neighbour id rank) keys.
-        lo, hi = new[~known, 0], new[~known, 1]
-        keys = np.sort(np.concatenate([lo * n + rank[hi], hi * n + rank[lo]]))
-        old = len(self.indptr) - 1
-        held = np.repeat(np.arange(old), np.diff(self.indptr)) * n + rank[self.indices]
-        self.indices = _frozen(np.insert(self.indices, np.searchsorted(held, keys), by_id[keys % n]))
-        indptr = np.concatenate([self.indptr, np.full(n - old, self.indptr[-1])])
-        indptr[1:] += np.cumsum(np.bincount(keys // n, minlength=n))
-        self.indptr = _frozen(indptr)
+        return by_id, rank
+
+    def _node_codes(self) -> np.ndarray:
+        """Each row's node as a code, in order of the node's first appearance."""
+        n = len(self.node_ids)
+        codes = dict(zip(dict.fromkeys(self.node_ids), range(n)))
+        return np.fromiter(map(codes.__getitem__, self.node_ids), dtype=np.intp, count=n)
 
     # -- queries ---------------------------------------------------------------
 
@@ -327,18 +299,27 @@ class RanGraph:
 
     @property
     def edges(self) -> tuple[tuple[str, str, str], ...]:
-        """Every edge, intra-node pairs included, as sorted (id, id, kind) triples."""
-        a, b, kind = self._edges.T.tolist()
-        ids = self.cell_ids.__getitem__
-        return tuple(zip(map(ids, a), map(ids, b), map(EDGE_KINDS.__getitem__, kind)))
+        """Every edge, intra-node pairs included, as (id, id, kind) triples: the
+        smaller id first, sorted by id pair. The kind is ``intra_node`` exactly
+        when both cells are on one node."""
+        by_id, rank = self._id_order()
+        n, node = len(self.cell_ids), self._node_codes()
+        src, dst = rank[np.repeat(np.arange(n), np.diff(self.indptr))], rank[self.indices]
+        keys = np.sort((src * n + dst)[src < dst])
+        lo, hi = by_id[keys // n], by_id[keys % n]
+        ids, kinds = self.cell_ids.__getitem__, EDGE_KINDS.__getitem__  # kind 1, inter_node, when the nodes differ
+        return tuple(zip(map(ids, lo.tolist()), map(ids, hi.tolist()), map(kinds, (node[lo] != node[hi]).tolist())))
 
     def columns(self) -> dict[str, Any]:
         """Writable copies of the columns, edges included as ``edges``: every
-        edge as (row, row, index into ``EDGE_KINDS``) in ``edges`` order."""
+        inter-node pair once as (row, row), the smaller row first, by row. The
+        intra-node pairs follow from ``node_ids``."""
         columns: dict[str, Any] = {"cell_ids": list(self.cell_ids), "node_ids": list(self.node_ids)}
         for name in ("technology", *ROLES):
             columns[name] = getattr(self, name).copy()
-        columns["edges"] = self._edges.copy()
+        rows, node = np.repeat(np.arange(len(self.cell_ids)), np.diff(self.indptr)), self._node_codes()
+        inter = (rows < self.indices) & (node[rows] != node[self.indices])
+        columns["edges"] = np.stack([rows[inter], self.indices[inter]], axis=1)
         return columns
 
     @classmethod
@@ -346,9 +327,9 @@ class RanGraph:
         """The graph ``columns()`` describes, checked one column at a time.
 
         It rejects whatever ``RanGraph(schema, cells, edges)`` would reject for
-        the same network, and what ``columns()`` never writes: a repeated or
-        same-node inter-node edge, or a missing intra-node pair. Errors name
-        the column and its first bad entry.
+        the same network, and what ``columns()`` never writes: a repeated
+        pair, or a pair of cells on one node. Errors name the column and its
+        first bad entry.
         """
         cell_ids, node_ids, technology = columns["cell_ids"], columns["node_ids"], columns["technology"]
         for name, ids in (("cell_ids", cell_ids), ("node_ids", node_ids)):
@@ -384,16 +365,21 @@ class RanGraph:
         graph.cell_ids, graph.node_ids = tuple(cell_ids), tuple(node_ids)
         graph.technology = _frozen(np.array(technology, dtype=np.intp))
         edges = columns["edges"]
-        a, b, kind = edges.T
-        for bad, what in (
-            ((a < 0) | (a >= n) | (b < 0) | (b >= n), "references a row outside the cells"),
-            (a == b, "is a self loop"),
-            ((kind < 0) | (kind >= len(EDGE_KINDS)), "has an unknown kind"),
-        ):
+        a, b = edges.T
+
+        def reject(bad: np.ndarray, what: str) -> None:
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise NetworkFormatError(f"edges: edge {i} {what}: {edges[i].tolist()}")
-        graph._link(0, edges, listed=False)
+
+        reject((a < 0) | (a >= n) | (b < 0) | (b >= n), "references a row outside the cells")
+        reject(a == b, "is a self loop")
+        node = graph._node_codes()
+        reject(node[a] == node[b], "joins two cells of one node")
+        pair = np.minimum(a, b) * n + np.maximum(a, b)
+        order = np.argsort(pair, kind="stable")
+        reject(np.isin(np.arange(len(pair)), order[1:][np.diff(pair[order]) == 0]), "repeats an earlier pair")
+        graph._link(0, edges)
         return graph
 
     def to_json(self) -> dict:
@@ -413,8 +399,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _clique_pairs(node: np.ndarray) -> np.ndarray:
-    """Every pair of rows on one node as an intra-node edge (earlier row, later
-    row, 0): by node code, then by the later row, then by the earlier one."""
+    """Every pair of rows on one node as (earlier row, later row): by node
+    code, then by the later row, then by the earlier one."""
     order = np.argsort(node, kind="stable")
     sizes = np.bincount(node)
     start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # where each row's node begins in ``order``
@@ -422,7 +408,7 @@ def _clique_pairs(node: np.ndarray) -> np.ndarray:
     later = np.repeat(order, before)
     offset = np.arange(before.sum()) - np.repeat(np.cumsum(before) - before, before)  # 0, 1, .. per row
     earlier = order[np.repeat(start, before) + offset]
-    return np.stack([earlier, later, np.zeros_like(later)], axis=1)
+    return np.stack([earlier, later], axis=1)
 
 
 def _validate_attributes(cell: CellRecord, own: Mapping[str, list[dict[str, int]]]) -> None:
@@ -445,20 +431,21 @@ def _validate_attributes(cell: CellRecord, own: Mapping[str, list[dict[str, int]
             )
 
 
+def _read_json(path: str | Path) -> Any:
+    """The JSON value of the file at ``path``; invalid JSON names the file, line and column."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise NetworkFormatError(f"{path}: cannot read: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise NetworkFormatError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+
+
 def load_network(path: str | Path) -> RanGraph:
     """Parse a network JSON file into a validated ``RanGraph``."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise NetworkFormatError(f"{path}: cannot read network file: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
-    return network_from_json(data, source=str(path))
+    return network_from_json(_read_json(path), source=str(path))
 
 
 def network_from_json(data: dict, source: str = "<memory>") -> RanGraph:
@@ -639,17 +626,23 @@ class NormalizationStats:
 
     @classmethod
     def from_json(cls, data: dict) -> "NormalizationStats":
-        def parse(items: list[dict]) -> tuple[SlotStats, ...]:
-            return tuple(
-                SlotStats(
-                    minimum=float(s["min"]),
-                    maximum=float(s["max"]),
-                    observed=tuple(float(v) for v in s.get("observed", ())),
-                )
-                for s in items
-            )
+        """The stats ``to_json`` wrote; a non-finite ``min``, ``max`` or
+        ``observed`` value, or ``min > max``, names ``stats.<role>[i].<field>``."""
 
-        return cls(predictor=parse(data["predictor"]), config=parse(data["config"]))
+        def parse(role: str) -> tuple[SlotStats, ...]:
+            slots = []
+            for i, s in enumerate(data[role]):
+                slot = SlotStats(float(s["min"]), float(s["max"]), tuple(float(v) for v in s.get("observed", ())))
+                for name, values in (("min", [slot.minimum]), ("max", [slot.maximum]), ("observed", slot.observed)):
+                    bad = [v for v in values if not math.isfinite(v)]
+                    if bad:
+                        raise ValueError(f"stats.{role}[{i}].{name}: {bad[0]} is not a finite number")
+                if slot.minimum > slot.maximum:
+                    raise ValueError(f"stats.{role}[{i}].min: {slot.minimum} exceeds max {slot.maximum}")
+                slots.append(slot)
+            return tuple(slots)
+
+        return cls(predictor=parse("predictor"), config=parse("config"))
 
 
 def fit_normalization(graph: RanGraph, train_ids: Iterable[str]) -> NormalizationStats:

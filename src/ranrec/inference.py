@@ -12,7 +12,6 @@ retrieve cells recommended earlier.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +27,7 @@ from .graph import (
     NetworkFormatError,
     NormalizationStats,
     RanGraph,
+    _read_json,
     extend_network,
     feature_map,
 )
@@ -224,7 +224,7 @@ def recommend_cells(
 # Store persistence (self-contained inference bundle)
 
 
-STORE_FORMAT = "ranrec-store/3"
+STORE_FORMAT = "ranrec-store/4"
 
 # Binary store columns: dtype of the little-endian array each one encodes.
 NETWORK_COLUMNS = {"technology": "u1", "predictor": "<f8", "config": "<f8", "edges": "<i4"}
@@ -313,7 +313,7 @@ class StoreBundle:
             "technology": (n,),
             "predictor": (n, schema.predictor_dim),
             "config": (n, schema.config_dim),
-            "edges": (-1, 3),
+            "edges": (-1, 2),
         }
         columns = {name: network[name] for name in ("cell_ids", "node_ids")}
         for name, dtype in NETWORK_COLUMNS.items():
@@ -371,5 +371,9 @@ def _forest_from_json(data: dict, n: int, dim: int) -> IsolationForest:
 
 
 def load_store(path: str | Path) -> StoreBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return StoreBundle.from_json(json.load(fh))
+    """The store at ``path``; any error names the file."""
+    data = _read_json(path)
+    try:
+        return StoreBundle.from_json(data)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise NetworkFormatError(f"{path}: invalid store: {exc}") from exc

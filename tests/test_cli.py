@@ -6,6 +6,7 @@ import base64
 import json
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from ranrec.anomaly import anomaly_score, fit_forest, store_matrix
 from ranrec.cli import STAGES, TRAIN_STAGES, main
-from ranrec.graph import EDGE_KINDS, denormalize, extend_network, feature_map, parse_cells_payload
+from ranrec.graph import denormalize, extend_network, feature_map, parse_cells_payload
 from ranrec.inference import (
     FOREST_COLUMNS,
     NETWORK_COLUMNS,
@@ -343,6 +344,24 @@ class TestValidationErrors:
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["network", "synth_spec", "checkpoint", "store", "new_cells"])
+    def test_invalid_json_names_file_line_and_column(self, workspace, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{\n  "cells": ,\n}')
+        network, out = workspace / "net" / "network.json", tmp_path / "out.json"
+        argv = {
+            "network": ["train", bad],
+            "synth_spec": ["synth", bad],
+            "checkpoint": ["embed", network, bad],
+            "store": ["detect", bad],
+            "new_cells": ["recommend", workspace / "store.json", bad],
+        }[kind]
+        code = main([*map(str, argv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert f"{bad}:2:12: invalid JSON: Expecting value" in err and err.count(str(bad)) == 1
+        assert not out.exists()
+
     def test_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -412,7 +431,16 @@ class TestValidationErrors:
         assert not out.exists()
 
 
-CHECKPOINT_CASES = ["arch_unknown_key", "arch_list", "param_not_object", "stats_slot_not_object", "fanout_zero"]
+CHECKPOINT_CASES = [
+    "arch_unknown_key",
+    "arch_list",
+    "param_not_object",
+    "stats_slot_not_object",
+    "fanout_zero",
+    "stats_min_nan",
+    "stats_observed_inf",
+    "stats_min_above_max",
+]
 # Top-level integers a hand edit may break: (key, value).
 CHECKPOINT_INTEGERS = [
     ("seed", 1.5),
@@ -424,7 +452,19 @@ CHECKPOINT_INTEGERS = [
 ]
 
 
-def _corrupt_checkpoint(checkpoint: dict, case: str) -> None:
+def _corrupt_checkpoint(checkpoint: dict, case: str) -> str:
+    """Break ``checkpoint`` as ``case`` says; the field its error names, or ``""``."""
+    stats = checkpoint["stats"]
+    if case == "stats_min_nan":
+        stats["predictor"][1]["min"] = float("nan")
+        return "stats.predictor[1].min"
+    if case == "stats_observed_inf":
+        slot = next(i for i, s in enumerate(stats["config"]) if "observed" in s)
+        stats["config"][slot]["observed"][0] = float("inf")
+        return f"stats.config[{slot}].observed"
+    if case == "stats_min_above_max":
+        stats["predictor"][0]["min"] = stats["predictor"][0]["max"] + 1.0
+        return "stats.predictor[0].min"
     if isinstance(case, tuple):
         key, value = case
         checkpoint[key] = value
@@ -438,27 +478,28 @@ def _corrupt_checkpoint(checkpoint: dict, case: str) -> None:
         checkpoint["stats"]["predictor"][0] = 1
     else:
         checkpoint["sampler_fanout"] = 0
+    return ""
 
 
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("case", CHECKPOINT_CASES)
     def test_embed_names_checkpoint(self, workspace, tmp_path, capsys, case):
         checkpoint = json.loads((workspace / "ckpt.json").read_text())
-        _corrupt_checkpoint(checkpoint, case)
+        field = _corrupt_checkpoint(checkpoint, case)
         bad = tmp_path / "ckpt.json"
         bad.write_text(json.dumps(checkpoint))
         out = tmp_path / "store.json"
         code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{bad}: invalid checkpoint: " in err and "Traceback" not in err
+        assert f"{bad}: invalid checkpoint: {field}" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["recommend", "detect"])
     @pytest.mark.parametrize("case", CHECKPOINT_CASES)
     def test_store_names_checkpoint(self, workspace, tmp_path, capsys, case, command):
         store = json.loads((workspace / "store.json").read_text())
-        _corrupt_checkpoint(store["checkpoint"], case)
+        field = _corrupt_checkpoint(store["checkpoint"], case)
         bad = tmp_path / "store.json"
         bad.write_text(json.dumps(store))
         out = tmp_path / "out.json"
@@ -466,7 +507,7 @@ class TestMalformedCheckpoint:
         code = main([command, str(bad), *new_cells, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{bad}: invalid store: " in err and "Traceback" not in err
+        assert f"{bad}: invalid store: {field}" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", CHECKPOINT_INTEGERS)
@@ -481,6 +522,23 @@ class TestMalformedCheckpoint:
         key, value = case
         expected = f"{bad}: invalid checkpoint: key {key!r}: expected an integer, got {value!r}"
         assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("layers", 2000), ("head_dim", 10**9)])
+    def test_oversized_arch_rejected_before_weights_are_built(self, workspace, tmp_path, capsys, key, value):
+        checkpoint = json.loads((workspace / "ckpt.json").read_text())
+        checkpoint["arch"][key] = value
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(checkpoint))
+        out = tmp_path / "store.json"
+        tracemalloc.start()
+        try:
+            code = main(["embed", str(workspace / "net" / "network.json"), str(bad), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_rejected(capsys, code, f"{bad}: invalid checkpoint: checkpoint ")
+        assert peak < 16 * 2**20
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["recommend", "detect"])
@@ -938,7 +996,8 @@ STORE_EDITS = {
     "edge_row_out_of_range": "network.edges",
     "self_loop": "network.edges",
     "duplicate_cell_id": "network.cell_ids",
-    "missing_intra_pair": "network.edges",
+    "same_node_pair": "network.edges",
+    "repeated_pair": "network.edges",
     "non_finite_predictor": "network.predictor",
 }
 
@@ -949,7 +1008,7 @@ def _edit_store(store: dict, case: str) -> None:
     children = arrays["children"].reshape(-1, 2)
     leaf = children[:, 0] == np.arange(children.shape[0])
     first_leaf, first_split = np.flatnonzero(leaf)[0], np.flatnonzero(~leaf)[0]
-    edges = _column(network, "edges", NETWORK_COLUMNS["edges"]).reshape(-1, 3)
+    edges = _column(network, "edges", NETWORK_COLUMNS["edges"]).reshape(-1, 2)
     predictor = _column(network, "predictor", NETWORK_COLUMNS["predictor"])
     if case == "child_out_of_range":
         children[first_split, 1] = children.shape[0] + 5
@@ -977,8 +1036,12 @@ def _edit_store(store: dict, case: str) -> None:
         edges[0, 1] = edges[0, 0]
     elif case == "duplicate_cell_id":
         network["cell_ids"][1] = network["cell_ids"][0]
-    elif case == "missing_intra_pair":
-        edges = np.delete(edges, np.flatnonzero(edges[:, 2] == EDGE_KINDS.index("intra_node"))[0], axis=0)
+    elif case == "same_node_pair":  # a pair the store holds only as node_ids
+        nodes = network["node_ids"]
+        later = next(j for j in range(1, len(nodes)) if nodes[j] in nodes[:j])
+        edges = np.append(edges, [[nodes.index(nodes[later]), later]], axis=0)
+    elif case == "repeated_pair":
+        edges = np.append(edges, edges[:1, ::-1], axis=0)
     elif case == "non_finite_predictor":
         # The predictor layout starts with the LTE block: slot 0 of an LTE cell is its own.
         lte = np.flatnonzero(_column(network, "technology", NETWORK_COLUMNS["technology"]) == 0)[0]
@@ -1040,6 +1103,22 @@ class TestStoreFormat:
         new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
         code = main([command, str(bad), *new_cells, "--out", str(out)])
         _assert_rejected(capsys, code, f"{bad}: invalid store: format: 'ranrec-store/2'", "re-run `ranrec embed`")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recommend", "detect", "project"])
+    def test_format_3_store_asks_for_embed(self, workspace, tmp_path, capsys, command):
+        # The previous format: every edge, intra-node pairs included, as (row, row, kind).
+        store = json.loads((workspace / "store.json").read_text())
+        store["format"] = "ranrec-store/3"
+        graph = load_store(workspace / "store.json").graph
+        rows = [(graph.row_of[a], graph.row_of[b], kind == "inter_node") for a, b, kind in graph.edges]
+        _set_column(store["network"], "edges", NETWORK_COLUMNS["edges"], rows)
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "out.json"
+        new_cells = [str(workspace / "new_cells.json")] if command == "recommend" else []
+        code = main([command, str(bad), *new_cells, "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: invalid store: format: 'ranrec-store/3'", "re-run `ranrec embed`")
         assert not out.exists()
 
     def test_config_edit_moves_y_hat_and_detect(self, workspace, tmp_path):

@@ -84,14 +84,6 @@ class TestLoadNetwork:
         expected = {(min(a, b), max(a, b)) for i, a in enumerate(ids) for b in ids[i + 1 :]}
         assert {(a, b) for a, b, _ in graph.edges} == expected
 
-    def test_repeated_pair_takes_its_last_kind(self):
-        cells = [lte_cell("a"), lte_cell("b", node_id="n2")]
-        for kinds in (("intra_node", "inter_node"), ("inter_node", "intra_node")):
-            graph = RanGraph(small_schema(), cells, [("a", "b", kinds[0]), ("b", "a", kinds[1])])
-            assert graph.edges == (("a", "b", kinds[1]),)
-            old = RanGraph(small_schema(), cells, [("a", "b", kinds[0])])
-            assert extend_network(old, [], [("b", "a", kinds[1])]).edges == graph.edges
-
     def test_duplicate_cell_id(self):
         with pytest.raises(NetworkFormatError, match="duplicate cell_id"):
             RanGraph(schema=small_schema(), cells=[lte_cell("x"), lte_cell("x")])
@@ -457,6 +449,53 @@ class TestExtendNetwork:
         assert extended.neighbors("c0") == ("c1", "c2")
 
 
+def _oracle_adjacency(cells, listed) -> tuple[tuple, dict]:
+    """Edges and neighbours by a per-pair loop: every listed pair and every
+    pair of cells on one node, once; the kind from the two cells' nodes."""
+    node = {c.cell_id: c.node_id for c in cells}
+    ids = list(node)
+    pairs = {(min(a, b), max(a, b)) for a, b, _ in listed}
+    pairs |= {(min(a, b), max(a, b)) for i, a in enumerate(ids) for b in ids[i + 1 :] if node[a] == node[b]}
+    edges = tuple((a, b, "intra_node" if node[a] == node[b] else "inter_node") for a, b in sorted(pairs))
+    neighbors = {cid: tuple(sorted({b for a, b in pairs if a == cid} | {a for a, b in pairs if b == cid})) for cid in ids}
+    return edges, neighbors
+
+
+class TestEdgeOracle:
+    """``edges`` and ``neighbors`` equal a per-pair loop over the listed edges
+    and the node ids, whatever kind an edge lists."""
+
+    def _check(self, graph: RanGraph, cells, listed) -> None:
+        edges, neighbors = _oracle_adjacency(cells, listed)
+        for g in (graph, RanGraph.from_columns(graph.schema, graph.columns())):
+            assert g.edges == edges
+            assert {cid: g.neighbors(cid) for cid in g.row_of} == neighbors
+
+    @given(case=_extensions())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_graph(self, case):
+        old_cells, old_edges, new_cells, new_edges = case
+        cells, listed = list(old_cells), list(old_edges)
+        graph = RanGraph(small_schema(), cells, listed)
+        for more, edges in [([c], []) for c in new_cells] + [([], [e]) for e in new_edges]:
+            try:
+                graph = extend_network(graph, more, edges)
+            except NetworkFormatError:
+                continue
+            cells, listed = cells + more, listed + edges
+        self._check(graph, cells, listed)
+
+    @pytest.mark.parametrize("sites", [1, 7, 60])
+    def test_synth_network(self, sites):
+        from ranrec.synth import SynthSpec, generate
+
+        graph, _ = generate(SynthSpec(sites=sites, seed=sites))
+        # The inter-node pairs synth listed, each labelled with the kind it does not have.
+        listed = [(a, b, "intra_node") for a, b, kind in graph.edges if kind == "inter_node"]
+        self._check(graph, graph.cells, listed)
+        self._check(RanGraph(graph.schema, graph.cells, listed), graph.cells, listed)
+
+
 def _same_graph(built: RanGraph, expected: RanGraph) -> None:
     assert built.cells == expected.cells
     assert list(built.row_of.items()) == list(expected.row_of.items())
@@ -574,9 +613,11 @@ class TestColumns:
                 "predictor: cell 'a': unknown or wrong-technology predictor attributes ['bw']",
             ),
             (lambda c: c["config"].__setitem__((2, 2), np.nan), "config: cell 'b': config 'power' is nan"),
-            (lambda c: c["edges"].__setitem__((0, 2), 2), "edges: edge 0 has an unknown kind"),
             (lambda c: c["edges"].__setitem__((0, 1), -1), "edges: edge 0 references a row outside the cells"),
-            (lambda c: c["edges"].__setitem__((1, 2), 1), "edges: edge 1 joins two cells of one node as inter_node"),
+            (
+                lambda c: c.__setitem__("edges", np.concatenate([c["edges"], [[0, 1]]])),
+                "edges: edge 1 joins two cells of one node: [0, 1]",
+            ),
         ],
     )
     def test_bad_column_named(self, schema, edit, message):
@@ -585,11 +626,9 @@ class TestColumns:
         with pytest.raises(NetworkFormatError, match=re.escape(message)):
             RanGraph.from_columns(schema, columns)
 
-    def test_repeated_and_missing_edges_named(self, schema):
+    def test_repeated_edge_named(self, schema):
         columns = self._columns(schema)
-        columns["edges"] = np.concatenate([columns["edges"], columns["edges"][:1, [1, 0, 2]]])
-        with pytest.raises(NetworkFormatError, match="edge 2 repeats the pair 'a', 'b'"):
-            RanGraph.from_columns(schema, columns)
-        columns["edges"] = columns["edges"][:1]
-        with pytest.raises(NetworkFormatError, match="cells 'a' and 'c' share a node but no intra_node edge"):
+        assert columns["edges"].tolist() == [[0, 2]]  # the intra-node pair of 'a' and 'c' is not written
+        columns["edges"] = np.concatenate([columns["edges"], columns["edges"][:, ::-1]])
+        with pytest.raises(NetworkFormatError, match=re.escape("edges: edge 1 repeats an earlier pair: [2, 0]")):
             RanGraph.from_columns(schema, columns)

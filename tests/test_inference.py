@@ -435,7 +435,7 @@ class TestStoreBundle:
     def test_records_are_id_and_embedding(self):
         bundle = self._bundle()
         payload = bundle.to_json()
-        assert payload["format"] == "ranrec-store/3"
+        assert payload["format"] == "ranrec-store/4"
         assert all(record.keys() == {"cell_id", "z"} for record in payload["records"])
         # The config vectors come back from the network's config column.
         loaded = StoreBundle.from_json(payload)
@@ -475,7 +475,7 @@ class TestStoreBundle:
         payload["format"] = "ranrec-store/2"
         for record in payload["records"]:
             record["y"] = [0.5] * 4
-        with pytest.raises(ValueError, match=r"'ranrec-store/2', expected 'ranrec-store/3'.*re-run `ranrec embed`"):
+        with pytest.raises(ValueError, match=r"'ranrec-store/2', expected 'ranrec-store/4'.*re-run `ranrec embed`"):
             StoreBundle.from_json(payload)
 
     def test_z_of_one_element_lists_rejected_by_index(self):
