@@ -291,7 +291,10 @@ def cmd_recommend(args) -> int:
         raise NetworkFormatError(f"{cells_path}: {exc}") from None
     lap = _lap(stages, "sample_encode", lap)
     k = args.k if args.mode == "majority" else 1  # closest is the vote of one
-    recommended = recommend_cells(bundle.store, new_cells, rows, k, bundle.schema)
+    try:
+        recommended = recommend_cells(bundle.store, new_cells, rows, k, bundle.schema)
+    except ValueError as exc:  # the store's embeddings cannot be compared
+        raise NetworkFormatError(f"{store_path}: {exc}") from None
     lap = _lap(stages, "retrieve", lap)
     forest = bundle.forest  # None: novelty scores unavailable, recommendations still valid
     scores = _scores(forest, rows) if forest is not None else [None] * len(recommended)

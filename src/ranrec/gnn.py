@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .autodiff import EdgeList, Node, Parameter, Tape
-from .graph import SETTING_TYPES, AttributeSchema, NormalizationStats, require, settings_from
+from .graph import ROLES, SETTING_TYPES, AttributeSchema, NormalizationStats, require, settings_from
 from .rng import substream
 from .sampler import Subgraph
 
@@ -354,6 +354,10 @@ class Checkpoint:
             if "decoder" in data:
                 decoder = _load_stack(arch, "decoder", arch.embedding_dim, arch.in_dim, data["decoder"]["params"])
             stats = NormalizationStats.from_json(data["stats"])
+            for role in ROLES if schema is not None else ():
+                slots, layout = len(stats.slots(role)), len(schema.layout(role))
+                if slots != layout:
+                    raise ValueError(f"stats.{role}: {slots} slots, but the schema's {role} layout has {layout}")
             fanout = _checkpoint_int(data, "sampler_fanout", 8)
         except (AttributeError, TypeError) as exc:  # a field of the wrong JSON type
             raise ValueError(str(exc)) from exc

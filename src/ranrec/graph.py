@@ -556,15 +556,35 @@ def settings_from(
         raise SettingsError(f"{source}: {exc}") from None
 
 
+_NUMBER_TYPES = frozenset((int, float))  # JSON numbers: no bool, no numeric string
+
+
+def _not_strings(values: tuple, fields: tuple[str, ...]) -> TypeError:
+    """The error naming the first of ``values`` that is not a string; an id is
+    never coerced, so ``{}`` is not the node ``'{}'``."""
+    field, value = next((f, v) for f, v in zip(fields, values) if type(v) is not str)
+    return TypeError(f"{field}: expected a string, got {type(value).__name__} {value!r}")
+
+
+def _numbers(values: Mapping[str, Any], role: str) -> dict[str, float]:
+    if not _NUMBER_TYPES.issuperset(map(type, values.values())):
+        name, value = next((k, v) for k, v in values.items() if type(v) not in _NUMBER_TYPES)
+        raise TypeError(f"{role}.{name}: expected a number, got {type(value).__name__} {value!r}")
+    return {name: float(value) for name, value in values.items()}
+
+
 def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list[CellRecord]:
     def parse(item: dict) -> CellRecord:
         configs = item["configs"] if configs_required else item.get("configs", {})
+        cell_id, node_id, technology = texts = item["cell_id"], item["node_id"], item["technology"]
+        if type(cell_id) is not str or type(node_id) is not str or type(technology) is not str:
+            raise _not_strings(texts, ("cell_id", "node_id", "technology"))
         return CellRecord(
-            cell_id=str(item["cell_id"]),
-            node_id=str(item["node_id"]),
-            technology=str(item["technology"]),
-            raw_predictors={k: float(v) for k, v in item["predictors"].items()},
-            raw_configs={k: float(v) for k, v in configs.items()},
+            cell_id=cell_id,
+            node_id=node_id,
+            technology=technology,
+            raw_predictors=_numbers(item["predictors"], "predictors"),
+            raw_configs=_numbers(configs, "configs"),
         )
 
     return _parse_entries(items, source, "cell", parse)
@@ -572,9 +592,12 @@ def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list
 
 def _parse_edges(items: list, source: str) -> list[tuple[str, str, str]]:
     def parse(item: list) -> tuple[str, str, str]:
-        if len(item) != 3:
+        if type(item) is not list or len(item) != 3:
             raise NetworkFormatError("expected [cell_id, cell_id, kind]")
-        return str(item[0]), str(item[1]), str(item[2])
+        a, b, kind = item
+        if type(a) is not str or type(b) is not str or type(kind) is not str:
+            raise _not_strings((a, b, kind), ("endpoint 0", "endpoint 1", "kind"))
+        return a, b, kind
 
     return _parse_entries(items, source, "edge", parse)
 

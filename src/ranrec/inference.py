@@ -114,11 +114,15 @@ def distance_set(store: EmbeddingStore, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.shape[0] != store.embedding_dim:
         raise ValueError(f"query of length {z.shape[0]} vs store dimension {store.embedding_dim}")
-    diff = store.z - z
-    # A stacked (1, d) @ (d, 1) product per row issues the same BLAS dot as
-    # np.linalg.norm of that row, so a per-record oracle reproduces these floats
-    # bit for bit, ties included; einsum and summed squares round differently.
-    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, without a warning
+        diff = store.z - z
+        # A stacked (1, d) @ (d, 1) product per row issues the same BLAS dot as
+        # np.linalg.norm of that row, so a per-record oracle reproduces these floats
+        # bit for bit, ties included; einsum and summed squares round differently.
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
+    if not math.isfinite(dist.max()):  # NaN or inf anywhere, in one reduction
+        raise ValueError("embedding distances overflow: the stored weights or embeddings are too large")
+    return dist
 
 
 def nearest(

@@ -14,6 +14,7 @@ attributes and is flagged as misconfigured in the ground truth.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -24,6 +25,7 @@ from .rng import substream
 CORNER_HIGH = 0.82
 CORNER_LOW = 0.08
 BANDWIDTH_JITTER = 0.25  # chance a cell deviates from its cluster's bandwidth class
+_NEAREST_BLOCK = 1 << 17  # distances per block of _nearest_sites
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,16 @@ def _site_clusters(spec: SynthSpec) -> np.ndarray:
     return rng.integers(0, spec.context_clusters, size=spec.sites)
 
 
-def _clean_profile(cluster: int, n_cfg: int) -> np.ndarray:
-    """Normalized clean config values: one archetype corner per cluster.
+@cache
+def _clean_configs(tech: str, cluster: int) -> tuple[tuple[_ConfigDesign, float, float], ...]:
+    """Each config of `tech` with its clean normalized and raw value in `cluster`.
 
-    Constant within a cluster, so the cluster-mean predictor is exact on
-    noise-free data; archetype corners are near-orthogonal across clusters.
-    """
-    profile = np.full(n_cfg, CORNER_LOW)
-    profile[cluster % n_cfg] = CORNER_HIGH
-    return profile
+    Normalized values are one archetype corner per cluster, so the cluster-mean
+    predictor is exact on noise-free data; corners are near-orthogonal across clusters."""
+    designs = _TECH_DESIGN[tech]["configs"]
+    profile = [CORNER_LOW] * len(designs)
+    profile[cluster % len(designs)] = CORNER_HIGH
+    return tuple((cfg, v, cfg.to_raw(cfg.snap(v))) for cfg, v in zip(designs, profile))
 
 
 def _make_cell(
@@ -200,36 +203,37 @@ def _make_cell(
         bandwidth = bw_values[rng.integers(len(bw_values))]
     else:
         bandwidth = bw_values[(len(bw_values) - 1 - cluster) % len(bw_values)]
-    center = ch_base + ch_step * cluster
-    offset = rng.uniform(-1.0, 1.0)
-    channel = center + ch_jitter * offset
+    channel = ch_base + ch_step * cluster + ch_jitter * rng.uniform(-1.0, 1.0)
     azimuth = rng.uniform(0.0, 360.0)
     predictors = {bw_name: float(bandwidth), ch_name: float(channel), design["azimuth"]: float(azimuth)}
 
-    configs_design: tuple[_ConfigDesign, ...] = design["configs"]
-    clean_norm = _clean_profile(cluster, len(configs_design))
-    clean_raw = {
-        cfg.name: cfg.to_raw(cfg.snap(v)) for cfg, v in zip(configs_design, clean_norm)
-    }
+    clean = _clean_configs(tech, cluster)
     observed: dict[str, float] = {}
     if with_configs:
-        noise = rng.normal(0.0, config_noise, size=len(configs_design)) if config_noise > 0 else np.zeros(len(configs_design))
-        for cfg, v, eps in zip(configs_design, clean_norm, noise):
-            observed[cfg.name] = cfg.to_raw(cfg.snap(float(np.clip(v + eps, 0.0, 1.0))))
-    record = CellRecord(
-        cell_id=cell_id,
-        node_id=node_id,
-        technology=tech,
-        raw_predictors=predictors,
-        raw_configs=observed,
-    )
-    return record, clean_raw
+        noise = rng.normal(0.0, config_noise, size=len(clean)).tolist() if config_noise > 0 else [0.0] * len(clean)
+        for (cfg, v, _), eps in zip(clean, noise):
+            observed[cfg.name] = cfg.to_raw(cfg.snap(min(max(v + eps, 0.0), 1.0)))
+    record = CellRecord(cell_id, node_id, tech, raw_predictors=predictors, raw_configs=observed)
+    return record, {cfg.name: raw for cfg, _, raw in clean}
 
 
-def _nearest_sites(positions: np.ndarray, index: int, count: int) -> list[int]:
-    dists = np.linalg.norm(positions - positions[index], axis=1)
-    order = sorted(range(len(positions)), key=lambda j: (dists[j], j))
-    return [j for j in order if j != index][:count]
+def _nearest_sites(positions: np.ndarray, queries: np.ndarray, count: int, skip_self: bool = False) -> np.ndarray:
+    """Row i: the `count` sites nearest to `queries[i]`, in (distance, index) order.
+
+    With `skip_self`, query i is site i and is left out of its own row. Rows
+    are sorted in blocks of at most `_NEAREST_BLOCK` distances.
+    """
+    width = min(count + skip_self, len(positions))
+    step = max(1, _NEAREST_BLOCK // len(positions))
+    head = np.empty((len(queries), width), dtype=np.intp)
+    for start in range(0, len(queries), step):
+        dists = np.linalg.norm(positions - queries[start : start + step, None], axis=-1)
+        head[start : start + step] = np.argsort(dists, axis=1, kind="stable")[:, :width]
+    if not skip_self:
+        return head
+    keep = head != np.arange(len(head))[:, None]
+    keep[keep.all(axis=1), -1] = False  # self ranked past the head: drop the last instead
+    return head[keep].reshape(len(head), width - 1)
 
 
 def generate(spec: SynthSpec) -> tuple[RanGraph, GroundTruth]:
@@ -246,17 +250,14 @@ def generate(spec: SynthSpec) -> tuple[RanGraph, GroundTruth]:
     records: list[CellRecord] = []
     clean: dict[str, dict[str, float]] = {}
     cell_cluster: dict[str, int] = {}
-    for s in range(spec.sites):
+    for s, cluster in enumerate(clusters.tolist()):
         rng = substream(spec.seed, "site", s)
         node_id = f"N{s:03d}"
         for c, tech in enumerate(pattern):
             cell_id = f"S{s:03d}C{c}"
-            record, clean_raw = _make_cell(
-                cell_id, node_id, tech, int(clusters[s]), rng, spec.config_noise
-            )
+            record, clean[cell_id] = _make_cell(cell_id, node_id, tech, cluster, rng, spec.config_noise)
             records.append(record)
-            clean[cell_id] = clean_raw
-            cell_cluster[cell_id] = int(clusters[s])
+            cell_cluster[cell_id] = cluster
 
     # Misconfiguration injection: exact count, two attributes per cell.
     all_ids = [r.cell_id for r in records]
@@ -311,13 +312,12 @@ def _inter_site_edges(
 ) -> list[tuple[str, str, str]]:
     if spec.sites == 1 or spec.inter_site_degree == 0:
         return []
-    edges: set[tuple[str, str]] = set()
-    for s in range(spec.sites):
-        for other in _nearest_sites(positions, s, spec.inter_site_degree):
-            for c in range(spec.cells_per_site):
-                a = f"S{s:03d}C{c}"
-                b = f"S{other:03d}C{c}"
-                edges.add((min(a, b), max(a, b)))
+    nearest = _nearest_sites(positions, positions, spec.inter_site_degree, skip_self=True)
+    ids = [[f"S{s:03d}C{c}" for c in range(spec.cells_per_site)] for s in range(spec.sites)]
+    edges = {
+        (min(a, b), max(a, b))
+        for s, row in enumerate(nearest.tolist()) for o in row for a, b in zip(ids[s], ids[o])
+    }
     return [(a, b, "inter_node") for a, b in sorted(edges)]
 
 
@@ -369,8 +369,7 @@ def synthesize_greenfield(
         position = rng.uniform(0.0, 100.0, size=2)
         cluster = int(rng.integers(spec.context_clusters))
         node_id = f"GN{i:03d}"
-        dists = np.linalg.norm(positions - position, axis=1)
-        order = sorted(range(spec.sites), key=lambda j: (dists[j], j))[:degree]
+        order = _nearest_sites(positions, position[None], degree)[0].tolist()
         for c, tech in enumerate(pattern):
             cell_id = f"GF{i:03d}C{c}"
             record, clean_raw = _make_cell(

@@ -440,6 +440,8 @@ CHECKPOINT_CASES = [
     "stats_min_nan",
     "stats_observed_inf",
     "stats_min_above_max",
+    "stats_config_short",
+    "stats_predictor_long",
 ]
 # Top-level integers a hand edit may break: (key, value).
 CHECKPOINT_INTEGERS = [
@@ -465,6 +467,12 @@ def _corrupt_checkpoint(checkpoint: dict, case: str) -> str:
     if case == "stats_min_above_max":
         stats["predictor"][0]["min"] = stats["predictor"][0]["max"] + 1.0
         return "stats.predictor[0].min"
+    if case == "stats_config_short":  # the last config slot deleted
+        del stats["config"][-1]
+        return f"stats.config: {len(stats['config'])} slots, but the schema's config layout has"
+    if case == "stats_predictor_long":
+        stats["predictor"].append(dict(stats["predictor"][-1]))
+        return f"stats.predictor: {len(stats['predictor'])} slots, but the schema's predictor layout has"
     if isinstance(case, tuple):
         key, value = case
         checkpoint[key] = value
@@ -655,7 +663,8 @@ class TestNonFiniteInputs:
 
 
 class TestOverflowInputs:
-    """A JSON integer beyond the float range exits 1, naming the file and the place."""
+    """A value that overflows, on reading or in the arithmetic it feeds, exits 1
+    naming the file and the place."""
 
     HUGE = 10**400
 
@@ -709,6 +718,62 @@ class TestOverflowInputs:
         code = main(["synth", str(spec), "--out", str(out)])
         _assert_rejected(capsys, code, f"{spec}: key 'config_noise'", "expected a finite number")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_recommend_names_store_when_distances_overflow(self, workspace, tmp_path, capsys):
+        store = json.loads((workspace / "store.json").read_text())
+        tensor = next(p for p in store["checkpoint"]["params"] if p["name"] == "encoder.layer1.ffn.b2")
+        tensor["data"][0] = 1e308  # finite embeddings near 1e307, whose squared distances overflow
+        bad = tmp_path / "store.json"
+        bad.write_text(json.dumps(store))
+        out = tmp_path / "recs.json"
+        code = main(["recommend", str(bad), str(workspace / "new_cells.json"), "--out", str(out)])
+        _assert_rejected(capsys, code, f"{bad}: embedding distances overflow")
+        assert not out.exists()
+
+
+# Fields a hand edit may give the wrong JSON type: ids must be strings, values numbers.
+MISTYPED_FIELDS = ["cell_id", "node_id", "endpoint 0", "endpoint 1", "predictor", "config"]
+
+
+def _mistype(payload: dict, field: str) -> str:
+    """Give ``field`` of the last cell (or of a new edge) a wrong type; the message naming it."""
+    index = len(payload["cells"]) - 1
+    cell = payload["cells"][index]
+    if field in ("cell_id", "node_id"):
+        cell[field] = 7 if field == "cell_id" else {}
+        return f"cell entry {index}: {field}: expected a string"
+    if field.startswith("endpoint"):
+        edge = [cell["cell_id"], "S000C0", "inter_node"]
+        edge[int(field[-1])] = 5
+        payload["edges"].append(edge)
+        return f"edge entry {len(payload['edges']) - 1}: {field}: expected a string"
+    role = field + "s"
+    values = cell.setdefault(role, {})
+    name = sorted(values)[0] if values else "ltePowerTarget"
+    values[name] = True
+    return f"cell entry {index}: {role}.{name}: expected a number, got bool True"
+
+
+@pytest.mark.parametrize("route", ["embed", "recommend"])
+@pytest.mark.parametrize("field", MISTYPED_FIELDS)
+def test_mistyped_field_names_the_entry(workspace, tmp_path, capsys, field, route):
+    """An id is never coerced to a string, and a boolean is not a number."""
+    if route == "embed":
+        payload = json.loads((workspace / "net" / "network.json").read_text())
+    else:
+        payload = json.loads(json.dumps(NEW_CELLS))
+    message = _mistype(payload, field)
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    if route == "embed":
+        code = main(["embed", str(bad), str(workspace / "ckpt.json"), "--out", str(out)])
+    else:
+        code = main(["recommend", str(workspace / "store.json"), str(bad), "--out", str(out)])
+    _assert_rejected(capsys, code, f"{bad}: {message}")
+    assert not out.exists()
+
 
 def _assert_rejected(capsys, code: int, *fragments: str) -> None:
     assert code == 1

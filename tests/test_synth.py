@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from ranrec import synth
+from ranrec.cli import main
 from ranrec.graph import feature_map, fit_normalization
+from ranrec.rng import substream
 from ranrec.synth import (
     SynthSpec,
     _TECH_DESIGN,
@@ -167,3 +173,117 @@ class TestNormalizedCorruptionVisibility:
         for cid in truth.corrupted_ids:
             y = features.y[graph.row_of[cid]]
             assert y.max() >= 0.99  # corrupted attribute pins the observed max
+
+
+# ---------------------------------------------------------------------------
+# Nearest sites: the blocked array pass against one Python sort per site
+
+
+def _oracle_nearest(positions: np.ndarray, query: np.ndarray, count: int, skip: int | None = None) -> list[int]:
+    """The ``count`` sites nearest ``query`` by one ``sorted`` on (distance, index)."""
+    dists = np.linalg.norm(positions - query, axis=1)
+    order = sorted(range(len(positions)), key=lambda j: (dists[j], j))
+    return [j for j in order if j != skip][:count]
+
+
+def _oracle_edges(spec: SynthSpec, positions: np.ndarray) -> list[tuple[str, str, str]]:
+    if spec.sites == 1 or spec.inter_site_degree == 0:
+        return []
+    pairs = {
+        (min(s, other), max(s, other))
+        for s in range(spec.sites)
+        for other in _oracle_nearest(positions, positions[s], spec.inter_site_degree, skip=s)
+    }
+    edges = set()
+    for s, other in pairs:
+        for c in range(spec.cells_per_site):
+            a, b = f"S{s:03d}C{c}", f"S{other:03d}C{c}"
+            edges.add((min(a, b), max(a, b)))
+    return [(a, b, "inter_node") for a, b in sorted(edges)]
+
+
+def _positions(sites: int, layout: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        return rng.uniform(0.0, 100.0, size=(sites, 2))
+    return np.floor(rng.uniform(0.0, 4.0, size=(sites, 2)))  # a 4 x 4 grid: duplicate sites, tied distances
+
+
+NEAREST_CASES = sorted(
+    {(sites, degree) for sites in (1, 2, 4, 50, 800) for degree in (0, 1, 3, sites - 1) if sites == 1 or degree < sites}
+)
+# Degree sites - 1 joins every pair of sites, whatever the layout; at 800 sites
+# its 319,600 site pairs are checked once, with one cell per site.
+EDGE_CASES = [
+    (sites, degree, layout)
+    for sites, degree in NEAREST_CASES
+    for layout in ("uniform", "grid")
+    if not (sites == 800 and degree == 799 and layout == "grid")
+]
+
+# sha256 of (network.json, ground_truth.json) written by `ranrec synth` before
+# the nearest-site search and the cell draws were vectorised.
+SYNTH_SHA256 = {
+    (6, 23): (
+        "ad88303d53513455ecc4943edbde3a9c6c2af20803ef12b5d8d29abe7ed2a82c",
+        "abd46eec6914b2855d5e788b9f593e8e3abbd53e41182f75e687871c67a1d836",
+    ),
+    (200, 1): (
+        "2cd8352c791e793205129baa2398b44a250b31626a73e37bef98c3cd536ad3e0",
+        "0630cb0b1ec895f55965ef23670df932da2ab40e6691bbf0d10a49609d437b64",
+    ),
+}
+
+
+class TestNearestSites:
+    @pytest.mark.parametrize("sites, degree, layout", EDGE_CASES)
+    def test_inter_site_edges_match_sorted_oracle(self, sites, degree, layout):
+        spec = SynthSpec(sites=sites, cells_per_site=1 if degree == 799 else 2, inter_site_degree=degree)
+        positions = _positions(sites, layout, seed=sites + degree)
+        edges = synth._inter_site_edges(spec, positions, synth._tech_pattern(spec))
+        assert edges == _oracle_edges(spec, positions)
+
+    @pytest.mark.parametrize("layout", ["uniform", "grid"])
+    @pytest.mark.parametrize("sites, degree", NEAREST_CASES)
+    def test_greenfield_edges_match_sorted_oracle(self, monkeypatch, sites, degree, layout):
+        spec = SynthSpec(sites=sites, cells_per_site=2, inter_site_degree=degree)
+        positions = _positions(sites, layout, seed=sites + degree)
+        monkeypatch.setattr(synth, "_site_positions", lambda _: positions)
+        queries = []
+        nearest = synth._nearest_sites
+
+        def recording(positions, query, count, skip_self=False):
+            queries.append(query[0].copy())
+            return nearest(positions, query, count, skip_self)
+
+        monkeypatch.setattr(synth, "_nearest_sites", recording)
+        _, edges, _ = synthesize_greenfield(None, None, spec, 5, seed=sites)
+        assert len(queries) == 5  # one query per new site, in the order they are drawn
+        assert np.array_equal(queries[0], substream(sites, "greenfield").uniform(0.0, 100.0, size=2))
+        expected = []
+        for i, query in enumerate(queries):
+            order = _oracle_nearest(positions, query, min(degree, sites))
+            for c in range(spec.cells_per_site):
+                expected += [(f"GF{i:03d}C{c}", f"S{s:03d}C{c}", "inter_node") for s in order]
+        assert edges == expected
+
+    def test_blocks_bound_memory(self):
+        positions = _positions(2000, "uniform", seed=0)
+        tracemalloc.start()
+        try:
+            synth._nearest_sites(positions, positions, 3, skip_self=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # one unblocked difference array alone is 64 MB
+
+    @pytest.mark.parametrize("sites, seed", sorted(SYNTH_SHA256))
+    def test_cli_output_is_pinned(self, tmp_path, sites, seed):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sites": sites, "seed": seed}))
+        assert main(["synth", str(spec), "--out", str(tmp_path / "net")]) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / "net" / name).read_bytes()).hexdigest()
+            for name in ("network.json", "ground_truth.json")
+        )
+        assert digests == SYNTH_SHA256[(sites, seed)]
