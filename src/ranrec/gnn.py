@@ -14,6 +14,7 @@ features) over the same subgraph topology.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .autodiff import EdgeList, Node, Parameter, Tape
-from .graph import ROLES, SETTING_TYPES, AttributeSchema, NormalizationStats, require, settings_from
+from .graph import ROLES, SETTING_TYPES, AttributeSchema, NormalizationStats, check_types, require, settings_from
 from .rng import substream
 from .sampler import Subgraph
 
@@ -302,6 +303,7 @@ def _load_stack(arch: ArchConfig, kind: str, in_dim: int, out_dim: int, items: l
         if item["name"] != name or tuple(item["shape"]) != shape:
             raise ValueError(f"checkpoint tensor mismatch at {item['name']!r}")
         try:
+            check_types(item["data"], map("data[{}]".format, itertools.count()))
             value = np.array(item["data"], dtype=np.float64).reshape(shape)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"checkpoint tensor {name!r}: {exc}") from exc
@@ -359,7 +361,7 @@ class Checkpoint:
                 if slots != layout:
                     raise ValueError(f"stats.{role}: {slots} slots, but the schema's {role} layout has {layout}")
             fanout = _checkpoint_int(data, "sampler_fanout", 8)
-        except (AttributeError, TypeError) as exc:  # a field of the wrong JSON type
+        except (AttributeError, TypeError, OverflowError) as exc:  # a wrong JSON type, a number past float range
             raise ValueError(str(exc)) from exc
         if fanout < 1:
             raise ValueError(f"sampler_fanout must be >= 1, got {fanout}")

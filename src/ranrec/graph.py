@@ -12,13 +12,16 @@ slots of the other technology are 0.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, starmap
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -137,7 +140,7 @@ class AttributeSchema:
 
 @dataclass(frozen=True)
 class CellRecord:
-    """One cell with raw (unnormalized) attribute values of its technology."""
+    """One cell with raw (unnormalized) attribute values of its technology, checked when a graph is built."""
 
     cell_id: str
     node_id: str
@@ -145,21 +148,12 @@ class CellRecord:
     raw_predictors: Mapping[str, float]
     raw_configs: Mapping[str, float]
 
-    def __post_init__(self) -> None:
-        if self.technology not in TECHNOLOGIES:
-            raise NetworkFormatError(
-                f"cell {self.cell_id!r}: unknown technology {self.technology!r}"
-            )
-        for role in ROLES:
-            for name, value in self.raw_values(role).items():
-                if not math.isfinite(value):
-                    raise NetworkFormatError(
-                        f"cell {self.cell_id!r}: {role} {name!r} is {value}, "
-                        "not a finite number"
-                    )
-
     def raw_values(self, role: str) -> Mapping[str, float]:
         return self.raw_predictors if role == "predictor" else self.raw_configs
+
+
+# The one converter from records to the rows ``RanGraph._join`` reads.
+_RECORD_ROW = attrgetter("cell_id", "node_id", "technology", "raw_predictors", "raw_configs")
 
 
 class RanGraph:
@@ -172,7 +166,8 @@ class RanGraph:
     pairwise connected (``intra_node``, added automatically); the listed
     edges join cells of different nodes (``inter_node``), and a listed kind
     is checked, not kept. Self loops are rejected.
-    ``row_of`` maps each cell id to its row.
+    ``row_of`` maps each cell id to its row. Every build appends rows through
+    one validator, ``_append``, and links them through ``_link``.
     """
 
     def __init__(
@@ -193,54 +188,102 @@ class RanGraph:
         self.predictor = _frozen(np.zeros((0, schema.predictor_dim)))
         self.config = _frozen(np.zeros((0, schema.config_dim)))
         self.row_of: dict[str, int] = {}
+        # Each node id's code, the row of its first cell; each row's node code; the rows in
+        # cell-id order and each row's rank in it, so pairs and neighbours compare integers.
+        self._node_code: dict[str, int] = {}
+        self._node = self._by_id = self._rank = self.technology
         # CSR adjacency: row i's neighbour rows, in cell-id order, are indices[indptr[i]:indptr[i + 1]].
         self.indptr = _frozen(np.zeros(1, dtype=np.intp))
         self.indices = _frozen(np.zeros(0, dtype=np.intp))
-        self._add(cells, edges)
+        self._join(list(map(_RECORD_ROW, cells)), edges, "")
 
-    def _add(self, cells: Iterable[CellRecord], edges: Iterable[tuple[str, str, str]]) -> None:
-        """Join cells, then edges, then the intra-node pairs the cells complete.
-        Only these are validated, in the order a build from scratch checks them."""
-        new = tuple(cells)
-        row_of = dict(self.row_of)
-        for cell in new:
-            if cell.cell_id in row_of:
-                raise NetworkFormatError(f"duplicate cell_id {cell.cell_id!r}")
-            _validate_attributes(cell, self._own)
-            row_of[cell.cell_id] = len(row_of)
-        listed = []
-        for a, b, kind in edges:
-            if a == b:
-                raise NetworkFormatError(f"self-loop edge on cell {a!r}")
-            if kind not in EDGE_KINDS:
-                raise NetworkFormatError(f"unknown edge kind {kind!r}")
-            for cid in (a, b):
-                if cid not in row_of:
-                    raise NetworkFormatError(f"edge references unknown cell {cid!r}")
-            listed.append((row_of[a], row_of[b]))
+    def _join(self, rows: list[tuple], edges: Iterable[tuple[str, str, str]], where: str) -> None:
+        """Append (cell_id, node_id, technology, predictors, configs) rows, then
+        link them and the listed edges. Attribute names are checked once per
+        distinct (technology, names). An error about a row starts with ``where``
+        formatted with its ``column`` and ``row``; the lowest bad row is named."""
+        ids, nodes, techs, predictors, configs = tuple(zip(*rows)) or ((),) * 5
+        start = len(self.cell_ids)
+        groups: dict[tuple, list[int]] = {}
+        for row, key in enumerate(zip(techs, map(tuple, predictors), map(tuple, configs))):
+            groups.setdefault(key, []).append(row)
+        technology, bare = np.zeros(len(ids), dtype=np.intp), np.zeros(len(ids), dtype=bool)
+        matrices = [np.zeros((len(ids), getattr(self, role).shape[1])) for role in ROLES]
+        for (tech, *names), members in groups.items():
+            code = TECHNOLOGIES.index(tech) if tech in TECHNOLOGIES else None
+            fault = f"unknown technology {tech!r}" if code is None else _name_fault(names, self._own, code)
+            if fault:  # the rows before this one are filled: a fault among them comes first
+                row = members[0]
+                self._append(ids[:row], nodes[:row], technology[:row], *(m[:row] for m in matrices), bare[:row], where)
+                raise NetworkFormatError(where.format(column="cells", row=start + row) + f"cell {ids[row]!r}: {fault}")
+            technology[members] = code
+            for role, got, values, matrix in zip(ROLES, names, (predictors, configs), matrices):
+                own = self._own[role][code]
+                if role == "config" and not got:  # a cell awaiting a recommendation
+                    bare[members] = True
+                    matrix[np.ix_(members, list(own.values()))] = math.nan
+                    continue
+                flat = chain.from_iterable(values[row].values() for row in members)
+                block = np.fromiter(flat, dtype=np.float64, count=len(members) * len(got))
+                matrix[np.ix_(members, [own[name] for name in got])] = block.reshape(len(members), len(got))
+        self._append(ids, nodes, technology, *matrices, bare, where)
+        self._link(start, _edge_pairs(edges, self.row_of))
+
+    def _append(self, ids: Sequence[str], nodes: Sequence[str], technology: np.ndarray, predictor: np.ndarray,
+                config: np.ndarray, bare: np.ndarray | None, where: str) -> None:
+        """Append rows after checking them for duplicate ids, technology codes,
+        non-finite own values and nonzero other-technology values; the lowest bad
+        row is named, for the first of these it breaks. NaN in every own config
+        slot marks a cell without configs in the rows ``bare`` flags (None: every such row)."""
+        start = len(self.cell_ids)
+        n = start + len(ids)
+        row_of = self.row_of | dict(zip(ids, range(start, n)))
+        faults = []  # (row, column, message) of each check's first bad row
+        if len(row_of) < n:  # the first id met a second time
+            seen = set(self.row_of)
+            row, cid = next((row, cid) for row, cid in enumerate(ids, start) if cid in seen or seen.add(cid))
+            faults.append((row, "cell_ids", f"duplicate cell_id {cid!r}"))
+        bad = np.flatnonzero((technology < 0) | (technology >= len(TECHNOLOGIES)))
+        if bad.size:
+            row = bad[0]
+            faults.append((start + row, "technology", f"cell {ids[row]!r}: unknown technology code {technology[row]}"))
+        for role, matrix in (("predictor", predictor), ("config", config)):
+            layout = self.schema.layout(role)
+            own = np.array([TECHNOLOGIES.index(s.technology) for s in layout], dtype=np.intp) == technology[:, None]
+            if role == "config" and bare is None:
+                bare = (own == np.isnan(matrix)).all(axis=1) & own.any(axis=1)
+            absent = role == "config" and bare[:, None]  # NaN in the own config slots of a cell without configs
+            wrong = np.where(own, ~(np.isfinite(matrix) | absent), matrix != 0)
+            if wrong.any():
+                row, col = np.argwhere(wrong)[0]
+                name, value = layout[col].name, matrix[row, col]
+                why = f"{role} {name!r} is {value}, not a finite number"
+                why = why if own[row, col] else f"unknown or wrong-technology {role} attributes [{name!r}]"
+                faults.append((start + row, role, f"cell {ids[row]!r}: {why}"))
+        if faults:
+            row, column, message = min(faults, key=lambda fault: fault[0])
+            raise NetworkFormatError(where.format(column=column, row=row) + message)
         self.row_of = row_of
-        self.cell_ids += tuple(c.cell_id for c in new)
-        self.node_ids += tuple(c.node_id for c in new)
-        codes = np.array([TECHNOLOGIES.index(c.technology) for c in new], dtype=np.intp)
-        self.technology = _frozen(np.concatenate([self.technology, codes]))
-        for role in ROLES:
-            rows = np.zeros((len(new), getattr(self, role).shape[1]))
-            for code, own in enumerate(self._own[role]):
-                members = np.flatnonzero(codes == code)
-                raw = (new[i].raw_values(role) for i in members.tolist())
-                values = [[r[name] for name in own] if r else [math.nan] * len(own) for r in raw]
-                rows[np.ix_(members, list(own.values()))] = np.array(values).reshape(len(members), len(own))
-            setattr(self, role, _frozen(np.concatenate([getattr(self, role), rows])))
-        self._link(len(self.cell_ids) - len(new), np.array(listed, dtype=np.intp).reshape(-1, 2))
+        self.cell_ids += tuple(ids)
+        self.node_ids += tuple(nodes)
+        for name, column in (("technology", technology), ("predictor", predictor), ("config", config)):
+            setattr(self, name, _frozen(np.concatenate([getattr(self, name), column])))
+        self._node_code = dict(zip(reversed(nodes), range(n - 1, start - 1, -1))) | self._node_code
+        codes = np.fromiter(map(self._node_code.__getitem__, nodes), dtype=np.intp, count=len(nodes))
+        self._node = _frozen(np.concatenate([self._node, codes]))
+        # The new rows in id order, each inserted at its place among the old rows.
+        cell_id = self.cell_ids.__getitem__
+        order = sorted(range(start, n), key=cell_id)
+        at = [bisect.bisect_left(self._by_id, cell_id(row), key=cell_id) for row in order] if start else 0
+        by_id = np.insert(self._by_id, at, order)
+        self._by_id, self._rank = _frozen(by_id), _frozen(np.argsort(by_id))
 
     def _link(self, start: int, pairs: np.ndarray) -> None:
         """Merge the listed ``(row, row)`` pairs between cells of different
         nodes, and the intra-node pairs rows ``start`` onwards complete, into
         the CSR arrays: each direction of a pair not yet held is inserted
         once, so only the rows the new pairs join gain entries."""
-        n = len(self.cell_ids)
-        by_id, rank = self._id_order()
-        node = self._node_codes()
+        n, node, rank = len(self.cell_ids), self._node, self._rank
         clique = _clique_pairs(node)
         a, b = np.concatenate([pairs[node[pairs[:, 0]] != node[pairs[:, 1]]], clique[clique[:, 1] >= start]]).T
         # Entries as sorted (source row, neighbour id rank) keys: the new ones, and those held.
@@ -249,23 +292,8 @@ class RanGraph:
         held = rows * n + rank[self.indices]
         at = np.searchsorted(held, keys)
         new = (np.diff(keys, prepend=-1) != 0) & (np.append(held, -1)[at] != keys)
-        self.indices = _frozen(np.insert(self.indices, at[new], by_id[keys[new] % n]))
+        self.indices = _frozen(np.insert(self.indices, at[new], self._by_id[keys[new] % n]))
         self.indptr = _frozen(np.append(0, np.cumsum(np.bincount(np.append(rows, keys[new] // n), minlength=n))))
-
-    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows in cell-id order, and each row's rank in it: (smaller id,
-        larger id) pairs and id-ordered neighbour rows come from integer comparisons."""
-        ids, n = self.cell_ids, len(self.cell_ids)
-        by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
-        rank = np.empty(n, dtype=np.intp)
-        rank[by_id] = np.arange(n)
-        return by_id, rank
-
-    def _node_codes(self) -> np.ndarray:
-        """Each row's node as a code, in order of the node's first appearance."""
-        n = len(self.node_ids)
-        codes = dict(zip(dict.fromkeys(self.node_ids), range(n)))
-        return np.fromiter(map(codes.__getitem__, self.node_ids), dtype=np.intp, count=n)
 
     # -- queries ---------------------------------------------------------------
 
@@ -302,8 +330,7 @@ class RanGraph:
         """Every edge, intra-node pairs included, as (id, id, kind) triples: the
         smaller id first, sorted by id pair. The kind is ``intra_node`` exactly
         when both cells are on one node."""
-        by_id, rank = self._id_order()
-        n, node = len(self.cell_ids), self._node_codes()
+        by_id, rank, node, n = self._by_id, self._rank, self._node, len(self.cell_ids)
         src, dst = rank[np.repeat(np.arange(n), np.diff(self.indptr))], rank[self.indices]
         keys = np.sort((src * n + dst)[src < dst])
         lo, hi = by_id[keys // n], by_id[keys % n]
@@ -317,7 +344,7 @@ class RanGraph:
         columns: dict[str, Any] = {"cell_ids": list(self.cell_ids), "node_ids": list(self.node_ids)}
         for name in ("technology", *ROLES):
             columns[name] = getattr(self, name).copy()
-        rows, node = np.repeat(np.arange(len(self.cell_ids)), np.diff(self.indptr)), self._node_codes()
+        rows, node = np.repeat(np.arange(len(self.cell_ids)), np.diff(self.indptr)), self._node
         inter = (rows < self.indices) & (node[rows] != node[self.indices])
         columns["edges"] = np.stack([rows[inter], self.indices[inter]], axis=1)
         return columns
@@ -339,31 +366,8 @@ class RanGraph:
         if len(node_ids) != n:
             raise NetworkFormatError(f"node_ids: {len(node_ids)} entries for {n} cells")
         graph = cls(schema)
-        graph.row_of = dict(zip(cell_ids, range(n)))
-        if len(graph.row_of) < n:  # name the first id met a second time
-            first = dict(zip(reversed(cell_ids), range(n - 1, -1, -1)))
-            cid = next(cid for row, cid in enumerate(cell_ids) if first[cid] != row)
-            raise NetworkFormatError(f"cell_ids: duplicate cell_id {cid!r}")
-        bad = np.flatnonzero((technology < 0) | (technology >= len(TECHNOLOGIES)))
-        if bad.size:
-            cid, code = cell_ids[bad[0]], technology[bad[0]]
-            raise NetworkFormatError(f"technology: cell {cid!r}: unknown technology code {code}")
-        for role in ROLES:
-            layout, matrix = schema.layout(role), np.array(columns[role], dtype=np.float64)
-            slot_tech = np.array([TECHNOLOGIES.index(s.technology) for s in layout], dtype=np.intp)
-            own = slot_tech == technology[:, None]
-            # A cell awaiting a recommendation carries no configs: NaN in every own slot.
-            absent = (own == np.isnan(matrix)).all(axis=1) & own.any(axis=1) & (role == "config")
-            wrong = np.where(own, ~np.isfinite(matrix) & ~absent[:, None], matrix != 0)
-            if wrong.any():
-                row, col = np.argwhere(wrong)[0]
-                where, name, value = f"{role}: cell {cell_ids[row]!r}", layout[col].name, matrix[row, col]
-                if own[row, col]:
-                    raise NetworkFormatError(f"{where}: {role} {name!r} is {value}, not a finite number")
-                raise NetworkFormatError(f"{where}: unknown or wrong-technology {role} attributes [{name!r}]")
-            setattr(graph, role, _frozen(matrix))
-        graph.cell_ids, graph.node_ids = tuple(cell_ids), tuple(node_ids)
-        graph.technology = _frozen(np.array(technology, dtype=np.intp))
+        matrices = (np.array(columns[role], dtype=np.float64) for role in ROLES)
+        graph._append(cell_ids, node_ids, np.array(technology, dtype=np.intp), *matrices, None, "{column}: ")
         edges = columns["edges"]
         a, b = edges.T
 
@@ -374,7 +378,7 @@ class RanGraph:
 
         reject((a < 0) | (a >= n) | (b < 0) | (b >= n), "references a row outside the cells")
         reject(a == b, "is a self loop")
-        node = graph._node_codes()
+        node = graph._node
         reject(node[a] == node[b], "joins two cells of one node")
         pair = np.minimum(a, b) * n + np.maximum(a, b)
         order = np.argsort(pair, kind="stable")
@@ -393,6 +397,17 @@ class RanGraph:
         return {"schema": self.schema.to_json(), "cells": cells, "edges": [list(e) for e in self.edges]}
 
 
+def _name_fault(names: list[tuple[str, ...]], own: Mapping[str, list[dict[str, int]]], code: int) -> str | None:
+    """What is wrong with a cell's predictor and config names, given its technology ``code``."""
+    for role, got in zip(ROLES, map(set, names)):
+        expected = own[role][code].keys()
+        if got - expected:
+            return f"unknown or wrong-technology {role} attributes {sorted(got - expected)}"
+        if expected - got and (got or role == "predictor"):  # a cell awaiting a recommendation omits configs
+            return f"missing {role} attributes {sorted(expected - got)}"
+    return None
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -409,26 +424,6 @@ def _clique_pairs(node: np.ndarray) -> np.ndarray:
     offset = np.arange(before.sum()) - np.repeat(np.cumsum(before) - before, before)  # 0, 1, .. per row
     earlier = order[np.repeat(start, before) + offset]
     return np.stack([earlier, later], axis=1)
-
-
-def _validate_attributes(cell: CellRecord, own: Mapping[str, list[dict[str, int]]]) -> None:
-    predictors, configs = (own[role][TECHNOLOGIES.index(cell.technology)].keys() for role in ROLES)
-    if cell.raw_predictors.keys() == predictors and cell.raw_configs.keys() in (configs, set()):
-        return  # the common case; the checks below name what is wrong
-    for role, names in zip(ROLES, (predictors, configs)):
-        got = set(cell.raw_values(role))
-        if got - names:
-            raise NetworkFormatError(
-                f"cell {cell.cell_id!r}: unknown or wrong-technology "
-                f"{role} attributes {sorted(got - names)}"
-            )
-        # Cells awaiting a recommendation may omit configs entirely.
-        if role == "config" and not got:
-            continue
-        if names - got:
-            raise NetworkFormatError(
-                f"cell {cell.cell_id!r}: missing {role} attributes {sorted(names - got)}"
-            )
 
 
 def _read_json(path: str | Path) -> Any:
@@ -455,12 +450,14 @@ def network_from_json(data: dict, source: str = "<memory>") -> RanGraph:
         if key not in data:
             raise NetworkFormatError(f"{source}: missing top-level key {key!r}")
     schema = AttributeSchema.from_json(data["schema"], source)
-    cells = _parse_cells(data["cells"], source, configs_required=True)
+    rows = _parse_cells(data["cells"], source, configs_required=True)
     edges = _parse_edges(data["edges"], source)
+    graph = RanGraph(schema)
     try:
-        return RanGraph(schema=schema, cells=cells, edges=edges)
+        graph._join(rows, edges, "cell entry {row}: ")
     except NetworkFormatError as exc:
         raise NetworkFormatError(f"{source}: {exc}") from None
+    return graph
 
 
 def _parse_entries(items: list, source: str, kind: str, parse: Callable[[Any], T]) -> list[T]:
@@ -556,50 +553,72 @@ def settings_from(
         raise SettingsError(f"{source}: {exc}") from None
 
 
-_NUMBER_TYPES = frozenset((int, float))  # JSON numbers: no bool, no numeric string
+# JSON numbers (no bool, no numeric string), JSON floats, and strings.
+_NUMBERS, _FLOATS, _STRINGS = frozenset((int, float)), frozenset((float,)), frozenset((str,))
 
 
-def _not_strings(values: tuple, fields: tuple[str, ...]) -> TypeError:
-    """The error naming the first of ``values`` that is not a string; an id is
-    never coerced, so ``{}`` is not the node ``'{}'``."""
-    field, value = next((f, v) for f, v in zip(fields, values) if type(v) is not str)
-    return TypeError(f"{field}: expected a string, got {type(value).__name__} {value!r}")
+def check_types(values: Iterable, names: Iterable[str], types: frozenset = _NUMBERS, want: str = "a number") -> None:
+    """A TypeError naming the first of ``values`` whose type is not in ``types``:
+    ``true`` is not 1.0, and an id is never coerced, so ``{}`` is not the node ``'{}'``."""
+    if not types.issuperset(map(type, values)):
+        name, value = next((n, v) for n, v in zip(names, values) if type(v) not in types)
+        raise TypeError(f"{name}: expected {want}, got {type(value).__name__} {value!r}")
 
 
-def _numbers(values: Mapping[str, Any], role: str) -> dict[str, float]:
-    if not _NUMBER_TYPES.issuperset(map(type, values.values())):
-        name, value = next((k, v) for k, v in values.items() if type(v) not in _NUMBER_TYPES)
-        raise TypeError(f"{role}.{name}: expected a number, got {type(value).__name__} {value!r}")
-    return {name: float(value) for name, value in values.items()}
+def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list[tuple]:
+    """Each cell entry as a (cell_id, node_id, technology, predictors, configs)
+    row for ``RanGraph._join``: ids must be strings, attribute values numbers."""
 
-
-def _parse_cells(items: list[dict], source: str, configs_required: bool) -> list[CellRecord]:
-    def parse(item: dict) -> CellRecord:
+    def parse(item: dict) -> tuple:
         configs = item["configs"] if configs_required else item.get("configs", {})
-        cell_id, node_id, technology = texts = item["cell_id"], item["node_id"], item["technology"]
-        if type(cell_id) is not str or type(node_id) is not str or type(technology) is not str:
-            raise _not_strings(texts, ("cell_id", "node_id", "technology"))
-        return CellRecord(
-            cell_id=cell_id,
-            node_id=node_id,
-            technology=technology,
-            raw_predictors=_numbers(item["predictors"], "predictors"),
-            raw_configs=_numbers(configs, "configs"),
-        )
+        texts = item["cell_id"], item["node_id"], item["technology"]
+        check_types(texts, ("cell_id", "node_id", "technology"), _STRINGS, "a string")
+        values = [item["predictors"], configs]
+        for role, named in zip(("predictors", "configs"), values):
+            check_types(named.values(), (f"{role}.{name}" for name in named))
+        return (*texts, *({name: float(v) for name, v in named.items()} for named in values))
 
+    try:  # in bulk when every id is a string and every value a float; else entry by entry
+        get = (lambda c: c["configs"]) if configs_required else (lambda c: c.get("configs", {}))
+        rows = [(c["cell_id"], c["node_id"], c["technology"], c["predictors"], get(c)) for c in items]
+        *texts, predictors, configs = zip(*rows)
+        values = chain.from_iterable(map(dict.values, chain(predictors, configs)))
+        if _STRINGS.issuperset(map(type, chain(*texts))) and _FLOATS.issuperset(map(type, values)):
+            return rows
+    except (KeyError, TypeError, AttributeError, ValueError):
+        pass
     return _parse_entries(items, source, "cell", parse)
 
 
-def _parse_edges(items: list, source: str) -> list[tuple[str, str, str]]:
-    def parse(item: list) -> tuple[str, str, str]:
+def _parse_edges(items: list, source: str) -> list[list[str]]:
+    """The edge entries, each checked to be ``[cell_id, cell_id, kind]`` strings."""
+    if type(items) is list and {list}.issuperset(map(type, items)) and {3}.issuperset(map(len, items)):
+        if _STRINGS.issuperset(map(type, chain.from_iterable(items))):
+            return items  # in bulk; else entry by entry, naming the first bad one
+
+    def parse(item: list) -> list[str]:
         if type(item) is not list or len(item) != 3:
             raise NetworkFormatError("expected [cell_id, cell_id, kind]")
-        a, b, kind = item
-        if type(a) is not str or type(b) is not str or type(kind) is not str:
-            raise _not_strings((a, b, kind), ("endpoint 0", "endpoint 1", "kind"))
-        return a, b, kind
+        check_types(item, ("endpoint 0", "endpoint 1", "kind"), _STRINGS, "a string")
+        return item
 
     return _parse_entries(items, source, "edge", parse)
+
+
+def _edge_pairs(edges: Iterable[tuple[str, str, str]], row_of: Mapping[str, int]) -> np.ndarray:
+    """The listed (cell_id, cell_id, kind) edges as ``(row, row)`` pairs. Each edge
+    is checked in turn for a self loop, an unknown kind and an unknown cell."""
+    pairs = []
+    for a, b, kind in edges:
+        if a == b:
+            raise NetworkFormatError(f"self-loop edge on cell {a!r}")
+        if kind not in EDGE_KINDS:
+            raise NetworkFormatError(f"unknown edge kind {kind!r}")
+        pair = row_of.get(a), row_of.get(b)
+        if None in pair:
+            raise NetworkFormatError(f"edge references unknown cell {(b if pair[0] is not None else a)!r}")
+        pairs.append(pair)
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +668,17 @@ class NormalizationStats:
 
     @classmethod
     def from_json(cls, data: dict) -> "NormalizationStats":
-        """The stats ``to_json`` wrote; a non-finite ``min``, ``max`` or
-        ``observed`` value, or ``min > max``, names ``stats.<role>[i].<field>``."""
+        """The stats ``to_json`` wrote; a ``min``, ``max`` or ``observed`` value
+        that is not a finite JSON number, or ``min > max``, names
+        ``stats.<role>[i].<field>``."""
 
         def parse(role: str) -> tuple[SlotStats, ...]:
             slots = []
             for i, s in enumerate(data[role]):
-                slot = SlotStats(float(s["min"]), float(s["max"]), tuple(float(v) for v in s.get("observed", ())))
+                observed, where = s.get("observed", []), f"stats.{role}[{i}]."
+                names = (where + "min", where + "max", *[where + "observed"] * len(observed))
+                check_types([s["min"], s["max"], *observed], names)
+                slot = SlotStats(float(s["min"]), float(s["max"]), tuple(map(float, observed)))
                 for name, values in (("min", [slot.minimum]), ("max", [slot.maximum]), ("observed", slot.observed)):
                     bad = [v for v in values if not math.isfinite(v)]
                     if bad:
@@ -759,7 +782,7 @@ def extend_network(
     """A new graph with extra cells and edges; the original is untouched. It equals
     ``RanGraph`` over old and new together, errors included, but checks only what is new."""
     extended = copy.copy(graph)
-    extended._add(new_cells, new_edges)
+    extended._join(list(map(_RECORD_ROW, new_cells)), new_edges, "")
     return extended
 
 
@@ -774,5 +797,5 @@ def parse_cells_payload(
         raise NetworkFormatError(f"{source}: expected a JSON object")
     if "cells" not in data:
         raise NetworkFormatError(f"{source}: missing top-level key 'cells'")
-    cells = _parse_cells(data["cells"], source, configs_required=False)
-    return cells, _parse_edges(data.get("edges", []), source)
+    rows = _parse_cells(data["cells"], source, configs_required=False)
+    return list(starmap(CellRecord, rows)), _parse_edges(data.get("edges", []), source)

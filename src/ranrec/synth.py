@@ -13,7 +13,7 @@ attributes and is flagged as misconfigured in the ground truth.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import Mapping
 
@@ -248,45 +248,25 @@ def generate(spec: SynthSpec) -> tuple[RanGraph, GroundTruth]:
     clusters = _site_clusters(spec)
 
     records: list[CellRecord] = []
-    clean: dict[str, dict[str, float]] = {}
-    cell_cluster: dict[str, int] = {}
+    truth: dict[str, CellTruth] = {}
     for s, cluster in enumerate(clusters.tolist()):
         rng = substream(spec.seed, "site", s)
         node_id = f"N{s:03d}"
         for c, tech in enumerate(pattern):
-            cell_id = f"S{s:03d}C{c}"
-            record, clean[cell_id] = _make_cell(cell_id, node_id, tech, cluster, rng, spec.config_noise)
+            record, clean = _make_cell(f"S{s:03d}C{c}", node_id, tech, cluster, rng, spec.config_noise)
             records.append(record)
-            cell_cluster[cell_id] = cluster
+            truth[record.cell_id] = CellTruth(cluster=cluster, clean_configs=clean, corrupted=False)
 
-    # Misconfiguration injection: exact count, two attributes per cell.
-    all_ids = [r.cell_id for r in records]
-    n_corrupt = int(round(spec.misconfig_rate * len(all_ids)))
-    corrupt_rng = substream(spec.seed, "corrupt")
-    corrupted_ids = set()
-    if n_corrupt > 0:
-        picks = corrupt_rng.choice(len(all_ids), size=n_corrupt, replace=False)
-        corrupted_ids = {all_ids[i] for i in picks}
-    by_id = {r.cell_id: r for r in records}
-    for cid in sorted(corrupted_ids):
-        by_id[cid] = _apply_corruption(
-            by_id[cid], spec.misconfig_magnitude, substream(spec.seed, "corrupt", cid)
-        )
-    records = [by_id[r.cell_id] for r in records]
+    # Misconfiguration injection: exact count, two attributes per cell, each from its own substream.
+    n_corrupt = int(round(spec.misconfig_rate * len(records)))
+    picks = substream(spec.seed, "corrupt").choice(len(records), size=n_corrupt, replace=False) if n_corrupt else ()
+    for i in picks:
+        cid = records[i].cell_id
+        records[i] = _apply_corruption(records[i], spec.misconfig_magnitude, substream(spec.seed, "corrupt", cid))
+        truth[cid] = replace(truth[cid], corrupted=True)
 
-    edges = _inter_site_edges(spec, positions, pattern)
-    graph = RanGraph(schema=default_schema(), cells=records, edges=edges)
-    truth = GroundTruth(
-        cells={
-            cid: CellTruth(
-                cluster=cell_cluster[cid],
-                clean_configs=clean[cid],
-                corrupted=cid in corrupted_ids,
-            )
-            for cid in all_ids
-        }
-    )
-    return graph, truth
+    graph = RanGraph(schema=default_schema(), cells=records, edges=_inter_site_edges(spec, positions, pattern))
+    return graph, GroundTruth(cells=truth)
 
 
 def _apply_corruption(
@@ -298,13 +278,7 @@ def _apply_corruption(
     for i in sorted(int(p) for p in picks):
         cfg = designs[i]
         configs[cfg.name] = configs[cfg.name] + magnitude * (cfg.high - cfg.low)
-    return CellRecord(
-        cell_id=record.cell_id,
-        node_id=record.node_id,
-        technology=record.technology,
-        raw_predictors=record.raw_predictors,
-        raw_configs=configs,
-    )
+    return replace(record, raw_configs=configs)
 
 
 def _inter_site_edges(

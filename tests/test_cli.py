@@ -442,6 +442,13 @@ CHECKPOINT_CASES = [
     "stats_min_above_max",
     "stats_config_short",
     "stats_predictor_long",
+    # JSON type holes: a boolean or a numeric string is not a number.
+    "param_data_bool",
+    "param_data_string",
+    "stats_min_string",
+    "stats_max_bool",
+    "stats_observed_string",
+    "stats_min_huge",  # a JSON number beyond the float range
 ]
 # Top-level integers a hand edit may break: (key, value).
 CHECKPOINT_INTEGERS = [
@@ -473,6 +480,24 @@ def _corrupt_checkpoint(checkpoint: dict, case: str) -> str:
     if case == "stats_predictor_long":
         stats["predictor"].append(dict(stats["predictor"][-1]))
         return f"stats.predictor: {len(stats['predictor'])} slots, but the schema's predictor layout has"
+    if case in ("param_data_bool", "param_data_string"):
+        tensor = checkpoint["params"][2]
+        tensor["data"][3] = True if case.endswith("bool") else str(tensor["data"][3])
+        got = "bool True" if case.endswith("bool") else f"str {tensor['data'][3]!r}"
+        return f"checkpoint tensor {tensor['name']!r}: data[3]: expected a number, got {got}"
+    if case == "stats_min_string":
+        stats["predictor"][1]["min"] = str(stats["predictor"][1]["min"])
+        return f"stats.predictor[1].min: expected a number, got str {stats['predictor'][1]['min']!r}"
+    if case == "stats_max_bool":
+        stats["config"][0]["max"] = True
+        return "stats.config[0].max: expected a number, got bool True"
+    if case == "stats_min_huge":
+        stats["predictor"][1]["min"] = 10**400
+        return "int too large to convert to float"
+    if case == "stats_observed_string":
+        slot = next(i for i, s in enumerate(stats["config"]) if "observed" in s)
+        stats["config"][slot]["observed"][-1] = "0.5"
+        return f"stats.config[{slot}].observed: expected a number, got str '0.5'"
     if isinstance(case, tuple):
         key, value = case
         checkpoint[key] = value

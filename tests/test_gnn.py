@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,26 @@ class TestCheckpoint:
         tensor = payload["params"][1]
         tensor["data"] = tensor["data"][:-1] if data == "short" else data
         with pytest.raises(ValueError, match=f"checkpoint tensor '{tensor['name']}'"):
+            Checkpoint.from_json(payload, schema=schema)
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("part", ["encoder", "decoder"])
+    def test_non_number_parameter_rejected(self, value, part):
+        schema = small_schema()
+        arch = tiny_arch(in_dim=schema.predictor_dim)
+        payload = Checkpoint(
+            model="gae",
+            arch=arch,
+            seed=3,
+            schema_digest=schema_hash(schema),
+            stats=self._stats(),
+            encoder=init_encoder(arch, seed=3),
+            decoder=init_decoder(arch, seed=3),
+        ).to_json()
+        tensor = (payload["params"] if part == "encoder" else payload["decoder"]["params"])[1]
+        tensor["data"][2] = value
+        message = f"checkpoint tensor '{tensor['name']}': data[2]: expected a number, got {type(value).__name__}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             Checkpoint.from_json(payload, schema=schema)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -20,6 +20,8 @@ from ranrec.graph import (
     feature_map,
     fit_normalization,
     load_network,
+    network_from_json,
+    parse_cells_payload,
 )
 
 from conftest import lte_cell, nr_cell, small_schema
@@ -395,6 +397,10 @@ def _snapshot(graph: RanGraph) -> tuple:
         {cid: graph.neighbors(cid) for cid in graph.row_of},
         graph.indptr.tolist(),
         graph.indices.tolist(),
+        # Node codes and id ranks, merged on extension, equal those of a build from scratch.
+        graph._node.tolist(),
+        graph._by_id.tolist(),
+        graph._rank.tolist(),
     )
 
 
@@ -632,3 +638,105 @@ class TestColumns:
         columns["edges"] = np.concatenate([columns["edges"], columns["edges"][:, ::-1]])
         with pytest.raises(NetworkFormatError, match=re.escape("edges: edge 1 repeats an earlier pair: [2, 0]")):
             RanGraph.from_columns(schema, columns)
+
+
+class TestNetworkJson:
+    """Network JSON and new-cells requests take the one column path."""
+
+    @pytest.mark.parametrize("sites", [1, 6, 50, 200, 800])
+    def test_synth_network_round_trips(self, sites):
+        from ranrec.synth import SynthSpec, generate
+
+        graph, _ = generate(SynthSpec(sites=sites, seed=sites))
+        written = graph.to_json()
+        parsed = network_from_json(json.loads(json.dumps(written)))
+        _same_graph(parsed, graph)
+        assert json.dumps(parsed.to_json(), indent=1) == json.dumps(written, indent=1)
+
+    @pytest.mark.parametrize("sites", [6, 50])
+    def test_new_cells_request_equals_full_parse(self, sites):
+        from ranrec.synth import SynthSpec, generate, synthesize_expansion, synthesize_greenfield
+
+        spec = SynthSpec(sites=sites, seed=sites)
+        graph, truth = generate(spec)
+        cells, edges, _ = synthesize_greenfield(graph, truth, spec, 2, 5)
+        more, _, _ = synthesize_expansion(graph, truth, spec, 4, 5)
+        fields = ("cell_id", "node_id", "technology")
+        request = {
+            "cells": [{**{f: getattr(c, f) for f in fields}, "predictors": dict(c.raw_predictors)} for c in cells + more],
+            "edges": [list(e) for e in edges],
+        }
+        network = json.loads(json.dumps(graph.to_json()))
+        extended = extend_network(network_from_json(network), *parse_cells_payload(json.loads(json.dumps(request))))
+        network["cells"] += [{**cell, "configs": {}} for cell in request["cells"]]
+        network["edges"] += request["edges"]
+        _same_graph(extended, network_from_json(network))
+
+
+def _faulty_network(*faults: tuple[int, str]) -> dict:
+    """A six-cell network with each (entry, fault) of ``faults`` applied."""
+    payload = {
+        "schema": small_schema().to_json(),
+        "cells": [
+            {
+                "cell_id": f"c{i}",
+                "node_id": f"n{i}",
+                "technology": "LTE" if i % 2 else "NR",
+                "predictors": {"bw": 10.0, "chan": 100.0 + i},
+                "configs": {"power": -100.0, "preamble": -120.0},
+            }
+            for i in range(6)
+        ],
+        "edges": [["c0", "c1", "inter_node"]],
+    }
+    for entry, fault in faults:
+        cell = payload["cells"][entry]
+        if fault == "nan":
+            cell["predictors"]["chan"] = math.nan
+        elif fault == "missing":
+            del cell["configs"]["power"]
+        elif fault == "duplicate":
+            cell["cell_id"] = "c0"
+        elif fault == "technology":
+            cell["technology"] = "GSM"
+        elif fault == "bool":
+            cell["predictors"]["bw"] = True
+    return payload
+
+
+class TestFirstFault:
+    """With faults in two entries, the lower entry is named, whatever the two
+    faults are; only a malformed entry (a wrong JSON type) comes first, as the
+    file is read."""
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ([(2, "nan"), (4, "nan")], "cell entry 2: cell 'c2': predictor 'chan' is nan, not a finite number"),
+            ([(2, "missing"), (4, "missing")], "cell entry 2: cell 'c2': missing config attributes ['power']"),
+            ([(2, "nan"), (4, "missing")], "cell entry 2: cell 'c2': predictor 'chan' is nan, not a finite number"),
+            ([(2, "missing"), (4, "nan")], "cell entry 2: cell 'c2': missing config attributes ['power']"),
+            ([(2, "duplicate"), (4, "missing")], "cell entry 2: duplicate cell_id 'c0'"),
+            ([(2, "nan"), (4, "technology")], "cell entry 2: cell 'c2': predictor 'chan' is nan, not a finite number"),
+            ([(2, "technology"), (4, "duplicate")], "cell entry 2: cell 'c2': unknown technology 'GSM'"),
+            ([(2, "nan"), (2, "missing")], "cell entry 2: cell 'c2': missing config attributes ['power']"),
+            ([(2, "nan"), (4, "bool")], "cell entry 4: predictors.bw: expected a number, got bool True"),
+        ],
+    )
+    def test_names_the_lower_entry(self, faults, message):
+        with pytest.raises(NetworkFormatError) as info:
+            network_from_json(_faulty_network(*faults), source="net.json")
+        assert str(info.value) == f"net.json: {message}"
+
+    @pytest.mark.parametrize("faults", [[(2, "nan"), (4, "missing")], [(2, "duplicate"), (4, "nan")]])
+    def test_records_name_the_same_cell(self, faults):
+        # The constructor and extend_network check records the same way, without entry indices.
+        cells = [CellRecord(c["cell_id"], c["node_id"], c["technology"], c["predictors"], c["configs"])
+                 for c in _faulty_network(*faults)["cells"]]
+        with pytest.raises(NetworkFormatError) as parsed:
+            network_from_json(_faulty_network(*faults))
+        with pytest.raises(NetworkFormatError) as built:
+            RanGraph(small_schema(), cells)
+        with pytest.raises(NetworkFormatError) as extended:
+            extend_network(RanGraph(small_schema(), cells[:1]), cells[1:])
+        assert str(built.value) == str(extended.value) == str(parsed.value).split(": ", 2)[2]
