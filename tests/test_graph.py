@@ -720,6 +720,8 @@ class TestFirstFault:
             ([(2, "nan"), (4, "technology")], "cell entry 2: cell 'c2': predictor 'chan' is nan, not a finite number"),
             ([(2, "technology"), (4, "duplicate")], "cell entry 2: cell 'c2': unknown technology 'GSM'"),
             ([(2, "nan"), (2, "missing")], "cell entry 2: cell 'c2': missing config attributes ['power']"),
+            ([(2, "duplicate"), (2, "missing")], "cell entry 2: cell 'c0': missing config attributes ['power']"),
+            ([(2, "duplicate"), (2, "nan")], "cell entry 2: duplicate cell_id 'c0'"),
             ([(2, "nan"), (4, "bool")], "cell entry 4: predictors.bw: expected a number, got bool True"),
         ],
     )
