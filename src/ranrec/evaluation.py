@@ -178,24 +178,23 @@ def compare_models(graph: RanGraph, config: RunConfig) -> ComparisonResult:
     train_ids = [graph.cell_ids[i] for i in train_idx]
     stats = fit_normalization(graph, train_ids)
     dataset = build_dataset(graph, stats, config.sampler())
-    train_entries = [dataset[i] for i in train_idx]
+    # Per-cell substreams make these subgraphs equal to the dataset's train rows.
+    sample_train = lambda epoch=None: build_dataset(graph, stats, config.sampler(), epoch, train_ids)  # noqa: E731
+    train_set = sample_train()
+    provider = sample_train if config.resample_per_epoch else None  # per-epoch resampled train subgraphs
     arch = config.arch(graph.schema.predictor_dim)
-    provider = None
-    if config.resample_per_epoch:  # per-epoch resampled train entries
-        sampling = config.sampler()
-        provider = lambda epoch: build_dataset(graph, stats, sampling, epoch=epoch, cells=train_ids)  # noqa: E731
 
     encoders: dict[str, GatStack] = {"untrained": init_encoder(arch, config.seed)}
     reports: dict[str, TrainReport | None] = {"untrained": None}
     encoders["sgnn"], reports["sgnn"] = train_sgnn(
-        train_entries, arch, config.training, provider
+        train_set, arch, config.training, provider
     )
     encoders["gae"], _, reports["gae"] = train_gae(
-        train_entries, arch, config.training, provider
+        train_set, arch, config.training, provider
     )
 
-    ids = tuple(e.subgraph.center for e in dataset)
-    targets = np.stack([e.target for e in dataset])
+    ids = tuple(dataset.centers)
+    targets = dataset.targets
     models = []
     for model in MODELS:
         rows = encode_centers(encoders[model], dataset)

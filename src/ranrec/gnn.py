@@ -17,14 +17,14 @@ import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .autodiff import EdgeList, Node, Parameter, Tape
 from .graph import ROLES, SETTING_TYPES, AttributeSchema, NormalizationStats, check_types, require, settings_from
 from .rng import substream
-from .sampler import Subgraph
+from .sampler import SubgraphSet
 
 
 @dataclass(frozen=True)
@@ -156,52 +156,10 @@ def init_decoder(arch: ArchConfig, seed: int) -> GatStack:
 # ---------------------------------------------------------------------------
 # Forward passes
 #
-# Subgraphs of any sizes batch into one computation: their feature rows
-# stack into (V, in_dim), their edges into one edge list over those rows,
-# and every op below works per edge or per row, so one tape node covers the
-# whole batch.
-
-
-@dataclass(frozen=True)
-class SubgraphBatch:
-    """Subgraphs stacked for one forward pass, each subgraph's rows centre first.
-
-    ``edges`` holds every vertex's in-edges, self loops included;
-    ``center_edges`` only those into centres, with destination ``i`` the
-    centre of subgraph ``i``. Feature rows are stacked on each use, so a
-    batch kept between passes holds little beyond its edges.
-    """
-
-    subgraphs: tuple[Subgraph, ...]
-    sizes: np.ndarray
-    edges: EdgeList
-    center_edges: EdgeList
-
-    @property
-    def centers(self) -> np.ndarray:
-        """Row of each subgraph's centre."""
-        return np.cumsum(self.sizes) - self.sizes
-
-    @property
-    def features(self) -> np.ndarray:
-        return np.concatenate([s.features for s in self.subgraphs])
-
-
-def stack_subgraphs(subgraphs: Sequence[Subgraph]) -> SubgraphBatch:
-    """Stack subgraphs into one batch, building its edge lists in one pass."""
-    sizes = np.array([s.size for s in subgraphs], dtype=np.intp)
-    offsets = np.cumsum(sizes) - sizes
-    v = int(sizes.sum())
-    counts = [s.edges.shape[0] for s in subgraphs]
-    pairs = np.concatenate([np.empty((0, 2), dtype=np.intp), *(s.edges for s in subgraphs)])
-    i, j = (pairs + np.repeat(offsets, counts)[:, None]).T
-    # Edge j -> i has key i * v + j: sorted keys order by destination, then source.
-    keys = np.sort(np.concatenate([i * v + j, j * v + i, np.arange(v) * (v + 1)]))
-    dst, src = np.divmod(keys[np.diff(keys, prepend=-1) > 0], v)  # a listed pair counts once
-    owner = np.repeat(np.arange(sizes.shape[0]), sizes)  # subgraph of each row
-    into_center = dst == offsets[owner[dst]]
-    center_edges = EdgeList(src[into_center], owner[dst[into_center]], v)
-    return SubgraphBatch(tuple(subgraphs), sizes, EdgeList(src, dst, v), center_edges)
+# Subgraphs of any sizes batch into one computation: a ``SubgraphSet``
+# stacks their feature rows into (V, in_dim) and its edge lists run over
+# those rows, and every op below works per edge or per row, so one tape
+# node covers the whole set.
 
 
 def layer_forward(
@@ -231,38 +189,39 @@ def layer_forward(
     return tape.add(tape.matmul(hidden, tape.param(layer.W2)), tape.param(layer.b2))
 
 
-def _stack_forward(tape: Tape, stack: GatStack, h: Node, batch: SubgraphBatch, centers: bool) -> Node:
+def _stack_forward(tape: Tape, stack: GatStack, h: Node, group: SubgraphSet, centers: bool) -> Node:
     """Every layer over every edge; with ``centers``, the last layer keeps only
     the edges into centres and outputs one row per subgraph."""
+    edges, center_edges = group.edge_lists
     for layer in stack.layers[:-1]:
-        h = layer_forward(tape, layer, h, batch.edges, stack.slope)
+        h = layer_forward(tape, layer, h, edges, stack.slope)
     if centers:
-        return layer_forward(tape, stack.layers[-1], h, batch.center_edges, stack.slope, batch.centers)
-    return layer_forward(tape, stack.layers[-1], h, batch.edges, stack.slope)
+        return layer_forward(tape, stack.layers[-1], h, center_edges, stack.slope, group.vptr[:-1])
+    return layer_forward(tape, stack.layers[-1], h, edges, stack.slope)
 
 
 def encode_group_on_tape(
-    tape: Tape, stack: GatStack, batch: SubgraphBatch, centers: bool = False
+    tape: Tape, stack: GatStack, group: SubgraphSet, centers: bool = False
 ) -> Node:
-    """Embeddings of a batch: every vertex's rows, or with ``centers`` one
-    centre row per subgraph, in subgraph order."""
-    features = batch.features
+    """Embeddings of a set of subgraphs: every vertex's rows, or with
+    ``centers`` one centre row per subgraph, in subgraph order."""
+    features = group.features
     if features.shape[1] != stack.in_dim:
         raise ValueError(
             f"subgraph features have {features.shape[1]} columns, encoder expects {stack.in_dim}"
         )
-    return _stack_forward(tape, stack, tape.const(features), batch, centers)
+    return _stack_forward(tape, stack, tape.const(features), group, centers)
 
 
-def decode_group_on_tape(tape: Tape, stack: GatStack, batch: SubgraphBatch, z: Node) -> Node:
-    if z.shape != (int(batch.sizes.sum()), stack.in_dim):
+def decode_group_on_tape(tape: Tape, stack: GatStack, group: SubgraphSet, z: Node) -> Node:
+    if z.shape != (int(group.vptr[-1]), stack.in_dim):
         raise ValueError(f"embedding matrix shape {z.shape} does not match decoder input")
-    return _stack_forward(tape, stack, z, batch, centers=False)
+    return _stack_forward(tape, stack, z, group, centers=False)
 
 
-def encode(stack: GatStack, subgraph: Subgraph) -> np.ndarray:
-    """The centre cell's embedding, shape (d,)."""
-    return encode_group_on_tape(Tape(), stack, stack_subgraphs([subgraph]), centers=True).value[0]
+def encode(stack: GatStack, subgraph: SubgraphSet) -> np.ndarray:
+    """The centre cell's embedding of a set of one subgraph, shape (d,)."""
+    return encode_group_on_tape(Tape(), stack, subgraph, centers=True).value[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +273,14 @@ def _load_stack(arch: ArchConfig, kind: str, in_dim: int, out_dim: int, items: l
     return _build_stack(arch, _stack_shapes(arch, kind, in_dim, out_dim), read)
 
 
+CHECKPOINT_MODELS = ("sgnn", "gae", "untrained")
+
+
 @dataclass
 class Checkpoint:
     """Serializable trained model: encoder, optional decoder, preprocessing."""
 
-    model: str  # "sgnn" | "gae" | "untrained"
+    model: str  # one of CHECKPOINT_MODELS
     arch: ArchConfig
     seed: int
     schema_digest: str
@@ -346,6 +308,8 @@ class Checkpoint:
     def from_json(cls, data: dict, schema: AttributeSchema | None = None) -> "Checkpoint":
         """Rebuild a checkpoint; a malformed one raises ``KeyError`` or ``ValueError``."""
         try:
+            model = data["model"]
+            require(model in CHECKPOINT_MODELS, "model", f"expected one of {CHECKPOINT_MODELS}, got {model!r}")
             digest = str(data["schema_hash"])
             if schema is not None and schema_hash(schema) != digest:
                 raise ValueError("checkpoint schema hash does not match the network schema")
@@ -365,4 +329,4 @@ class Checkpoint:
             raise ValueError(str(exc)) from exc
         if fanout < 1:
             raise ValueError(f"sampler_fanout must be >= 1, got {fanout}")
-        return cls(str(data["model"]), arch, seed, digest, stats, encoder, decoder, fanout)
+        return cls(model, arch, seed, digest, stats, encoder, decoder, fanout)

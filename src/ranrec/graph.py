@@ -127,13 +127,10 @@ class AttributeSchema:
     @classmethod
     def from_json(cls, data: list[dict], source: str = "<memory>") -> "AttributeSchema":
         def parse(item: dict) -> AttributeSpec:
-            return AttributeSpec(
-                name=str(item["name"]),
-                technology=str(item["technology"]),
-                role=str(item["role"]),
-                kind=str(item["kind"]),
-                aggregation=item.get("aggregation"),
-            )
+            fields = ("name", "technology", "role", "kind", *(("aggregation",) if "aggregation" in item else ()))
+            values = [item[field] for field in fields]
+            check_types(values, fields, _STRINGS, "a string")
+            return AttributeSpec(*values)
 
         return cls(entries=tuple(_parse_entries(data, source, "schema", parse)))
 
@@ -147,9 +144,6 @@ class CellRecord:
     technology: str
     raw_predictors: Mapping[str, float]
     raw_configs: Mapping[str, float]
-
-    def raw_values(self, role: str) -> Mapping[str, float]:
-        return self.raw_predictors if role == "predictor" else self.raw_configs
 
 
 # The one converter from records to the rows ``RanGraph._join`` reads.

@@ -31,7 +31,7 @@ from .graph import (
     extend_network,
     feature_map,
 )
-from .sampler import DatasetEntry, SamplerConfig, Subgraph, build_dataset
+from .sampler import SamplerConfig, SubgraphSet, build_dataset
 from .training import encode_centers
 
 
@@ -95,15 +95,15 @@ class EmbeddingStore:
         self.extend([cell_id], np.reshape(z, (1, -1)), np.reshape(y, (1, -1)))
 
 
-def embed_entries(store: EmbeddingStore, entries: Sequence[DatasetEntry]) -> EmbeddingStore:
-    """Append the center cell of every entry, embedded in batch, with its target."""
-    rows = encode_centers(store.encoder, entries)
-    store.extend([e.subgraph.center for e in entries], rows, np.stack([e.target for e in entries]))
+def embed_entries(store: EmbeddingStore, subgraphs: SubgraphSet) -> EmbeddingStore:
+    """Append the centre cell of every subgraph, embedded in batch, with its target."""
+    rows = encode_centers(store.encoder, subgraphs)
+    store.extend(subgraphs.centers, rows, subgraphs.targets)
     return store
 
 
-def embed_new_cell(store: EmbeddingStore, subgraph: Subgraph) -> np.ndarray:
-    """Embed a cell from its subgraph; the store itself is not modified."""
+def embed_new_cell(store: EmbeddingStore, subgraph: SubgraphSet) -> np.ndarray:
+    """Embed a cell from its subgraph, a set of one; the store itself is not modified."""
     return encode(store.encoder, subgraph)
 
 
@@ -203,8 +203,8 @@ def encode_new_cells(
     cell's subgraph of the extended network is sampled and all are encoded
     in one batch."""
     augmented = extend_network(graph, new_cells, new_edges)
-    entries = build_dataset(augmented, stats, sampler_cfg, cells=[cell.cell_id for cell in new_cells])
-    return encode_centers(encoder, entries)
+    subgraphs = build_dataset(augmented, stats, sampler_cfg, cells=[cell.cell_id for cell in new_cells])
+    return encode_centers(encoder, subgraphs)
 
 
 def recommend_cells(

@@ -4,16 +4,19 @@ Each cell yields one subgraph: the cell itself plus a uniform sample (no
 replacement) of at most ``fanout`` of its direct neighbors, with all edges
 induced on those vertices. Feature rows are the normalized predictor
 vectors, center row first. Sampling is deterministic per (seed, cell id).
-All subgraphs of a call come out of one array pass over the graph's CSR rows.
+All subgraphs of a call come out of one array pass over the graph's CSR rows,
+stacked in one ``SubgraphSet``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .autodiff import EdgeList
 from .graph import FeatureMatrix, NormalizationStats, RanGraph, feature_map
 from .rng import substream
 
@@ -29,43 +32,71 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Subgraph:
-    """A center cell, its sampled neighbors, and the induced edges.
+class SubgraphSet:
+    """Sampled subgraphs stacked in shared arrays, one per centre cell.
 
-    ``rows`` holds the vertices' graph rows, the center first, then the
-    sampled neighbors in draw order; local vertex ``k`` is ``rows[k]``.
-    ``edges`` is an ``(m, 2)`` array of local index pairs ``(i, j)`` with
-    ``i < j``, sorted. ``features`` has one predictor-vector row per vertex,
-    center row first. ``cell_ids`` names the graph's rows. The arrays are
-    read-only views into arrays shared by every subgraph of one sampling call.
+    Subgraph ``i`` has the vertices ``vptr[i]:vptr[i + 1]``: ``rows`` holds
+    their graph rows, the centre first, then the sampled neighbors in draw
+    order, and ``features`` one predictor-vector row each. Its edges are
+    ``edges[eptr[i]:eptr[i + 1]]``, local vertex pairs ``(i, j)`` with
+    ``i < j``, sorted. ``targets`` holds each centre's normalized config
+    vector; ``cell_ids`` names the graph's rows. ``subgraphs[a:b]`` is the
+    set of subgraphs ``a`` to ``b - 1``: views, with re-based pointers.
     """
 
     rows: np.ndarray
+    vptr: np.ndarray
     edges: np.ndarray
+    eptr: np.ndarray
     features: np.ndarray
+    targets: np.ndarray
     cell_ids: Sequence[str]
 
-    @property
-    def center(self) -> str:
-        return self.cell_ids[self.rows[0]]
+    def __len__(self) -> int:
+        return self.vptr.shape[0] - 1
+
+    def __getitem__(self, index: slice) -> "SubgraphSet":
+        a, b, _ = index.indices(len(self))
+        v, e = self.vptr[a : b + 1], self.eptr[a : b + 1]
+        rows, edges = slice(v[0], v[-1]), slice(e[0], e[-1])
+        return SubgraphSet(
+            self.rows[rows], v - v[0], self.edges[edges], e - e[0], self.features[rows], self.targets[a:b], self.cell_ids
+        )
 
     @property
-    def neighbors(self) -> tuple[str, ...]:
-        return tuple(map(self.cell_ids.__getitem__, self.rows[1:].tolist()))
+    def centers(self) -> list[str]:
+        """Each subgraph's centre cell id."""
+        return [self.cell_ids[row] for row in self.rows[self.vptr[:-1]].tolist()]
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(map(self.cell_ids.__getitem__, self.rows.tolist()))
+    @cached_property
+    def edge_lists(self) -> tuple[EdgeList, EdgeList]:
+        """Every vertex's in-edges, self loops included, and only those into
+        centres, destination ``i`` the centre of subgraph ``i``; both over the
+        stacked vertex rows. Built on first use."""
+        v = int(self.vptr[-1])
+        i, j = (self.edges + np.repeat(self.vptr[:-1], np.diff(self.eptr))[:, None]).T
+        # Edge j -> i has key i * v + j: sorted keys order by destination, then source.
+        keys = np.sort(np.concatenate([i * v + j, j * v + i, np.arange(v) * (v + 1)]))
+        dst, src = np.divmod(keys[np.diff(keys, prepend=-1) > 0], v)  # a listed pair counts once
+        owner = np.repeat(np.arange(len(self)), np.diff(self.vptr))  # subgraph of each row
+        into_center = dst == self.vptr[owner[dst]]
+        return EdgeList(src, dst, v), EdgeList(src[into_center], owner[dst[into_center]], v)
 
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
 
-
-@dataclass(frozen=True)
-class DatasetEntry:
-    subgraph: Subgraph
-    target: np.ndarray  # normalized config vector of the center cell
+def stack_subgraphs(sets: Sequence[SubgraphSet]) -> SubgraphSet:
+    """The subgraphs of ``sets`` in order as one set; each set's graph rows
+    are numbered after those of the sets before it."""
+    cat = np.concatenate
+    first_row = np.cumsum([0] + [len(s.cell_ids) for s in sets])
+    return SubgraphSet(
+        cat([s.rows + r for s, r in zip(sets, first_row)]),
+        cat([[0], *(np.diff(s.vptr) for s in sets)]).cumsum(),
+        cat([s.edges for s in sets]),
+        cat([[0], *(np.diff(s.eptr) for s in sets)]).cumsum(),
+        cat([s.features for s in sets]),
+        cat([s.targets for s in sets]),
+        tuple(cid for s in sets for cid in s.cell_ids),
+    )
 
 
 # CSR entries gathered per block of subgraphs while finding induced edges:
@@ -113,8 +144,8 @@ def _induced_edges(
 
 def _sample(
     graph: RanGraph, centers: np.ndarray, fanout: int, features: FeatureMatrix, rng_of: Callable[[int], np.random.Generator]
-) -> list[Subgraph]:
-    """The subgraph of each graph row of ``centers``. ``rng_of(i)`` gives the
+) -> SubgraphSet:
+    """The subgraphs of the graph rows ``centers``, in order. ``rng_of(i)`` gives the
     generator of ``centers[i]``; it is asked for only when that centre has
     more than ``fanout`` neighbours, the only case that draws."""
     indptr, indices = graph.indptr, graph.indices
@@ -133,11 +164,10 @@ def _sample(
     rows[vptr[:-1]] = centers
     rows[local > 0] = indices[np.repeat(start, k) + position]
     edges, eptr = _induced_edges(graph, rows, local, vptr)
-    x = features.x[rows]
-    for array in (rows, edges, x):
+    subgraphs = SubgraphSet(rows, vptr, edges, eptr, features.x[rows], features.y[centers], graph.cell_ids)
+    for array in (rows, vptr, edges, eptr, subgraphs.features, subgraphs.targets):
         array.flags.writeable = False
-    ids, v, e = graph.cell_ids, vptr.tolist(), eptr.tolist()
-    return [Subgraph(rows[a:b], edges[c:d], x[a:b], ids) for a, b, c, d in zip(v[:-1], v[1:], e[:-1], e[1:])]
+    return subgraphs
 
 
 def sample_subgraph(
@@ -146,15 +176,15 @@ def sample_subgraph(
     cfg: SamplerConfig,
     features: FeatureMatrix,
     rng: np.random.Generator | None = None,
-) -> Subgraph:
-    """Sample one subgraph around ``center``.
+) -> SubgraphSet:
+    """Sample one subgraph around ``center``: a set of one.
 
     ``rng`` defaults to the substream derived from (cfg.seed, center), so
     repeated calls return the identical subgraph.
     """
     row = graph._row(center)  # raises on unknown id
     rng_of = lambda _: substream(cfg.seed, "subgraph", center) if rng is None else rng  # noqa: E731
-    return _sample(graph, np.array([row], dtype=np.intp), cfg.fanout, features, rng_of)[0]
+    return _sample(graph, np.array([row], dtype=np.intp), cfg.fanout, features, rng_of)
 
 
 def build_dataset(
@@ -163,20 +193,19 @@ def build_dataset(
     cfg: SamplerConfig,
     epoch: int | None = None,
     cells: Sequence[str] | None = None,
-) -> list[DatasetEntry]:
-    """One entry per cell of ``cells``, by default every cell in graph row order.
+) -> SubgraphSet:
+    """The subgraph of each cell of ``cells``, by default every cell in graph row order.
 
     ``epoch`` perturbs the per-cell sampling substreams; it is only used when
-    per-epoch resampling is enabled. An entry equals ``sample_subgraph`` of
-    its cell with that cell's substream.
+    per-epoch resampling is enabled. Each subgraph equals ``sample_subgraph``
+    of its cell with that cell's substream.
     """
     features = feature_map(graph, stats)
     ids = graph.cell_ids
     centers = np.arange(len(ids)) if cells is None else np.array([graph._row(cid) for cid in cells], dtype=np.intp)
     tokens = () if epoch is None else ("epoch", epoch)
     rng_of = lambda i: substream(cfg.seed, "subgraph", ids[centers[i]], *tokens)  # noqa: E731
-    subgraphs = _sample(graph, centers, cfg.fanout, features, rng_of)
-    return [DatasetEntry(sub, target) for sub, target in zip(subgraphs, features.y[centers])]
+    return _sample(graph, centers, cfg.fanout, features, rng_of)
 
 
 def split_indices(n: int, test_fraction: float, seed: int) -> tuple[list[int], list[int]]:

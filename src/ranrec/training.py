@@ -29,16 +29,14 @@ from .autodiff import Node, Parameter, Tape
 from .gnn import (
     ArchConfig,
     GatStack,
-    SubgraphBatch,
     decode_group_on_tape,
     encode_group_on_tape,
     init_decoder,
     init_encoder,
-    stack_subgraphs,
 )
 from .graph import require
 from .rng import substream
-from .sampler import DatasetEntry, _runs
+from .sampler import SubgraphSet, _runs
 
 logger = logging.getLogger(__name__)
 
@@ -263,7 +261,7 @@ def pair_loss_on_tape(
     return tape.mean(tape.add(pull, push))
 
 
-DatasetProvider = Callable[[int], Sequence[DatasetEntry]]
+DatasetProvider = Callable[[int], SubgraphSet]
 
 
 # Edge rows per encoding group (self loops included): about 22 subgraphs at
@@ -272,53 +270,51 @@ DatasetProvider = Callable[[int], Sequence[DatasetEntry]]
 ENCODE_GROUP_EDGES = 1024
 
 
-def _batches(entries: Sequence[DatasetEntry]) -> Iterator[tuple[slice, SubgraphBatch]]:
-    """Consecutive runs of entries of at most ``ENCODE_GROUP_EDGES`` edge rows
-    (at least one entry each), stacked as they are reached."""
-    rows = np.cumsum([0] + [e.subgraph.size + 2 * e.subgraph.edges.shape[0] for e in entries])
-    for a, b in _runs(rows, ENCODE_GROUP_EDGES):
-        yield slice(a, b), stack_subgraphs([e.subgraph for e in entries[a:b]])
+def _groups(subgraphs: SubgraphSet) -> Iterator[tuple[slice, SubgraphSet]]:
+    """Consecutive slices of the set of at most ``ENCODE_GROUP_EDGES`` edge
+    rows (self loops and both directions of each edge; one subgraph at least)."""
+    for a, b in _runs(subgraphs.vptr + 2 * subgraphs.eptr, ENCODE_GROUP_EDGES):
+        yield slice(a, b), subgraphs[a:b]
 
 
-def encode_centers_on_tape(tape: Tape, encoder: GatStack, batch: SubgraphBatch) -> Node:
-    """Centre embeddings of a batch, one row per subgraph; the last layer runs
+def encode_centers_on_tape(tape: Tape, encoder: GatStack, group: SubgraphSet) -> Node:
+    """Centre embeddings of a set, one row per subgraph; the last layer runs
     over the edges into centres only."""
-    return encode_group_on_tape(tape, encoder, batch, centers=True)
+    return encode_group_on_tape(tape, encoder, group, centers=True)
 
 
 def encode_centers(
     encoder: GatStack,
-    entries: Sequence[DatasetEntry],
-    batches: Iterable[tuple[slice, SubgraphBatch]] | None = None,
+    subgraphs: SubgraphSet,
+    groups: Iterable[tuple[slice, SubgraphSet]] | None = None,
 ) -> np.ndarray:
-    """Eager center embeddings for a dataset, one row per entry.
+    """Eager centre embeddings of a set, one row per subgraph.
 
-    Each encoding group runs on a fresh tape; ``batches`` are the entries'
-    groups when already built. The forward pass is batch-invariant, so
-    every row equals ``encode`` of that entry's subgraph alone.
+    Each encoding group runs on a fresh tape; ``groups`` are the set's
+    groups when already cut. The forward pass is batch-invariant, so every
+    row equals ``encode`` of that subgraph alone.
     """
-    out = np.empty((len(entries), encoder.out_dim))
-    for rows, batch in _batches(entries) if batches is None else batches:
-        out[rows] = encode_centers_on_tape(Tape(), encoder, batch).value
+    out = np.empty((len(subgraphs), encoder.out_dim))
+    for rows, group in _groups(subgraphs) if groups is None else groups:
+        out[rows] = encode_centers_on_tape(Tape(), encoder, group).value
     return out
 
 
 def _fit(
-    entries: Sequence[DatasetEntry],
+    subgraphs: SubgraphSet,
     params: Sequence[Parameter],
     cfg: TrainingConfig,
     provider: DatasetProvider | None,
-    step: Callable[[list[DatasetEntry], int], float],
+    step: Callable[[SubgraphSet, int], float],
     label: str,
 ) -> TrainReport:
-    """One Adam step per epoch on the gradient ``step(entries, epoch)`` adds up.
+    """One Adam step per epoch on the gradient ``step(subgraphs, epoch)`` adds up.
 
     ``step`` returns the epoch's loss and adds its gradient into the zeroed
-    ``grad`` of every parameter. A ``provider`` may substitute
-    re-sampled entries from the second epoch on.
+    ``grad`` of every parameter. A ``provider`` may substitute a
+    re-sampled set from the second epoch on.
     """
-    entries = list(entries)
-    if len(entries) < 2:
+    if len(subgraphs) < 2:
         raise ValueError("training needs at least 2 dataset entries")
     started = time.perf_counter()
     adam = Adam(params, cfg.learning_rate)
@@ -327,10 +323,10 @@ def _fit(
     for epoch in range(cfg.epochs):
         epoch_started = time.perf_counter()
         if provider is not None and epoch > 0:
-            entries = list(provider(epoch))
+            subgraphs = provider(epoch)
         for p in params:
             p.grad = np.zeros_like(p.value)
-        loss = step(entries, epoch)
+        loss = step(subgraphs, epoch)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"{label} training diverged: non-finite loss {loss} at epoch {epoch}"
@@ -349,7 +345,7 @@ def _fit(
 
 
 def contrastive_step(
-    encoder: GatStack, entries: Sequence[DatasetEntry], cfg: TrainingConfig, epoch: int
+    encoder: GatStack, subgraphs: SubgraphSet, cfg: TrainingConfig, epoch: int
 ) -> float:
     """One epoch's mean pair loss; adds its gradient into the encoder's ``grad``.
 
@@ -357,42 +353,41 @@ def contrastive_step(
     embeddings ``z``. Each encoding group's forward pass then runs again on
     a fresh tape, which backpropagates that group's rows of ``dL/dz``.
     """
-    batches = list(_batches(entries))  # built once for both passes
-    z = Parameter("z", encode_centers(encoder, entries, batches))
-    targets = np.stack([e.target for e in entries])
-    pairs = mine_informative_pairs(z.value, targets, cfg, substream(cfg.seed, "pairs", epoch))
+    groups = list(_groups(subgraphs))  # their edge lists are built once for both passes
+    z = Parameter("z", encode_centers(encoder, subgraphs, groups))
+    pairs = mine_informative_pairs(z.value, subgraphs.targets, cfg, substream(cfg.seed, "pairs", epoch))
     tape = Tape()
     loss = pair_loss_on_tape(tape, tape.param(z), pairs, cfg)
     tape.backward(loss)
-    for rows, batch in batches:
+    for rows, group in groups:
         tape = Tape()
-        tape.backward(encode_centers_on_tape(tape, encoder, batch), z.grad[rows])
+        tape.backward(encode_centers_on_tape(tape, encoder, group), z.grad[rows])
     return float(loss.value[0, 0])
 
 
 def reconstruction_step(
-    encoder: GatStack, decoder: GatStack, entries: Sequence[DatasetEntry]
+    encoder: GatStack, decoder: GatStack, subgraphs: SubgraphSet
 ) -> float:
     """One epoch's mean reconstruction error; adds its gradient into every ``grad``.
 
-    Each encoding group runs forward and backward on its own tape, an
-    entry's error entering the mean with weight ``1/N``.
+    Each encoding group runs forward and backward on its own tape, a
+    subgraph's error entering the mean with weight ``1/N``.
     """
     errors = []
-    for _, batch in _batches(entries):
+    for _, group in _groups(subgraphs):
         tape = Tape()
-        z = encode_group_on_tape(tape, encoder, batch)
-        x_hat = decode_group_on_tape(tape, decoder, batch, z)
-        sizes = batch.sizes
-        row_errors = tape.rownorm(tape.sub(tape.const(batch.features), x_hat))
+        z = encode_group_on_tape(tape, encoder, group)
+        x_hat = decode_group_on_tape(tape, decoder, group, z)
+        sizes = np.diff(group.vptr)
+        row_errors = tape.rownorm(tape.sub(tape.const(group.features), x_hat))
         per_entry = tape.cmul(tape.sum_blocks(row_errors, sizes), 1.0 / sizes[:, None])
-        tape.backward(per_entry, np.full(per_entry.shape, 1.0 / len(entries)))
+        tape.backward(per_entry, np.full(per_entry.shape, 1.0 / len(subgraphs)))
         errors.append(per_entry.value)
     return float(np.concatenate(errors).mean())
 
 
 def train_sgnn(
-    dataset: Sequence[DatasetEntry],
+    dataset: SubgraphSet,
     arch: ArchConfig,
     cfg: TrainingConfig,
     dataset_provider: DatasetProvider | None = None,
@@ -404,13 +399,13 @@ def train_sgnn(
     ``dataset_provider`` may substitute re-sampled subgraphs per epoch.
     """
     encoder = init_encoder(arch, cfg.seed)
-    step = lambda entries, epoch: contrastive_step(encoder, entries, cfg, epoch)  # noqa: E731
+    step = lambda subgraphs, epoch: contrastive_step(encoder, subgraphs, cfg, epoch)  # noqa: E731
     report = _fit(dataset, encoder.parameters(), cfg, dataset_provider, step, "contrastive")
     return encoder, report
 
 
 def train_gae(
-    dataset: Sequence[DatasetEntry],
+    dataset: SubgraphSet,
     arch: ArchConfig,
     cfg: TrainingConfig,
     dataset_provider: DatasetProvider | None = None,
@@ -422,7 +417,7 @@ def train_gae(
     """
     encoder = init_encoder(arch, cfg.seed)
     decoder = init_decoder(arch, cfg.seed)
-    step = lambda entries, epoch: reconstruction_step(encoder, decoder, entries)  # noqa: E731
+    step = lambda subgraphs, epoch: reconstruction_step(encoder, decoder, subgraphs)  # noqa: E731
     params = encoder.parameters() + decoder.parameters()
     report = _fit(dataset, params, cfg, dataset_provider, step, "reconstruction")
     return encoder, decoder, report

@@ -9,7 +9,7 @@ import pytest
 
 from ranrec.autodiff import cosine
 from ranrec.graph import AttributeSchema, AttributeSpec, CellRecord, RanGraph
-from ranrec.sampler import Subgraph
+from ranrec.sampler import SubgraphSet
 from ranrec.synth import _TECH_DESIGN, GroundTruth
 
 
@@ -62,13 +62,18 @@ def nr_cell(
     )
 
 
-def hand_subgraph(ids, edges, features) -> Subgraph:
-    """A subgraph built by hand: vertices named ``ids`` (centre first), local
-    edge pairs ``(i, j)`` with ``i < j`` and one feature row per vertex."""
-    return Subgraph(
+def hand_subgraph(ids, edges, features, target=()) -> SubgraphSet:
+    """A set of one subgraph built by hand: vertices named ``ids`` (centre
+    first), local edge pairs ``(i, j)`` with ``i < j``, one feature row per
+    vertex and the centre's ``target``."""
+    edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    return SubgraphSet(
         rows=np.arange(len(ids)),
-        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
+        vptr=np.array([0, len(ids)]),
+        edges=edges,
+        eptr=np.array([0, edges.shape[0]]),
         features=np.asarray(features, dtype=np.float64),
+        targets=np.asarray(target, dtype=np.float64).reshape(1, -1),
         cell_ids=tuple(ids),
     )
 

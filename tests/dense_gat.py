@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ranrec.autodiff import EdgeList, Tape, leaky_relu_values
-from ranrec.gnn import GatStack, HeadParams, encode_group_on_tape, stack_subgraphs
-from ranrec.sampler import Subgraph
+from ranrec.gnn import GatStack, HeadParams, encode_group_on_tape
+from ranrec.sampler import SubgraphSet
 
 
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -29,9 +29,9 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention_mask(subgraph: Subgraph) -> np.ndarray:
+def attention_mask(subgraph: SubgraphSet) -> np.ndarray:
     """Self-inclusive adjacency mask: every vertex attends to itself."""
-    mask = np.eye(subgraph.size, dtype=bool)
+    mask = np.eye(subgraph.vptr[-1], dtype=bool)
     for i, j in subgraph.edges:
         mask[i, j] = True
         mask[j, i] = True
@@ -51,7 +51,7 @@ def dense_head(s, t, a, mask, slope):
     return alpha @ s, alpha
 
 
-def _dense_forward(stack: GatStack, subgraph: Subgraph):
+def _dense_forward(stack: GatStack, subgraph: SubgraphSet):
     mask = attention_mask(subgraph)
     h = np.asarray(subgraph.features, dtype=np.float64)
     weights = []
@@ -67,12 +67,12 @@ def _dense_forward(stack: GatStack, subgraph: Subgraph):
     return h, weights
 
 
-def dense_encode(stack: GatStack, subgraph: Subgraph) -> np.ndarray:
+def dense_encode(stack: GatStack, subgraph: SubgraphSet) -> np.ndarray:
     """Per-vertex embeddings through dense heads; row 0 is the centre."""
     return _dense_forward(stack, subgraph)[0]
 
 
-def attention_matrices(stack: GatStack, subgraph: Subgraph) -> list[list[np.ndarray]]:
+def attention_matrices(stack: GatStack, subgraph: SubgraphSet) -> list[list[np.ndarray]]:
     """Per-layer, per-head dense attention weight matrices (rows sum to 1)."""
     return _dense_forward(stack, subgraph)[1]
 
@@ -82,7 +82,7 @@ def destinations(edges: EdgeList) -> np.ndarray:
     return np.repeat(np.arange(edges.targets), edges.counts)
 
 
-def edge_attention_matrices(stack: GatStack, subgraph: Subgraph) -> list[list[np.ndarray]]:
+def edge_attention_matrices(stack: GatStack, subgraph: SubgraphSet) -> list[list[np.ndarray]]:
     """The same matrices from the edge-list heads, every layer over every edge."""
     recorded = []
 
@@ -92,12 +92,12 @@ def edge_attention_matrices(stack: GatStack, subgraph: Subgraph) -> list[list[np
             recorded.append(alpha)
             return node, alpha
 
-    batch = stack_subgraphs([subgraph])
-    encode_group_on_tape(Recording(), stack, batch)
-    n, heads = subgraph.size, len(stack.layers[0].heads)
+    encode_group_on_tape(Recording(), stack, subgraph)
+    edges = subgraph.edge_lists[0]
+    n, heads = subgraph.vptr[-1], len(stack.layers[0].heads)
     matrices = []
     for alpha in recorded:
         dense = np.zeros((n, n))
-        dense[destinations(batch.edges), batch.edges.src] = alpha
+        dense[destinations(edges), edges.src] = alpha
         matrices.append(dense)
     return [matrices[i : i + heads] for i in range(0, len(matrices), heads)]

@@ -27,12 +27,11 @@ from ranrec.gnn import (
     encode_group_on_tape,
     init_decoder,
     init_encoder,
-    stack_subgraphs,
 )
 from ranrec.graph import fit_normalization, feature_map
 from ranrec.inference import EmbeddingStore, recommend_majority
 from ranrec.rng import substream
-from ranrec.sampler import DatasetEntry, SamplerConfig, Subgraph, sample_subgraph
+from ranrec.sampler import SamplerConfig, SubgraphSet, sample_subgraph, stack_subgraphs
 from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
     TrainingConfig,
@@ -70,7 +69,7 @@ def test_criterion_1_reference_numbers_out_of_scope():
 # 2. Gradient correctness on randomized subgraphs
 
 
-def _random_subgraph(rng: np.random.Generator, in_dim: int) -> Subgraph:
+def _random_subgraph(rng: np.random.Generator, in_dim: int) -> SubgraphSet:
     n = int(rng.integers(3, 7))  # 3-6 vertices
     features = rng.random((n, in_dim))
     edges = {(0, j) for j in range(1, n)}
@@ -78,7 +77,7 @@ def _random_subgraph(rng: np.random.Generator, in_dim: int) -> Subgraph:
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 edges.add((i, j))
-    return hand_subgraph(["c0", *(f"n{j}" for j in range(1, n))], sorted(edges), features)
+    return hand_subgraph(["c0", *(f"n{j}" for j in range(1, n))], sorted(edges), features, rng.random(4))
 
 
 def _grad_arch(in_dim: int) -> ArchConfig:
@@ -99,11 +98,7 @@ def test_criterion_2_gradient_correctness():
         rng = np.random.default_rng(1000 + case)
         arch = _grad_arch(in_dim)
         encoder = init_encoder(arch, seed=case)
-        entries = [
-            DatasetEntry(subgraph=_random_subgraph(rng, in_dim), target=rng.random(4))
-            for _ in range(3)
-        ]
-        batch = stack_subgraphs([e.subgraph for e in entries])
+        batch = stack_subgraphs([_random_subgraph(rng, in_dim) for _ in range(3)])
         pairs = pair_records(
             [
                 (0, 1, float(rng.uniform(-1, 1))),
@@ -126,11 +121,10 @@ def test_criterion_2_gradient_correctness():
         encoder = init_encoder(arch, seed=case)
         decoder = init_decoder(arch, seed=case)
         subgraph = _random_subgraph(rng, in_dim)
-        single = stack_subgraphs([subgraph])
 
         def f(tape: Tape):
-            z = encode_group_on_tape(tape, encoder, single)
-            x_hat = decode_group_on_tape(tape, decoder, single, z)
+            z = encode_group_on_tape(tape, encoder, subgraph)
+            x_hat = decode_group_on_tape(tape, decoder, subgraph, z)
             diff = tape.sub(tape.const(subgraph.features), x_hat)
             return tape.mean(tape.rownorm(diff))
 
@@ -375,12 +369,12 @@ def test_criterion_7_structural_invariants():
     cfg = SamplerConfig(fanout=1, seed=77)
     first = sample_subgraph(graph, "hub", cfg, fmap)
     determinism_ok = all(
-        sample_subgraph(graph, "hub", cfg, fmap).neighbors == first.neighbors for _ in range(5)
+        np.array_equal(sample_subgraph(graph, "hub", cfg, fmap).rows, first.rows) for _ in range(5)
     )
     counts: dict[str, int] = {}
     for k in range(10_000):
-        sub_k = sample_subgraph(graph, "hub", cfg, fmap, rng=substream(77, "band", k))
-        counts[sub_k.neighbors[0]] = counts.get(sub_k.neighbors[0], 0) + 1
+        neighbor = graph.cell_ids[sample_subgraph(graph, "hub", cfg, fmap, rng=substream(77, "band", k)).rows[1]]
+        counts[neighbor] = counts.get(neighbor, 0) + 1
     freqs = [c / 10_000 for c in counts.values()]
     uniform_ok = len(counts) == 10 and all(0.08 <= f <= 0.12 for f in freqs)
     details.append(f"uniformity [{min(freqs):.3f}, {max(freqs):.3f}]")

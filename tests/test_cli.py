@@ -415,6 +415,20 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert f"{bad}: {entry}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("name", 5), ("technology", ["LTE"]), ("role", None), ("kind", True), ("aggregation", 1.5)])
+    def test_embed_rejects_non_string_schema_field(self, workspace, tmp_path, capsys, field, value):
+        network = json.loads((workspace / "net" / "network.json").read_text())
+        entry = next(i for i, spec in enumerate(network["schema"]) if field in spec)
+        network["schema"][entry][field] = value
+        bad = tmp_path / "network.json"
+        bad.write_text(json.dumps(network))
+        out = tmp_path / "store.json"
+        code = main(["embed", str(bad), str(workspace / "ckpt.json"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: schema entry {entry}: {field}: expected a string, got {type(value).__name__} {value!r}" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_new_cells_not_an_object(self, workspace, tmp_path, capsys):
         bad = tmp_path / "new_cells.json"
         bad.write_text("5")
@@ -449,6 +463,9 @@ CHECKPOINT_CASES = [
     "stats_max_bool",
     "stats_observed_string",
     "stats_min_huge",  # a JSON number beyond the float range
+    # The model must be one of the names the program writes.
+    "model_number",
+    "model_unknown",
 ]
 # Top-level integers a hand edit may break: (key, value).
 CHECKPOINT_INTEGERS = [
@@ -494,6 +511,9 @@ def _corrupt_checkpoint(checkpoint: dict, case: str) -> str:
     if case == "stats_min_huge":
         stats["predictor"][1]["min"] = 10**400
         return "int too large to convert to float"
+    if case in ("model_number", "model_unknown"):
+        checkpoint["model"] = 5 if case == "model_number" else "banana"
+        return f"key 'model': expected one of ('sgnn', 'gae', 'untrained'), got {checkpoint['model']!r}"
     if case == "stats_observed_string":
         slot = next(i for i, s in enumerate(stats["config"]) if "observed" in s)
         stats["config"][slot]["observed"][-1] = "0.5"

@@ -14,7 +14,7 @@ from ranrec.evaluation import MODELS, accuracy, compare_models, pca_project, roc
 from ranrec.gnn import init_encoder
 from ranrec.graph import RanGraph, feature_map, fit_normalization, load_network
 from ranrec.inference import EmbeddingStore, embed_entries, load_store, nearest
-from ranrec.sampler import build_dataset, split_indices
+from ranrec.sampler import build_dataset, split_indices, stack_subgraphs
 from ranrec.synth import GroundTruth, SynthSpec, generate, synthesize_expansion, synthesize_greenfield
 from ranrec.training import encode_centers, train_gae, train_sgnn
 
@@ -155,9 +155,8 @@ def oracle_retrieval_reports(encoder, model, train_entries, test_entries):
     train_y = [store.y[row[nearest(store, z, 1, exclude=cid)[0][0]]] for cid, z in zip(store.ids, store.z)]
     test_y = [store.y[row[nearest(store, z, 1)[0][0]]] for z in encode_centers(encoder, test_entries)]
 
-    def report(entries, predicted, dataset):
-        ids = [e.subgraph.center for e in entries]
-        return accuracy([e.target for e in entries], predicted, ids, model=model, dataset=dataset)
+    def report(subgraphs, predicted, dataset):
+        return accuracy(subgraphs.targets, predicted, subgraphs.centers, model=model, dataset=dataset)
 
     return report(train_entries, train_y, "train"), report(test_entries, test_y, "test")
 
@@ -169,7 +168,7 @@ def oracle_comparison(graph, config):
     train_ids = [graph.cell_ids[i] for i in train_idx]
     stats = fit_normalization(graph, train_ids)
     dataset = build_dataset(graph, stats, config.sampler())
-    train_entries, test_entries = [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]
+    train_entries, test_entries = (stack_subgraphs([dataset[i : i + 1] for i in idx]) for idx in (train_idx, test_idx))
     provider = None
     if config.resample_per_epoch:
         provider = lambda epoch: build_dataset(graph, stats, config.sampler(), epoch=epoch, cells=train_ids)  # noqa: E731

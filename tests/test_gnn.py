@@ -17,10 +17,9 @@ from ranrec.gnn import (
     init_decoder,
     init_encoder,
     schema_hash,
-    stack_subgraphs,
 )
 from ranrec.graph import NormalizationStats, SlotStats
-from ranrec.sampler import Subgraph
+from ranrec.sampler import SubgraphSet, stack_subgraphs
 
 from conftest import hand_subgraph, small_schema
 from dense_gat import attention_matrices, attention_scores, dense_encode, edge_attention_matrices
@@ -29,7 +28,7 @@ from dense_gat import attention_matrices, attention_scores, dense_encode, edge_a
 BOTH = (attention_matrices, edge_attention_matrices)
 
 
-def make_subgraph(n_neighbors: int, in_dim: int = 5, seed: int = 0, edges=None) -> Subgraph:
+def make_subgraph(n_neighbors: int, in_dim: int = 5, seed: int = 0, edges=None) -> SubgraphSet:
     rng = np.random.default_rng(seed)
     features = rng.random(size=(1 + n_neighbors, in_dim))
     if edges is None:
@@ -143,7 +142,7 @@ class TestEncodeDecode:
             features[perm],
         )
         out, out_permuted = (
-            encode_group_on_tape(Tape(), stack, stack_subgraphs([s])).value for s in (sub, permuted)
+            encode_group_on_tape(Tape(), stack, s).value for s in (sub, permuted)
         )
         assert np.abs(encode(stack, permuted) - encode(stack, sub)).max() <= 1e-12
         for old, new in inv.items():
@@ -157,9 +156,8 @@ class TestEncodeDecode:
         enc = init_encoder(arch, seed=10)
         dec = init_decoder(arch, seed=10)
         sub = make_subgraph(2)
-        batch = stack_subgraphs([sub])
         tape = Tape()
-        x_hat = decode_group_on_tape(tape, dec, batch, encode_group_on_tape(tape, enc, batch))
+        x_hat = decode_group_on_tape(tape, dec, sub, encode_group_on_tape(tape, enc, sub))
         assert x_hat.shape == sub.features.shape
 
     def test_decode_deterministic(self):
@@ -167,8 +165,7 @@ class TestEncodeDecode:
         dec = init_decoder(arch, seed=11)
         sub = make_subgraph(2)
         z = np.random.default_rng(1).normal(size=(3, arch.embedding_dim))
-        batch = stack_subgraphs([sub])
-        first, second = (decode_group_on_tape(t, dec, batch, t.const(z)).value for t in (Tape(), Tape()))
+        first, second = (decode_group_on_tape(t, dec, sub, t.const(z)).value for t in (Tape(), Tape()))
         assert np.array_equal(first, second)
 
     def test_reconstruction_gradient(self):
@@ -176,11 +173,10 @@ class TestEncodeDecode:
         enc = init_encoder(arch, seed=12)
         dec = init_decoder(arch, seed=12)
         sub = make_subgraph(2, in_dim=3)
-        batch = stack_subgraphs([sub])
 
         def f(tape: Tape):
-            z = encode_group_on_tape(tape, enc, batch)
-            x_hat = decode_group_on_tape(tape, dec, batch, z)
+            z = encode_group_on_tape(tape, enc, sub)
+            x_hat = decode_group_on_tape(tape, dec, sub, z)
             diff = tape.sub(tape.const(sub.features), x_hat)
             return tape.mean(tape.rownorm(diff))
 
@@ -192,7 +188,7 @@ class TestEncodeDecode:
         arch = tiny_arch()
         stack = init_encoder(arch, seed=14)
         batch = stack_subgraphs([make_subgraph(8, seed=i) for i in range(6)])
-        pair_rows = batch.edges.src.shape[0]
+        pair_rows = batch.edge_lists[0].src.shape[0]
         for centers in (False, True):
             tape = Tape()
             encode_group_on_tape(tape, stack, batch, centers)
@@ -207,7 +203,7 @@ class TestEncodeDecode:
         stack = init_encoder(ArchConfig(in_dim=5), seed=15)
         for seed in range(5):
             sub = make_subgraph(8, seed=seed, edges=[(0, j) for j in range(1, 9)] + [(2, 3), (5, 8)])
-            full = encode_group_on_tape(Tape(), stack, stack_subgraphs([sub])).value
+            full = encode_group_on_tape(Tape(), stack, sub).value
             np.testing.assert_allclose(full, dense_encode(stack, sub), rtol=1e-13, atol=1e-15)
 
     def test_outputs_bit_equal_across_paths(self):
@@ -226,11 +222,11 @@ class TestEncodeDecode:
         ]
         alone = np.stack([encode(stack, sub) for sub in subgraphs])
         batch = stack_subgraphs(subgraphs)
-        full = encode_group_on_tape(Tape(), stack, batch).value[batch.centers]
+        full = encode_group_on_tape(Tape(), stack, batch).value[batch.vptr[:-1]]
         centers = encode_group_on_tape(Tape(), stack, batch, centers=True).value
         assert np.array_equal(full, alone)
         assert np.array_equal(centers, alone)
-        lone = [s for s in subgraphs if s.size == 1]
+        lone = [s for s in subgraphs if s.vptr[-1] == 1]
         assert np.array_equal(
             encode_group_on_tape(Tape(), stack, stack_subgraphs(lone), centers=True).value,
             np.stack([encode(stack, s) for s in lone]),

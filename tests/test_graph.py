@@ -245,8 +245,8 @@ class TestFeatureMap:
         assert not features.x.flags.writeable and not features.y.flags.writeable
         for cell in cells:
             row = graph.row_of[cell.cell_id]
-            for matrix, role in ((features.x, "predictor"), (features.y, "config")):
-                raw = cell.raw_values(role)
+            roles = ((features.x, "predictor", cell.raw_predictors), (features.y, "config", cell.raw_configs))
+            for matrix, role, raw in roles:
                 expected = [
                     slot.normalize(raw[spec.name])
                     if spec.technology == cell.technology and spec.name in raw

@@ -366,8 +366,8 @@ class TestEmbedNewCell:
         dataset = build_dataset(graph, stats, SamplerConfig(fanout=3, seed=0))
         from ranrec.gnn import encode
 
-        for entry in dataset:
-            store.add(entry.subgraph.center, encode(encoder, entry.subgraph), entry.target)
+        for i, center in enumerate(dataset.centers):
+            store.add(center, encode(encoder, dataset[i : i + 1]), dataset.targets[i])
         return graph, stats, store
 
     def test_same_subgraph_same_embedding(self):

@@ -24,9 +24,26 @@ from conftest import lte_cell, nr_cell, small_schema, star_graph
 
 
 def split(dataset, test_fraction: float, seed: int):
-    """Disjoint, exhaustive train/test split of a dataset, deterministic per seed."""
+    """The centre ids of a disjoint, exhaustive train/test split of a dataset,
+    deterministic per seed."""
     train_idx, test_idx = split_indices(len(dataset), test_fraction, seed)
-    return [dataset[i] for i in train_idx], [dataset[i] for i in test_idx]
+    centers = dataset.centers
+    return [centers[i] for i in train_idx], [centers[i] for i in test_idx]
+
+
+def each(subgraphs):
+    """Every subgraph of a set, as a set of one."""
+    return [subgraphs[i : i + 1] for i in range(len(subgraphs))]
+
+
+def vertices(sub) -> tuple[str, ...]:
+    """The vertex ids of a set of one subgraph, the centre first."""
+    return tuple(sub.cell_ids[row] for row in sub.rows.tolist())
+
+
+def neighbors(sub) -> tuple[str, ...]:
+    """The sampled neighbour ids of a set of one subgraph, in draw order."""
+    return vertices(sub)[1:]
 
 
 def edge_pairs(sub) -> tuple[tuple[int, int], ...]:
@@ -73,15 +90,15 @@ class TestSampleSubgraph:
     def test_isolated_center(self):
         graph = RanGraph(schema=small_schema(), cells=[lte_cell("a"), nr_cell("b")])
         sub = sample_subgraph(graph, "a", SamplerConfig(fanout=4, seed=0), _features(graph))
-        assert sub.center == "a"
-        assert sub.neighbors == ()
+        assert sub.centers == ["a"]
+        assert neighbors(sub) == ()
         assert sub.edges.shape == (0, 2)
         assert sub.features.shape[0] == 1
 
     def test_fanout_capped_by_degree(self):
         graph = star_graph(3)
         sub = sample_subgraph(graph, "hub", SamplerConfig(fanout=5, seed=0), _features(graph))
-        assert set(sub.neighbors) == set(graph.neighbors("hub"))
+        assert set(neighbors(sub)) == set(graph.neighbors("hub"))
 
     def test_deterministic_per_seed_and_center(self):
         graph = star_graph(10)
@@ -90,16 +107,16 @@ class TestSampleSubgraph:
         first = sample_subgraph(graph, "hub", cfg, features)
         for _ in range(3):
             again = sample_subgraph(graph, "hub", cfg, features)
-            assert again.neighbors == first.neighbors
+            assert neighbors(again) == neighbors(first)
             assert np.array_equal(again.edges, first.edges)
             assert np.array_equal(again.features, first.features)
 
     def test_sample_size(self):
         graph = star_graph(10)
         sub = sample_subgraph(graph, "hub", SamplerConfig(fanout=4, seed=1), _features(graph))
-        assert len(sub.neighbors) == 4
-        assert len(set(sub.neighbors)) == 4
-        assert sub.center not in sub.neighbors
+        assert len(neighbors(sub)) == 4
+        assert len(set(neighbors(sub))) == 4
+        assert "hub" not in neighbors(sub)
 
     def test_center_row_first(self):
         graph = star_graph(4)
@@ -111,7 +128,7 @@ class TestSampleSubgraph:
         graph = star_graph(6)
         sub = sample_subgraph(graph, "hub", SamplerConfig(fanout=3, seed=5), _features(graph))
         for i, j in sub.edges:
-            assert 0 <= i < j < sub.size
+            assert 0 <= i < j < len(sub.rows)
 
 
 class TestUniformity:
@@ -124,7 +141,7 @@ class TestUniformity:
         for k in range(draws):
             rng = substream(cfg.seed, "uniformity", k)
             sub = sample_subgraph(graph, "hub", cfg, features, rng=rng)
-            counts[sub.neighbors[0]] = counts.get(sub.neighbors[0], 0) + 1
+            counts[neighbors(sub)[0]] = counts.get(neighbors(sub)[0], 0) + 1
         assert len(counts) == 10
         for cid, count in counts.items():
             assert 0.08 <= count / draws <= 0.12, (cid, count)
@@ -146,15 +163,15 @@ class TestBuildDataset:
         graph = self._graph()
         entries = build_dataset(graph, _fitted(graph), SamplerConfig(fanout=2, seed=0))
         assert len(entries) == 5
-        assert [e.subgraph.center for e in entries] == list(graph.cell_ids)
+        assert entries.centers == list(graph.cell_ids)
 
     def test_target_is_center_config(self):
         graph = self._graph()
         stats = _fitted(graph)
         features = feature_map(graph, stats)
         entries = build_dataset(graph, stats, SamplerConfig(fanout=2, seed=0))
-        for entry in entries:
-            assert np.array_equal(entry.target, features.y[graph.row_of[entry.subgraph.center]])
+        for sub in each(entries):
+            assert np.array_equal(sub.targets[0], features.y[graph.row_of[sub.centers[0]]])
 
     def test_determinism(self):
         graph = self._graph()
@@ -162,10 +179,10 @@ class TestBuildDataset:
         cfg = SamplerConfig(fanout=2, seed=9)
         first = build_dataset(graph, stats, cfg)
         second = build_dataset(graph, stats, cfg)
-        for a, b in zip(first, second):
-            assert a.subgraph.neighbors == b.subgraph.neighbors
-            assert np.array_equal(a.subgraph.features, b.subgraph.features)
-            assert np.array_equal(a.target, b.target)
+        for a, b in zip(each(first), each(second), strict=True):
+            assert neighbors(a) == neighbors(b)
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.targets, b.targets)
 
 
 class TestSplit:
@@ -181,16 +198,14 @@ class TestSplit:
         data = self._dataset(10)
         first = split(data, 0.3, seed=5)
         second = split(data, 0.3, seed=5)
-        assert [e.subgraph.center for e in first[0]] == [e.subgraph.center for e in second[0]]
-        assert [e.subgraph.center for e in first[1]] == [e.subgraph.center for e in second[1]]
+        assert first == second
 
     def test_partition(self):
         data = self._dataset(10)
         train, test = split(data, 0.2, seed=1)
-        train_ids = {e.subgraph.center for e in train}
-        test_ids = {e.subgraph.center for e in test}
+        train_ids, test_ids = set(train), set(test)
         assert train_ids.isdisjoint(test_ids)
-        assert train_ids | test_ids == {e.subgraph.center for e in data}
+        assert train_ids | test_ids == set(data.centers)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
     def test_fraction_out_of_range(self, fraction):
@@ -223,20 +238,20 @@ class TestInducedClosure:
         cfg = SamplerConfig(fanout=fanout, seed=edge_seed)
         for cid in graph.cell_ids:
             sub = sample_subgraph(graph, cid, cfg, features)
-            vertices = sub.vertices
-            assert len(sub.neighbors) == min(fanout, len(graph.neighbors(cid)))
-            assert set(sub.neighbors) <= set(graph.neighbors(cid))
+            ids = vertices(sub)
+            assert len(neighbors(sub)) == min(fanout, len(graph.neighbors(cid)))
+            assert set(neighbors(sub)) <= set(graph.neighbors(cid))
             for i, j in sub.edges:
-                assert vertices[j] in graph.neighbors(vertices[i])
+                assert ids[j] in graph.neighbors(ids[i])
             # Every adjacent pair of sampled vertices is an induced edge.
             expected = [
                 (i, j)
-                for i in range(sub.size)
-                for j in range(i + 1, sub.size)
-                if frozenset((vertices[i], vertices[j])) in adjacent
+                for i in range(len(ids))
+                for j in range(i + 1, len(ids))
+                if frozenset((ids[i], ids[j])) in adjacent
             ]
             assert edge_pairs(sub) == tuple(expected)
-            for k, vertex in enumerate(vertices):
+            for k, vertex in enumerate(ids):
                 assert np.array_equal(sub.features[k], features.x[graph.row_of[vertex]])
 
 
@@ -274,16 +289,15 @@ def _oracle_subgraph(graph, adjacency, center, cfg, features, rng):
 def _assert_entries_equal_oracle(graph, stats, cfg, epoch, entries):
     features = feature_map(graph, stats)
     adjacency = _id_adjacency(graph)
-    assert [e.subgraph.center for e in entries] == list(graph.cell_ids)
-    for entry, cid in zip(entries, graph.cell_ids):
+    assert entries.centers == list(graph.cell_ids)
+    for got, cid in zip(each(entries), graph.cell_ids):
         tokens = ("subgraph", cid) if epoch is None else ("subgraph", cid, "epoch", epoch)
         neighbours, edges, rows = _oracle_subgraph(
             graph, adjacency, cid, cfg, features, substream(cfg.seed, *tokens)
         )
-        got = entry.subgraph
-        assert (got.neighbors, edge_pairs(got)) == (neighbours, edges), cid
+        assert (neighbors(got), edge_pairs(got)) == (neighbours, edges), cid
         assert got.features.tobytes() == rows.tobytes(), cid
-        assert entry.target.tobytes() == features.y[graph.row_of[cid]].tobytes(), cid
+        assert got.targets[0].tobytes() == features.y[graph.row_of[cid]].tobytes(), cid
 
 
 def _with_isolated_cell(graph):
@@ -314,13 +328,14 @@ class TestCsrSamplerOracle:
         cfg = SamplerConfig(fanout=fanout, seed=7)
         entries = build_dataset(graph, stats, cfg, epoch=epoch)
         _assert_entries_equal_oracle(graph, stats, cfg, epoch, entries)
-        assert entries[-1].subgraph.size == 1
+        assert entries.vptr[-1] - entries.vptr[-2] == 1
 
 
-def _assert_same_subgraph(got, want):
-    assert np.array_equal(got.rows, want.rows)
-    assert np.array_equal(got.edges, want.edges)
+def _assert_same_subgraphs(got, want):
+    for name in ("rows", "vptr", "edges", "eptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.features.tobytes() == want.features.tobytes()
+    assert got.targets.tobytes() == want.targets.tobytes()
     assert got.edges.dtype == want.edges.dtype == np.intp
 
 
@@ -332,8 +347,8 @@ class TestOneSampler:
         stats = _fitted(graph)
         features = feature_map(graph, stats)
         cfg = SamplerConfig(fanout=4, seed=2)
-        for entry, cid in zip(build_dataset(graph, stats, cfg), graph.cell_ids, strict=True):
-            _assert_same_subgraph(sample_subgraph(graph, cid, cfg, features), entry.subgraph)
+        for got, cid in zip(each(build_dataset(graph, stats, cfg)), graph.cell_ids, strict=True):
+            _assert_same_subgraphs(sample_subgraph(graph, cid, cfg, features), got)
 
     @pytest.mark.parametrize("kind", ["expansion", "greenfield"])
     def test_new_cells_equal_dataset_entries(self, kind):
@@ -349,12 +364,13 @@ class TestOneSampler:
         cfg = SamplerConfig(fanout=3, seed=1)
         ids = [cell.cell_id for cell in cells]
         entries = build_dataset(augmented, stats, cfg, cells=ids)
-        assert [e.subgraph.center for e in entries] == ids
+        assert entries.centers == ids
         everything = build_dataset(augmented, stats, cfg)
-        for entry, cid in zip(entries, ids):
-            _assert_same_subgraph(sample_subgraph(augmented, cid, cfg, features), entry.subgraph)
-            _assert_same_subgraph(everything[augmented.row_of[cid]].subgraph, entry.subgraph)
-            assert entry.target.tobytes() == features.y[augmented.row_of[cid]].tobytes()
+        for got, cid in zip(each(entries), ids, strict=True):
+            row = augmented.row_of[cid]
+            _assert_same_subgraphs(sample_subgraph(augmented, cid, cfg, features), got)
+            _assert_same_subgraphs(everything[row : row + 1], got)
+            assert got.targets[0].tobytes() == features.y[row].tobytes()
 
     def test_substream_only_for_cells_that_draw(self, monkeypatch):
         graph, _ = generate(SynthSpec(sites=50, seed=6))
@@ -375,8 +391,7 @@ class TestOneSampler:
             assert 0 < len(drawing) < len(graph.cell_ids)
             tail = () if epoch is None else ("epoch", epoch)
             assert calls == [(cfg.seed, "subgraph", cid, *tail) for cid in drawing]
-            for got, want in zip(entries, expected, strict=True):
-                _assert_same_subgraph(got.subgraph, want.subgraph)
+            _assert_same_subgraphs(entries, expected)
 
     def test_huge_fanout_allocates_nothing_in_proportion(self):
         graph = _with_isolated_cell(generate(SynthSpec(sites=50, seed=5))[0])
@@ -393,9 +408,8 @@ class TestOneSampler:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        for got, want in zip(entries, reference, strict=True):
-            _assert_same_subgraph(got.subgraph, want.subgraph)
-        assert single.size == 1
+        _assert_same_subgraphs(entries, reference)
+        assert len(single.rows) == 1
 
     def test_huge_fanout_accepted_by_config_checkpoint_and_embed(self, tmp_path):
         # In process: the CLI's embed samples with the checkpoint's fanout.

@@ -16,11 +16,10 @@ from ranrec.gnn import (
     encode_group_on_tape,
     init_decoder,
     init_encoder,
-    stack_subgraphs,
 )
-from ranrec.graph import fit_normalization
+from ranrec.graph import feature_map, fit_normalization
 from ranrec.rng import substream
-from ranrec.sampler import SamplerConfig, build_dataset
+from ranrec.sampler import SamplerConfig, build_dataset, sample_subgraph, stack_subgraphs
 from ranrec.synth import SynthSpec, generate
 from ranrec.training import (
     MiningConfig,
@@ -35,7 +34,7 @@ from ranrec.training import (
     train_sgnn,
 )
 
-from conftest import pair_records, same_pairs, star_graph
+from conftest import hand_subgraph, pair_records, same_pairs, star_graph
 from losses import config_similarity, contrastive_loss, reconstruction_loss
 
 
@@ -49,10 +48,6 @@ def tiny_arch(in_dim: int) -> ArchConfig:
     return ArchConfig(
         in_dim=in_dim, embedding_dim=3, layers=2, heads=2, head_dim=3, ffn_hidden=4, hidden_dim=4
     )
-
-
-def batch_of(entries):
-    return stack_subgraphs([e.subgraph for e in entries])
 
 
 def quick_config(**overrides) -> TrainingConfig:
@@ -367,7 +362,7 @@ class TestBlockwiseMiningOracle:
         for epoch in range(3):
             entries = build_dataset(graph, stats, sampling, epoch=epoch)
             z = encode_centers(encoder, entries)
-            targets = np.stack([e.target for e in entries])
+            targets = entries.targets
             new, old, same_state = _mine_both(z, targets, cfg, epoch)
             assert len(new) == cfg.pairs_per_epoch or len(new) == 10 * len(entries)
             assert same_pairs(new, old), epoch
@@ -396,7 +391,7 @@ class TestBlockwiseMiningOracle:
         # norms rounding exactly as the full computation does.
         graph, stats, sampling = network_1200
         entries = build_dataset(graph, stats, sampling)
-        targets = np.stack([e.target for e in entries])
+        targets = entries.targets
         z = encode_centers(init_encoder(ArchConfig(in_dim=graph.schema.predictor_dim), 1), entries)
         unit, _ = training._unit_targets(targets)
         full = np.clip(2.0 * (unit @ unit.T) - 1.0, -1.0, 1.0)
@@ -429,18 +424,81 @@ class TestEncodeCenters:
         graph, _ = generate(SynthSpec(sites=50, cells_per_site=5, inter_site_degree=2, seed=3))
         stats = fit_normalization(graph, graph.cell_ids)
         entries = build_dataset(graph, stats, SamplerConfig(fanout=8, seed=0))
-        assert len({e.subgraph.size for e in entries}) > 1
+        assert len(set(np.diff(entries.vptr).tolist())) > 1
         encoder = init_encoder(ArchConfig(in_dim=graph.schema.predictor_dim), 11)
-        alone = np.stack([encode(encoder, e.subgraph) for e in entries])
+        alone = np.stack([encode(encoder, entries[i : i + 1]) for i in range(len(entries))])
         for budget in (1, 7 * 19 + 1, training.ENCODE_GROUP_EDGES, 10**9):
             monkeypatch.setattr(training, "ENCODE_GROUP_EDGES", budget)
             assert np.array_equal(encode_centers(encoder, entries), alone), budget
 
     def test_tape_form_matches_eager(self):
         data = small_dataset(degree=8, fanout=3)
-        encoder = init_encoder(tiny_arch(data[0].subgraph.features.shape[1]), 2)
-        on_tape = encode_centers_on_tape(Tape(), encoder, batch_of(data)).value
+        encoder = init_encoder(tiny_arch(data.features.shape[1]), 2)
+        on_tape = encode_centers_on_tape(Tape(), encoder, data).value
         assert np.array_equal(encode_centers(encoder, data), on_tape)
+
+
+def _random_hand_subgraphs(rng: np.random.Generator, in_dim: int) -> list:
+    """Sets of one subgraph shaped like ``test_gnn.make_subgraph``'s: a centre
+    and 0-9 neighbours, star edges or a random edge set (the centre may have none)."""
+    parts = []
+    for _ in range(int(rng.integers(1, 30))):
+        n = int(rng.integers(1, 11))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < 0.4 if rng.random() < 0.5 else [i == 0 for i, _ in pairs]
+        edges = [pair for pair, kept in zip(pairs, keep) if kept]
+        ids = [f"c{len(parts)}", *(f"n{len(parts)}.{j}" for j in range(1, n))]
+        parts.append(hand_subgraph(ids, edges, rng.random((n, in_dim)), rng.random(3)))
+    return parts
+
+
+def _same_edges(got, want) -> bool:
+    return (
+        got.sources == want.sources
+        and all(np.array_equal(getattr(got, name), getattr(want, name)) for name in ("src", "starts", "counts"))
+    )
+
+
+def _assert_groups_equal_stacked(subgraphs, parts, encoder):
+    """Every encoding group of ``subgraphs`` has the edge lists, features and
+    centres of a fresh ``stack_subgraphs`` of its subgraphs ``parts``,
+    and ``encode_centers`` rows are bit-equal to one-subgraph ``encode`` rows."""
+    cut = 0
+    for rows, group in training._groups(subgraphs):
+        assert rows.start == cut and rows.stop > cut
+        cut = rows.stop
+        stacked = stack_subgraphs(parts[rows])
+        for got, want in zip(group.edge_lists, stacked.edge_lists, strict=True):
+            assert _same_edges(got, want), rows
+        assert group.features.tobytes() == stacked.features.tobytes(), rows
+        assert np.array_equal(group.vptr, stacked.vptr) and group.targets.tobytes() == stacked.targets.tobytes()
+        assert group.centers == subgraphs.centers[rows] == [part.centers[0] for part in parts[rows]]
+    assert cut == len(subgraphs) == len(parts)
+    alone = np.stack([encode(encoder, part) for part in parts])
+    assert np.array_equal(encode_centers(encoder, subgraphs), alone)
+
+
+class TestGroupSlices:
+    """An encoding group is a slice of the set; it equals its subgraphs stacked anew."""
+
+    def test_hand_made_sets_bit_equal_to_stacked_subgraphs(self, monkeypatch):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            parts = _random_hand_subgraphs(rng, 5)
+            encoder = init_encoder(ArchConfig(in_dim=5), seed)
+            monkeypatch.setattr(training, "ENCODE_GROUP_EDGES", int(rng.integers(1, 200)))
+            _assert_groups_equal_stacked(stack_subgraphs(parts), parts, encoder)
+
+    def test_synth_dataset_bit_equal_to_stacked_subgraphs(self):
+        graph, _ = generate(SynthSpec(sites=200, seed=8))
+        stats = fit_normalization(graph, graph.cell_ids)
+        cfg = SamplerConfig(fanout=8, seed=2)
+        dataset = build_dataset(graph, stats, cfg)
+        features = feature_map(graph, stats)
+        parts = [sample_subgraph(graph, cid, cfg, features) for cid in graph.cell_ids]
+        encoder = init_encoder(ArchConfig(in_dim=graph.schema.predictor_dim), 5)
+        assert len(list(training._groups(dataset))) > 50
+        _assert_groups_equal_stacked(dataset, parts, encoder)
 
 
 def _groupwise_dataset():
@@ -456,12 +514,12 @@ def greedy_group_vertices(entries, cap):
     their edge rows (self loops and both directions of each edge) stay
     within ``cap``, at least one entry per group."""
     groups, edge_rows = [], cap
-    for e in entries:
-        size = e.subgraph.size + 2 * len(e.subgraph.edges)
+    for vertices, pairs in zip(np.diff(entries.vptr).tolist(), np.diff(entries.eptr).tolist()):
+        size = vertices + 2 * pairs
         if edge_rows + size > cap:
             groups.append(0)
             edge_rows = 0
-        groups[-1] += e.subgraph.size
+        groups[-1] += vertices
         edge_rows += size
     return groups
 
@@ -476,8 +534,8 @@ def single_tape_sgnn(encoder, entries, cfg, epoch):
     """The epoch's loss and gradient with every subgraph on one tape."""
     params = _zeroed(encoder.parameters())
     tape = Tape()
-    z = encode_centers_on_tape(tape, encoder, batch_of(entries))
-    targets = np.stack([e.target for e in entries])
+    z = encode_centers_on_tape(tape, encoder, entries)
+    targets = entries.targets
     rng = substream(cfg.seed, "pairs", epoch)
     loss = pair_loss_on_tape(tape, z, oracle_mine_informative_pairs(z.value, targets, cfg, rng), cfg)
     tape.backward(loss)
@@ -487,10 +545,10 @@ def single_tape_sgnn(encoder, entries, cfg, epoch):
 def single_tape_gae(encoder, decoder, entries):
     params = _zeroed(encoder.parameters() + decoder.parameters())
     tape = Tape()
-    batch = batch_of(entries)
-    x_hat = decode_group_on_tape(tape, decoder, batch, encode_group_on_tape(tape, encoder, batch))
-    row_errors = tape.rownorm(tape.sub(tape.const(batch.features), x_hat))
-    per_entry = tape.cmul(tape.sum_blocks(row_errors, batch.sizes), 1.0 / batch.sizes[:, None])
+    x_hat = decode_group_on_tape(tape, decoder, entries, encode_group_on_tape(tape, encoder, entries))
+    row_errors = tape.rownorm(tape.sub(tape.const(entries.features), x_hat))
+    sizes = np.diff(entries.vptr)
+    per_entry = tape.cmul(tape.sum_blocks(row_errors, sizes), 1.0 / sizes[:, None])
     loss = tape.mean(per_entry)
     tape.backward(loss)
     return float(loss.value[0, 0]), [p.grad for p in params]
@@ -563,7 +621,7 @@ class TestGroupwiseTraining:
 class TestTrainSgnn:
     def test_zero_epochs_returns_init(self):
         data = small_dataset()
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         cfg = quick_config(epochs=0)
         encoder, report = train_sgnn(data, arch, cfg)
         reference = init_encoder(arch, cfg.seed)
@@ -573,7 +631,7 @@ class TestTrainSgnn:
 
     def test_same_seed_bitwise_identical(self):
         data = small_dataset()
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         cfg = quick_config(epochs=3)
         enc_a, rep_a = train_sgnn(data, arch, cfg)
         enc_b, rep_b = train_sgnn(data, arch, cfg)
@@ -583,7 +641,7 @@ class TestTrainSgnn:
 
     def test_loss_decreases(self):
         data = small_dataset(degree=10, fanout=4)
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         cfg = quick_config(epochs=30)
         _, report = train_sgnn(data, arch, cfg)
         first = np.mean(report.epoch_losses[:3])
@@ -592,7 +650,7 @@ class TestTrainSgnn:
 
     def test_report_times_each_epoch_and_peak_rss(self):
         data = small_dataset()
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         _, report = train_sgnn(data, arch, quick_config(epochs=3))
         assert len(report.epoch_seconds) == 3 and min(report.epoch_seconds) > 0.0
         assert sum(report.epoch_seconds) <= report.wall_time_s
@@ -601,20 +659,20 @@ class TestTrainSgnn:
 
     def test_needs_two_entries(self):
         data = small_dataset()[:1]
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         with pytest.raises(ValueError, match="at least 2"):
             train_sgnn(data, arch, quick_config())
 
     def test_microbatch_gradient(self):
         data = small_dataset(degree=3, fanout=2)
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         cfg = quick_config()
         encoder = init_encoder(arch, 5)
         entries = data[:3]
         pairs = pair_records([(0, 1, 0.6), (1, 2, -0.9)])
 
         def f(tape: Tape):
-            z = encode_centers_on_tape(tape, encoder, batch_of(entries))
+            z = encode_centers_on_tape(tape, encoder, entries)
             return pair_loss_on_tape(tape, z, pairs, cfg)
 
         assert grad_check(f, encoder.parameters()) < 1e-4
@@ -623,7 +681,7 @@ class TestTrainSgnn:
 class TestTrainGae:
     def test_zero_epochs_returns_init(self):
         data = small_dataset()
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         cfg = quick_config(epochs=0)
         encoder, decoder, report = train_gae(data, arch, cfg)
         for pa, pb in zip(encoder.parameters(), init_encoder(arch, cfg.seed).parameters()):
@@ -632,13 +690,13 @@ class TestTrainGae:
 
     def test_loss_decreases(self):
         data = small_dataset(degree=8, fanout=3)
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         _, _, report = train_gae(data, arch, quick_config(epochs=25))
         assert np.mean(report.epoch_losses[-3:]) <= np.mean(report.epoch_losses[:3])
 
     def test_deterministic(self):
         data = small_dataset()
-        arch = tiny_arch(data[0].subgraph.features.shape[1])
+        arch = tiny_arch(data.features.shape[1])
         cfg = quick_config(epochs=3)
         a = train_gae(data, arch, cfg)
         b = train_gae(data, arch, cfg)
